@@ -284,8 +284,14 @@ def _verify_spectrum(cfg, tol):
 
 
 def _verify_kernel_images(cfg, tol):
-    bc = BoundaryCondition.dirichlet()
+    # the configured condition when it is static at k = 0, else Dirichlet;
+    # multipliers enter the oracle as the Robin condition they reduce to
+    model = _build_model(cfg["model"])
+    bc = _build_bc(cfg["bc"])
+    if bc.is_dynamic or model.k != 0.0:
+        bc = BoundaryCondition.dirichlet()
     res = spectral.resolve(bc, 0.0, np.linspace(0, 10, 64))
+    images_bc = bc if res.alpha is None else BoundaryCondition.robin(res.alpha)
     rng = np.random.default_rng(11)
     t = rng.uniform(0.05, 2.0, 100)
     x = rng.uniform(0.2, 3.0, 100)
@@ -293,10 +299,10 @@ def _verify_kernel_images(cfg, tol):
     guard = 0.05
     keep = (np.abs(t - np.abs(x - y)) > guard) & (np.abs(t - (x + y)) > guard)
     K = propagator.causal_kernel(res, t[keep], x[keep], y[keep])
-    Im = oracle.images_kernel(t[keep], x[keep], y[keep], bc)
+    Im = oracle.images_kernel(t[keep], x[keep], y[keep], images_bc)
     worst = float(np.max(np.abs(K - Im)))
-    return {"max_err": worst, "points": int(np.sum(keep)), "tol": tol,
-            "passed": worst <= tol}
+    return {"bc": bc.describe(0.0), "max_err": worst, "points": int(np.sum(keep)),
+            "tol": tol, "passed": worst <= tol}
 
 
 def _verify_causality(cfg, tol):

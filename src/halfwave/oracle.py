@@ -180,20 +180,30 @@ def leapfrog(sys: FdSystem, u0, v0, dt: float, T: float,
 def images_kernel(t, x, y, bc: BoundaryCondition):
     """Closed-form causal kernel at k = 0 by reflection.
 
-    Half of the sign of t on the direct characteristic region |x - y| < |t|,
-    with the boundary image added (Neumann) or subtracted (Dirichlet).
+    For t > 0 and the Robin condition u'(0) = alpha u(0),
+
+        G = 1/2 theta(t - |x - y|) + theta(t - x - y) (exp(-alpha (t - x - y)) - 1/2)
+
+    and G is odd in t: half of the sign of t on the direct characteristic
+    region, plus the boundary image behind the reflected one.  Neumann is
+    alpha = 0 (image +1/2) and Dirichlet the alpha -> inf limit (image -1/2);
+    for alpha < 0 the exponential is the bound state's growth.
     """
-    if bc.kind not in ("dirichlet", "neumann"):
-        raise ValueError("images construction covers Dirichlet and Neumann only")
+    if bc.kind not in ("dirichlet", "neumann", "robin"):
+        raise ValueError("images construction covers Dirichlet, Neumann and "
+                         "Robin conditions only")
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    sign = np.sign(t)
-    direct = (np.abs(x - y) < np.abs(t)).astype(float)
-    image = (np.abs(x + y) < np.abs(t)).astype(float)
+    s = np.abs(t)
+    lag = s - np.abs(x + y)
+    direct = 0.5 * (np.abs(x - y) < s)
     if bc.kind == "dirichlet":
-        return 0.5 * sign * (direct - image)
-    return 0.5 * sign * (direct + image)
+        image = np.where(lag > 0, -0.5, 0.0)
+    else:
+        alpha = bc.effective_alpha()
+        image = np.where(lag > 0, np.exp(-alpha * np.maximum(lag, 0.0)) - 0.5, 0.0)
+    return np.sign(t) * (direct + image)
 
 
 def free_space_solution(u0_fn, x, t: float):

@@ -20,7 +20,12 @@ too large for pointwise kernel work.  For the k = 0 trigonometric families
 the tail has closed form in sine-integral and exponential-integral
 functions, and ``causal_kernel`` adds it back by default, leaving pure
 quadrature error (about 1e-6 at the default resolution, quartering when the
-node count doubles).
+node count doubles).  Elsewhere no completion exists and the kernel warns.
+
+On a tensor grid the continuum sum separates into t, x and y factors:
+``build_kernel_grid`` evaluates the family once per axis and contracts one
+matrix product per time sample, at n_xi (nt + nx + ny) transcendental
+evaluations against nt nx ny n_xi for pointwise sampling of every grid point.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from scipy.special import exp1, sici
 
 from .model import WarpedProfile, conformal_factors
 from .quadrature import TruncationWarning, check_decay
-from .spectral import ExtendedState, SpectralResolution
+from .spectral import _CHUNK, ExtendedState, SpectralResolution
 
 _SERIES_CUT = 1e-4
 
@@ -105,7 +110,7 @@ def _cos_frac_tail(c, a, xi_max):
     out[zero] = (np.pi / 2 - np.arctan(xi_max / a)) / a
     if np.any(~zero):
         plus, minus = _exp1_pair(c[~zero], a, xi_max)
-        out[~zero] = ((plus - minus) / (2j * a)).real
+        out[~zero] = (plus - minus).imag / (2.0 * a)
     return out
 
 
@@ -147,20 +152,51 @@ def _kernel_tail(kind, alpha, t, x, y, xi_max):
     return tail
 
 
+def _non_separable(res: SpectralResolution, t, x, y, tails: Optional[bool]):
+    """Kernel terms outside the continuum sum, at broadcastable (t, x, y).
+
+    Resolves the ``tails`` default (on whenever the closed-form completion
+    exists: static families at k = 0) and returns ``(terms, tails)``, where
+    ``terms`` is the bound-state term plus, with tails on, the weighted
+    closed-form xi > xi_max completion.  Without a completion the truncation
+    error is of order 1/xi_max, growing near the characteristics; a
+    defaulted ``tails`` says so with a :class:`TruncationWarning`.
+    """
+    closed_form = res.k == 0.0 and not res.extended
+    if tails is None:
+        tails = closed_form
+        if not closed_form:
+            xi_max = float(res.xi[-1])
+            warnings.warn(
+                f"no closed-form frequency tail for the {res.kind} family at "
+                f"k = {res.k:g}: the kernel keeps a truncation error of order "
+                f"1/xi_max = {1.0 / xi_max:.1e}, growing near the characteristics",
+                TruncationWarning, stacklevel=3)
+    if tails and not closed_form:
+        raise ValueError("tail completion only exists for static families at k = 0")
+    shape = np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(y))
+    terms = np.zeros(shape)
+    if res.bound is not None:
+        b = res.bound
+        terms += sin_propagator(b.lam, t) * b.profile(x) * b.profile(y)
+    if tails:
+        terms += res.weight * _kernel_tail(res.kind, res.alpha, t, x, y,
+                                           float(res.xi[-1]))
+    return terms, bool(tails)
+
+
 def causal_kernel(res: SpectralResolution, t, x, y, tails: Optional[bool] = None):
     """Sample the causal kernel G(t; x, y) at broadcastable points.
 
     Points need not lie on the resolution's x grid: the eigenfamily has a
     closed form.  ``tails`` controls the analytic completion of the truncated
     frequency integral; it defaults to on whenever the closed form exists
-    (static families at k = 0) and off otherwise.  For extended resolutions
-    this is the bulk-bulk block of the extended kernel; the boundary channel
-    enters through the source lift in :func:`wentzell_apply`.
+    (static families at k = 0) and off otherwise, with a
+    :class:`TruncationWarning`.  For extended resolutions this is the
+    bulk-bulk block of the extended kernel; the boundary channel enters
+    through the source lift in :func:`wentzell_apply`.  Tensor grids go
+    through :func:`build_kernel_grid`, which factors the sum instead.
     """
-    if tails is None:
-        tails = res.k == 0.0 and not res.extended
-    if tails and (res.k != 0.0 or res.extended):
-        raise ValueError("tail completion only exists for static families at k = 0")
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -168,23 +204,17 @@ def causal_kernel(res: SpectralResolution, t, x, y, tails: Optional[bool] = None
     tt = np.broadcast_to(t, shape).ravel()
     xx = np.broadcast_to(x, shape).ravel()
     yy = np.broadcast_to(y, shape).ravel()
+    terms, _ = _non_separable(res, tt, xx, yy, tails)
     out = np.zeros(tt.size)
     w = res.xi_weights()
-    for i0 in range(0, res.xi.size, 256):
-        sl = slice(i0, min(i0 + 256, res.xi.size))
+    for i0 in range(0, res.xi.size, _CHUNK):
+        sl = slice(i0, min(i0 + _CHUNK, res.xi.size))
         phi_x, _ = res.family_block(sl, points=xx)
         phi_y, _ = res.family_block(sl, points=yy)
         lam = (res.xi[sl] ** 2 + res.k ** 2)[:, None]
         s = sin_propagator(lam, tt[None, :])
         out += (w[sl][:, None] * s * phi_x * phi_y).sum(axis=0)
-    out *= res.weight
-    if res.bound is not None:
-        b = res.bound
-        out += (sin_propagator(b.lam, tt) * b.profile(xx) * b.profile(yy))
-    if tails:
-        out += res.weight * _kernel_tail(res.kind, res.alpha, tt, xx, yy,
-                                         float(res.xi[-1]))
-    return out.reshape(shape)
+    return (res.weight * out + terms).reshape(shape)
 
 
 @dataclass
@@ -239,19 +269,32 @@ class KernelGrid:
 
 def build_kernel_grid(res: SpectralResolution, t, x, y,
                       tails: Optional[bool] = None) -> KernelGrid:
-    """Evaluate the causal kernel on the tensor grid t (x) x (x) y."""
+    """Evaluate the causal kernel on the tensor grid t (x) x (x) y.
+
+    The continuum sum factors over the grid: with phi_x = phi_xi(x),
+    phi_y = phi_xi(y) and S[t] = w_xi s(xi^2 + k^2, t), each time slice is
+    the matrix product (phi_x * S[t]).T @ phi_y.  The bound-state and tail
+    terms (``tails`` as in :func:`causal_kernel`) are broadcast over the grid.
+    Transient memory is O(n_xi (nt + nx + ny) + nt nx ny).
+    """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    T, X, Y = np.meshgrid(t, x, y, indexing="ij")
-    values = causal_kernel(res, T, X, Y, tails=tails)
+    terms, tails = _non_separable(res, t[:, None, None], x[None, :, None],
+                                  y[None, None, :], tails)
+    phi_x, _ = res.family_block(slice(None), points=x)
+    phi_y, _ = res.family_block(slice(None), points=y)
+    S = res.xi_weights() * sin_propagator(res.omega_sq()[None, :], t[:, None])
+    values = np.empty((t.size, x.size, y.size))
+    for i, s in enumerate(S):
+        values[i] = (phi_x * s[:, None]).T @ phi_y
+    values = res.weight * values + terms
     meta = {
         "kind": res.kind,
         "alpha": res.alpha,
         "k": res.k,
         "quadrature": {"xi_max": float(res.xi[-1]), "nodes": int(res.xi.size)},
-        "tails": bool(tails) if tails is not None
-                 else (res.k == 0.0 and not res.extended),
+        "tails": tails,
     }
     return KernelGrid(t=t, x=x, y=y, values=values, meta=meta)
 

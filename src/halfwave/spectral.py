@@ -48,7 +48,7 @@ def robin_continuum_mode(x, xi, alpha: float):
             raise ValueError("xi = alpha = 0 is degenerate: no normalized "
                              "direction exists there")
         return np.cos(xi * x)
-    return (xi * np.cos(xi * x) + alpha * np.sin(xi * x)) / np.sqrt(xi * xi + alpha * alpha)
+    return (xi * np.cos(xi * x) + alpha * np.sin(xi * x)) / np.hypot(xi, alpha)
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ class SpectralResolution:
             a = self.alpha
             if a == 0.0:
                 return np.cos(X), None
-            return (xi * np.cos(X) + a * np.sin(X)) / np.sqrt(xi * xi + a * a), None
+            return (xi * np.cos(X) + a * np.sin(X)) / np.hypot(xi, a), None
         # extended family
         nrm = 1.0 / np.sqrt(1.0 + xi * xi)
         return nrm * (np.cos(X) - xi * np.sin(X)), nrm[:, 0]

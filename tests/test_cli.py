@@ -195,6 +195,22 @@ class TestVerify:
         report = json.loads((out / "verify.json").read_text())
         assert report["checks"]["bc_residual"]["passed"] is False
 
+    @pytest.mark.parametrize("bc,model,recorded", [
+        ({"kind": "robin", "alpha": 0.7}, {}, {"kind": "robin", "alpha": 0.7}),
+        ({"kind": "neumann"}, {}, {"kind": "neumann"}),
+        ({"kind": "multiplier", "poly": [-0.5, 0.0, 1.0]}, {},
+         {"kind": "multiplier", "alpha_at_k": -0.5}),
+        ({"kind": "wentzell"}, {"n": 1, "k": 1.0}, {"kind": "dirichlet"}),
+    ])
+    def test_kernel_images_uses_static_bc(self, tmp_path, bc, model, recorded):
+        cfg = write_config(tmp_path, bc=bc, model={"grid": 256, **model},
+                           verify={"checks": ["kernel_images"]})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "verify"]) == EXIT_OK
+        entry = json.loads((out / "verify.json").read_text())["checks"]["kernel_images"]
+        assert entry["bc"] == recorded
+        assert entry["max_err"] <= 1e-5
+
     def test_unknown_check_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, verify={"checks": ["no_such_check"]})
         assert main(["--config", str(cfg), "verify",

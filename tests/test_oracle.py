@@ -151,15 +151,30 @@ class TestImagesKernel:
         t = rng.uniform(-2, 2, 200)
         x = rng.uniform(0.1, 3, 200)
         y = rng.uniform(0.1, 3, 200)
-        for bc in (DIR, BoundaryCondition.neumann()):
+        for bc in (DIR, BoundaryCondition.neumann(), BoundaryCondition.robin(-1.0),
+                   BoundaryCondition.robin(0.7)):
             assert_allclose(images_kernel(-t, x, y, bc),
                             -images_kernel(t, x, y, bc), rtol=0, atol=0)
             assert_allclose(images_kernel(t, y, x, bc),
                             images_kernel(t, x, y, bc), rtol=0, atol=0)
 
+    def test_robin_reflection(self):
+        # behind the reflected characteristic by s = t - x - y the image is
+        # exp(-alpha s) - 1/2; alpha = 0 is Neumann, large alpha Dirichlet
+        t, x, y = 1.5, 0.4, 0.5
+        for alpha in (-1.0, 0.7, 2.0):
+            got = images_kernel(t, x, y, BoundaryCondition.robin(alpha))
+            assert got == pytest.approx(np.exp(-alpha * 0.6), rel=1e-15)
+        assert images_kernel(t, x, y, BoundaryCondition.robin(0.0)) == \
+            images_kernel(t, x, y, BoundaryCondition.neumann())
+        assert images_kernel(t, x, y, BoundaryCondition.robin(1e3)) == \
+            pytest.approx(images_kernel(t, x, y, DIR), abs=1e-200)
+
     def test_unsupported_bc(self):
-        with pytest.raises(ValueError):
-            images_kernel(0.5, 1.0, 1.0, BoundaryCondition.robin(-1.0))
+        for bc in (BoundaryCondition.multiplier(lambda k: k * k),
+                   BoundaryCondition.wentzell_laplace()):
+            with pytest.raises(ValueError):
+                images_kernel(0.5, 1.0, 1.0, bc)
 
 
 def test_fd_spectrum_ordering_on_trivial_system():

@@ -106,13 +106,25 @@ class TestCausalKernel:
             causal_kernel(res, 0.5, 1.0, 1.0, tails=True)
 
 
+STRUCTURAL_CASES = [
+    (DIR, 0.0), (NEU, 0.0), (ROBIN, 0.0),
+    (BoundaryCondition.robin(0.7), 0.0),
+    (BoundaryCondition.multiplier(lambda k: k * k), 1.0),
+    (BoundaryCondition.wentzell_laplace(), 1.0),
+]
+
+
+def assert_grid_matches_pointwise(res, t, x, y, tails=None):
+    grid = build_kernel_grid(res, t, x, y, tails=tails)
+    want = causal_kernel(res, *np.meshgrid(t, x, y, indexing="ij"), tails=tails)
+    assert grid.values.shape == want.shape
+    assert np.max(np.abs(grid.values - want)) <= 1e-12
+    return grid
+
+
 class TestKernelGridInvariants:
-    @pytest.mark.parametrize("bc,k", [
-        (DIR, 0.0), (NEU, 0.0), (ROBIN, 0.0),
-        (BoundaryCondition.robin(0.7), 0.0),
-        (BoundaryCondition.multiplier(lambda k: k * k), 1.0),
-        (BoundaryCondition.wentzell_laplace(), 1.0),
-    ])
+    @pytest.mark.filterwarnings("ignore::halfwave.quadrature.TruncationWarning")
+    @pytest.mark.parametrize("bc,k", STRUCTURAL_CASES)
     def test_structural_invariants(self, bc, k):
         res = resolve(bc, k, np.linspace(0.0, 12.0, 64), nodes=400)
         t = np.linspace(-1.0, 1.0, 9)
@@ -123,6 +135,62 @@ class TestKernelGridInvariants:
         assert np.max(np.abs(v + v[::-1])) <= 1e-10
         assert np.max(np.abs(v - np.swapaxes(v, 1, 2))) <= 1e-10
         assert np.max(np.abs(v[4])) <= 1e-10
+
+    @pytest.mark.filterwarnings("ignore::halfwave.quadrature.TruncationWarning")
+    @pytest.mark.parametrize("bc,k", STRUCTURAL_CASES)
+    def test_factored_grid_matches_pointwise(self, bc, k):
+        res = resolve(bc, k, np.linspace(0.0, 12.0, 64), nodes=400)
+        grid = assert_grid_matches_pointwise(res, np.linspace(-1.0, 1.0, 9),
+                                             np.linspace(0.3, 2.7, 7),
+                                             np.linspace(0.3, 2.7, 7))
+        assert grid.meta["tails"] is (k == 0.0 and not res.extended)
+
+    @pytest.mark.parametrize("tails", [True, False, None])
+    def test_factored_grid_matches_pointwise_at_default_nodes(self, res_robin, tails):
+        grid = assert_grid_matches_pointwise(res_robin, np.linspace(0.0, 2.0, 6),
+                                             np.linspace(0.2, 3.0, 5),
+                                             np.linspace(0.2, 3.0, 5), tails=tails)
+        assert grid.meta["tails"] is (tails is not False)
+
+    def test_factored_grid_single_samples(self, res_robin):
+        grid = assert_grid_matches_pointwise(res_robin, np.array([0.0]),
+                                             np.array([0.7]),
+                                             np.linspace(0.2, 3.0, 4))
+        assert np.max(np.abs(grid.values)) <= 1e-15
+
+    def test_factored_grid_unequal_axes(self, res_robin):
+        # distinct lengths and offsets expose a transposed contraction
+        grid = assert_grid_matches_pointwise(res_robin, np.linspace(-0.5, 2.0, 5),
+                                             np.linspace(0.1, 1.3, 3),
+                                             np.linspace(0.9, 3.4, 7))
+        assert grid.values.shape == (5, 3, 7)
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.7, 2.0])
+    def test_matches_robin_images_off_characteristics(self, alpha):
+        bc = BoundaryCondition.robin(alpha)
+        res = resolve(bc, 0.0, np.linspace(0.0, 12.0, 64))
+        t = np.linspace(-2.0, 2.5, 19)
+        x = np.linspace(0.2, 3.5, 15)
+        y = np.linspace(0.1, 3.1, 11)
+        grid = build_kernel_grid(res, t, x, y)
+        T, X, Y = np.meshgrid(t, x, y, indexing="ij")
+        keep = ((np.abs(np.abs(T) - np.abs(X - Y)) > 0.05)
+                & (np.abs(np.abs(T) - (X + Y)) > 0.05))
+        err = np.abs(grid.values - images_kernel(T, X, Y, bc))[keep]
+        assert err.max() <= 1e-4
+
+    def test_truncation_warning_without_tail_completion(self):
+        res = resolve(ROBIN, 1.0, np.linspace(0.0, 12.0, 64), nodes=400)
+        x = np.linspace(0.3, 2.0, 3)
+        with pytest.warns(TruncationWarning, match=r"1/xi_max = 2\.5e-02"):
+            causal_kernel(res, 0.5, 1.0, 1.0)
+        with pytest.warns(TruncationWarning, match=r"1/xi_max = 2\.5e-02"):
+            grid = build_kernel_grid(res, x, x, x)
+        assert grid.meta["tails"] is False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            causal_kernel(res, 0.5, 1.0, 1.0, tails=False)
+            build_kernel_grid(res, x, x, x, tails=False)
 
     def test_serialization_round_trips(self, tmp_path, res_dirichlet):
         t = np.linspace(0.0, 1.0, 4)
