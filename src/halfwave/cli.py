@@ -229,7 +229,20 @@ def cmd_kernel(cfg: dict, outdir: Path) -> int:
     return EXIT_OK
 
 
+def _check_evolve(cfg: dict) -> None:
+    # inputs that would crash the time integrals or write a NaN field
+    steps = int(cfg["evolve"]["steps"])
+    if steps < 2:
+        raise ConfigError(f"evolve.steps must be at least 2, got {steps}")
+    for key in ("sigma_t", "sigma_x"):
+        width = float(cfg["source"][key])
+        if not (np.isfinite(width) and width > 0):
+            raise ConfigError(f"source.{key} must be positive and finite, "
+                              f"got {width}")
+
+
 def cmd_evolve(cfg: dict, outdir: Path) -> int:
+    _check_evolve(cfg)
     model, bc, res = _resolve(cfg)
     t = np.linspace(0.0, float(cfg["evolve"]["t_max"]),
                     int(cfg["evolve"]["steps"]))
@@ -242,11 +255,8 @@ def cmd_evolve(cfg: dict, outdir: Path) -> int:
     residual = verify.bc_residual(field, t, x, bc, k=model.k)
     formats = cfg["outputs"]["formats"]
     if "csv" in formats:
-        with open(outdir / "field.csv", "w") as fh:
-            fh.write("t,x,value\n")
-            for i, tv in enumerate(t):
-                for j, xv in enumerate(x):
-                    fh.write(f"{tv:.17g},{xv:.17g},{field[i, j]:.17g}\n")
+        propagator.write_grid_csv(outdir / "field.csv", "t,x,value", (t, x),
+                                  field)
     if "binary" in formats:
         field.astype("<f8").tofile(outdir / "field.bin")
     _write_sidecar(outdir / "field.sidecar.json", "evolve", cfg,
@@ -255,10 +265,6 @@ def cmd_evolve(cfg: dict, outdir: Path) -> int:
                              "x": [0.0, model.x_max, int(x.size)]}})
     print(f"wrote field {field.shape} to {outdir}; bc residual {residual:.3e}")
     return EXIT_OK
-
-
-_VERIFY_CHECKS = ("greens_identity", "spectrum", "kernel_images",
-                  "causality", "bc_residual", "energy")
 
 
 def _verify_greens(cfg, tol):
@@ -348,6 +354,17 @@ def _verify_energy(cfg, tol):
     return {"drift": report.drift, "tol": tol, "passed": report.drift <= tol}
 
 
+# check name -> (runner, tolerance before tol_scale), in report order
+_VERIFY_CHECKS = {
+    "greens_identity": (_verify_greens, 1e-6),
+    "spectrum": (_verify_spectrum, 1e-3),
+    "kernel_images": (_verify_kernel_images, 1e-3),
+    "causality": (_verify_causality, 1e-3),
+    "bc_residual": (_verify_bc, 1e-2),
+    "energy": (_verify_energy, 1e-3),
+}
+
+
 def cmd_verify(cfg: dict, outdir: Path) -> int:
     requested = cfg["verify"]["checks"]
     if requested == "all":
@@ -359,15 +376,10 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
             raise ConfigError(f"unknown check name(s): {', '.join(unknown)}; "
                               f"known: {', '.join(_VERIFY_CHECKS)}")
     scale = float(cfg["verify"].get("tol_scale", 1.0))
-    tols = {"greens_identity": 1e-6, "spectrum": 1e-3, "kernel_images": 1e-3,
-            "causality": 1e-3, "bc_residual": 1e-2, "energy": 1e-3}
-    runners = {"greens_identity": _verify_greens, "spectrum": _verify_spectrum,
-               "kernel_images": _verify_kernel_images,
-               "causality": _verify_causality, "bc_residual": _verify_bc,
-               "energy": _verify_energy}
     checks = {}
     for name in names:
-        checks[name] = runners[name](cfg, tols[name] * scale)
+        runner, tol = _VERIFY_CHECKS[name]
+        checks[name] = runner(cfg, tol * scale)
         status = "PASS" if checks[name]["passed"] else "FAIL"
         print(f"{status}  {name}")
     payload = {"passed": all(c["passed"] for c in checks.values()),

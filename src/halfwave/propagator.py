@@ -30,6 +30,7 @@ evaluations against nt nx ny n_xi for pointwise sampling of every grid point.
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -101,31 +102,22 @@ def _exp1_pair(c, a, xi_max):
     return plus, minus
 
 
-def _cos_frac_tail(c, a, xi_max):
-    # int_X^inf cos(xi c)/(xi^2 + a^2) dxi, even in c
-    c = np.abs(np.asarray(c, dtype=float))
-    a = abs(a)
-    out = np.empty(c.shape)
-    zero = c == 0
-    out[zero] = (np.pi / 2 - np.arctan(xi_max / a)) / a
-    if np.any(~zero):
-        plus, minus = _exp1_pair(c[~zero], a, xi_max)
-        out[~zero] = (plus - minus).imag / (2.0 * a)
-    return out
-
-
-def _sin_frac_tail(c, a, xi_max):
-    # int_X^inf sin(xi c) xi/(xi^2 + a^2) dxi, odd in c
+def _frac_tails(c, a, xi_max):
+    # int_X^inf cos(xi c)/(xi^2 + a^2) dxi, even in c, and
+    # int_X^inf sin(xi c) xi/(xi^2 + a^2) dxi, odd in c, from one exp1 pair
     c = np.asarray(c, dtype=float)
-    sgn = np.sign(c)
     ca = np.abs(c)
     a = abs(a)
-    out = np.zeros(ca.shape)
-    nz = ca > 0
+    cos_tail = np.empty(ca.shape)
+    sin_tail = np.zeros(ca.shape)
+    zero = ca == 0
+    cos_tail[zero] = (np.pi / 2 - np.arctan(xi_max / a)) / a
+    nz = ~zero
     if np.any(nz):
         plus, minus = _exp1_pair(ca[nz], a, xi_max)
-        out[nz] = ((plus + minus) / 2).imag
-    return sgn * out
+        cos_tail[nz] = (plus - minus).imag / (2.0 * a)
+        sin_tail[nz] = ((plus + minus) / 2).imag
+    return cos_tail, np.sign(c) * sin_tail
 
 
 def _kernel_tail(kind, alpha, t, x, y, xi_max):
@@ -145,10 +137,10 @@ def _kernel_tail(kind, alpha, t, x, y, xi_max):
         return tail + 0.25 * (_si_tail(t + v, xi_max) + _si_tail(t - v, xi_max))
     a = alpha
     tail = tail - 0.25 * (_si_tail(t + v, xi_max) + _si_tail(t - v, xi_max))
-    tail = tail + (a / 2.0) * (_cos_frac_tail(t - v, a, xi_max)
-                               - _cos_frac_tail(t + v, a, xi_max))
-    tail = tail + 0.5 * (_sin_frac_tail(t + v, a, xi_max)
-                         + _sin_frac_tail(t - v, a, xi_max))
+    cos_minus, sin_minus = _frac_tails(t - v, a, xi_max)
+    cos_plus, sin_plus = _frac_tails(t + v, a, xi_max)
+    tail = tail + (a / 2.0) * (cos_minus - cos_plus)
+    tail = tail + 0.5 * (sin_plus + sin_minus)
     return tail
 
 
@@ -217,6 +209,29 @@ def causal_kernel(res: SpectralResolution, t, x, y, tails: Optional[bool] = None
     return (res.weight * out + terms).reshape(shape)
 
 
+def write_grid_csv(path, header: str, axes, values) -> None:
+    """Write ``values`` sampled on the tensor grid of ``axes`` as CSV.
+
+    Rows are ``(axis values..., value)`` over the tensor product of the axes,
+    last axis innermost, every number printed as ``%.17g`` (round-trip
+    precision).  Axes are formatted once; each run of the last axis is
+    filled into one ``%`` template, so the file is written row by row.
+    """
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    values = np.asarray(values, dtype=float).reshape([a.size for a in axes])
+    *lead, last = [[f"{v:.17g}" for v in a.tolist()] for a in axes]
+    cells = [f"{s},%.17g" for s in last]
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        if values.size == 0:
+            return
+        for prefix, row in zip(itertools.product(*lead),
+                               values.reshape(-1, len(last))):
+            head = "".join(p + "," for p in prefix)
+            template = head + ("\n" + head).join(cells) + "\n"
+            fh.write(template % tuple(row.tolist()))
+
+
 @dataclass
 class KernelGrid:
     """Causal kernel sampled on a (t, x, y) tensor grid."""
@@ -228,14 +243,8 @@ class KernelGrid:
     meta: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        """Rows (t, x, y, value) at full round-trip precision."""
-        with open(path, "w") as fh:
-            fh.write("t,x,y,value\n")
-            for i, tv in enumerate(self.t):
-                for j, xv in enumerate(self.x):
-                    for l, yv in enumerate(self.y):
-                        fh.write(f"{tv:.17g},{xv:.17g},{yv:.17g},"
-                                 f"{self.values[i, j, l]:.17g}\n")
+        """Rows (t, x, y, value), as written by :func:`write_grid_csv`."""
+        write_grid_csv(path, "t,x,y,value", (self.t, self.x, self.y), self.values)
 
     def to_binary(self, path_base) -> None:
         """Raw row-major doubles plus a JSON sidecar describing the axes."""

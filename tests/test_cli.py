@@ -242,3 +242,45 @@ def test_tolerance_scale_flag(tmp_path):
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out), "--tol", "1e6",
                  "verify"]) == EXIT_OK
+
+
+class TestEvolveInputs:
+    @pytest.mark.parametrize("sections", [
+        {"evolve": {"steps": 1}},
+        {"evolve": {"steps": 0}},
+        {"source": {"sigma_t": 0.0}},
+        {"source": {"sigma_t": -0.25}},
+        {"source": {"sigma_t": float("nan")}},
+        {"source": {"sigma_x": 0.0}},
+        {"source": {"sigma_x": float("inf")}},
+        {"source": {"sigma_x": float("nan")}},
+    ])
+    def test_rejected_before_any_work(self, tmp_path, capsys, sections):
+        cfg = write_config(tmp_path, model={"grid": 256, "x_max": 12.0},
+                           **sections)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "evolve"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore::halfwave.quadrature.TruncationWarning")
+    def test_two_steps_is_enough(self, tmp_path):
+        cfg = write_config(tmp_path, model={"grid": 256, "x_max": 12.0},
+                           evolve={"t_max": 2.0, "steps": 2})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "evolve"]) == EXIT_OK
+        assert len((out / "field.csv").read_text().splitlines()) == 1 + 2 * 256
+
+
+def test_verify_check_order(tmp_path, capsys):
+    from halfwave.cli import _VERIFY_CHECKS
+    assert list(_VERIFY_CHECKS) == ["greens_identity", "spectrum", "kernel_images",
+                                    "causality", "bc_residual", "energy"]
+    cfg = write_config(tmp_path, model={"grid": 256},
+                       verify={"checks": ["kernel_images", "greens_identity"]})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "verify"]) == EXIT_OK
+    assert capsys.readouterr().out.split() == ["PASS", "kernel_images",
+                                               "PASS", "greens_identity"]
