@@ -5,7 +5,7 @@ after a boundary condition at x = 0 is chosen.  For Robin conditions
 u'(0) = alpha u(0) the whole effect sits in one number: alpha >= 0 leaves
 the continuum [k^2, inf) alone, alpha < 0 adds a single bound state at
 k^2 - alpha^2.  The membership test locates that point by root finding on
-alpha + sqrt(k^2 - lambda), and a dense eigensolver confirms it blind.
+alpha + sqrt(k^2 - lambda), and a tridiagonal FD eigensolver confirms it blind.
 
 Run:  python demos/01_boundary_selection_and_spectra.py
 """
@@ -19,7 +19,7 @@ print("Weyl function at k = 0:  M(lambda) = -sqrt(-lambda)")
 for lam in (-4.0, -1.0, -0.25):
     print(f"  M({lam:5.2f}) = {weyl_function(lam, 0.0).value:7.4f}")
 
-print("\nnegative spectral points by membership scan vs dense eigensolver")
+print("\nnegative spectral points by membership scan vs FD eigensolver")
 print(f"{'alpha':>7} | {'scan roots':>18} | {'FD lowest':>10} | verdict at -alpha^2")
 for alpha in (-2.0, -1.0, -0.5, 0.0, 1.0):
     bc = BoundaryCondition.robin(alpha)

@@ -103,6 +103,16 @@ def emit_config(cfg: dict) -> str:
     return json.dumps(cfg, indent=2, sort_keys=True)
 
 
+def _finite(value, what: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    if not np.isfinite(number):
+        raise ConfigError(f"{what} must be finite, got {number}")
+    return number
+
+
 def _build_bc(section: dict) -> BoundaryCondition:
     kind = section.get("kind")
     if kind == "dirichlet":
@@ -112,13 +122,13 @@ def _build_bc(section: dict) -> BoundaryCondition:
     if kind == "robin":
         if "alpha" not in section:
             raise ConfigError("robin condition needs field 'alpha'")
-        return BoundaryCondition.robin(float(section["alpha"]))
+        return BoundaryCondition.robin(_finite(section["alpha"], "bc.alpha"))
     if kind == "multiplier":
         coeffs = section.get("poly")
-        if not coeffs:
+        if not coeffs or not isinstance(coeffs, (list, tuple)):
             raise ConfigError("multiplier condition needs 'poly' coefficients "
                               "(lowest power first)")
-        coeffs = [float(c) for c in coeffs]
+        coeffs = [_finite(c, "bc.poly coefficient") for c in coeffs]
         return BoundaryCondition.multiplier(
             lambda k, c=tuple(coeffs): sum(cj * k ** j for j, cj in enumerate(c)))
     if kind == "wentzell":
@@ -135,10 +145,15 @@ def _build_model(section: dict) -> HalfSpaceModel:
         raise ConfigError(f"bad model section: {exc}") from exc
 
 
-def _axis(axis) -> np.ndarray:
-    lo, hi, count = float(axis[0]), float(axis[1]), int(axis[2])
+def _axis(grids, name: str) -> np.ndarray:
+    axis = grids.get(name) if isinstance(grids, dict) else None
+    if not isinstance(axis, (list, tuple)) or len(axis) != 3:
+        raise ConfigError(f"grids.{name} must be [start, stop, count], "
+                          f"got {axis!r}")
+    lo, hi, count = (_finite(v, f"grids.{name} entry") for v in axis)
+    count = int(count)
     if count < 1:
-        raise ConfigError("grid axis needs at least one sample")
+        raise ConfigError(f"grids.{name} needs at least one sample")
     return np.linspace(lo, hi, count)
 
 
@@ -146,9 +161,14 @@ def _resolve(cfg: dict):
     model = _build_model(cfg["model"])
     bc = _build_bc(cfg["bc"])
     quad = cfg["quadrature"]
-    res = spectral.resolve(bc, model.k, model.x(),
-                           xi_max=float(quad["xi_max"]),
-                           nodes=int(quad["nodes"]))
+    xi_max = _finite(quad["xi_max"], "quadrature.xi_max")
+    nodes = int(_finite(quad["nodes"], "quadrature.nodes"))
+    if xi_max <= 0:
+        raise ConfigError(f"quadrature.xi_max must be positive, got {xi_max}")
+    if nodes < spectral.MIN_NODES:
+        raise ConfigError(f"quadrature.nodes must be at least "
+                          f"{spectral.MIN_NODES}, got {nodes}")
+    res = spectral.resolve(bc, model.k, model.x(), xi_max=xi_max, nodes=nodes)
     return model, bc, res
 
 
@@ -189,7 +209,8 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
     model = _build_model(cfg["model"])
     bc = _build_bc(cfg["bc"])
     scan = cfg["scan"]
-    lam_min, lam_max = float(scan["lambda_min"]), float(scan["lambda_max"])
+    lam_min, lam_max = (_finite(scan[key], f"scan.{key}")
+                        for key in ("lambda_min", "lambda_max"))
     steps = int(scan["steps"])
     if lam_max >= 0:
         lam_max = -1e-12
@@ -214,9 +235,7 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
 
 def cmd_kernel(cfg: dict, outdir: Path) -> int:
     model, bc, res = _resolve(cfg)
-    t = _axis(cfg["grids"]["t"])
-    x = _axis(cfg["grids"]["x"])
-    y = _axis(cfg["grids"]["y"])
+    t, x, y = (_axis(cfg["grids"], name) for name in ("t", "x", "y"))
     grid = propagator.build_kernel_grid(res, t, x, y)
     formats = cfg["outputs"]["formats"]
     if "csv" in formats:
@@ -234,11 +253,11 @@ def _check_evolve(cfg: dict) -> None:
     steps = int(cfg["evolve"]["steps"])
     if steps < 2:
         raise ConfigError(f"evolve.steps must be at least 2, got {steps}")
-    for key in ("sigma_t", "sigma_x"):
-        width = float(cfg["source"][key])
-        if not (np.isfinite(width) and width > 0):
-            raise ConfigError(f"source.{key} must be positive and finite, "
-                              f"got {width}")
+    for name, value in (("evolve.t_max", cfg["evolve"]["t_max"]),
+                        ("source.sigma_t", cfg["source"]["sigma_t"]),
+                        ("source.sigma_x", cfg["source"]["sigma_x"])):
+        if _finite(value, name) <= 0:
+            raise ConfigError(f"{name} must be positive, got {value}")
 
 
 def cmd_evolve(cfg: dict, outdir: Path) -> int:

@@ -1,13 +1,13 @@
 """Independent finite-difference ground truth.
 
-Everything spectral in this package is cross-checked against dense symmetric
-matrices: the mode operator -d^2/dx^2 + k^2 discretized with the standard
-3-point stencil, the boundary condition entering through the first row, and
-its extension with one genuine boundary degree of freedom for the dynamical
-condition.  A lumped-mass formulation keeps the matrices exactly symmetric:
-stiffness K and diagonal mass b define S = b^(-1/2) K b^(-1/2) + k^2, which
-is similar to the ghost-point scheme at the boundary (second-order accurate
-there, second order in the interior).
+Everything spectral in this package is cross-checked against symmetric
+tridiagonal matrices: the mode operator -d^2/dx^2 + k^2 discretized with the
+standard 3-point stencil, the boundary condition entering through the first
+row, and its extension with one genuine boundary degree of freedom for the
+dynamical condition.  A lumped-mass formulation keeps the matrices exactly
+symmetric: stiffness K and diagonal mass b define S = b^(-1/2) K b^(-1/2) + k^2,
+stored as its diagonal and off-diagonal.  S is similar to the ghost-point
+scheme at the boundary (second-order accurate there and in the interior).
 
 The far end of the window always carries a homogeneous Dirichlet wall; tests
 keep supports away from it.
@@ -18,23 +18,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .model import BoundaryCondition
 
 
 @dataclass
 class FdSystem:
-    """Dense symmetric discretization of one mode operator.
+    """Symmetric tridiagonal discretization of one mode operator.
 
-    ``matrix`` acts on mass-weighted coordinates w = sqrt(b) u; ``offset`` is
-    the first active grid node (1 when the x = 0 node is eliminated by a
-    Dirichlet row).  ``to_w``/``from_w`` convert between full-grid samples
-    and active mass-weighted vectors; ``apply_grid`` is the physical operator
-    action on full-grid samples.
+    ``diag``/``off`` hold the matrix acting on mass-weighted coordinates
+    w = sqrt(b) u (``act`` applies it over leading axes; ``matrix`` builds
+    the dense view on demand); ``offset`` is the first active grid node (1
+    when the x = 0 node is eliminated by a Dirichlet row).  ``to_w``/
+    ``from_w`` convert between full-grid samples and active mass-weighted
+    vectors; ``apply_grid`` is the physical operator action on them.
     """
 
-    matrix: np.ndarray
+    diag: np.ndarray
+    off: np.ndarray
     mass: np.ndarray
     dx: float
     k: float
@@ -45,11 +47,20 @@ class FdSystem:
 
     @property
     def n_active(self) -> int:
-        return self.matrix.shape[0]
+        return self.diag.size
 
-    def x_active(self) -> np.ndarray:
-        L = self.dx * (self.n - 1)
-        return np.linspace(0.0, L, self.n)[self.offset:self.offset + self.n_active]
+    @property
+    def matrix(self) -> np.ndarray:
+        S = np.diag(self.diag)
+        i = np.arange(self.n_active - 1)
+        S[i, i + 1] = S[i + 1, i] = self.off
+        return S
+
+    def act(self, w) -> np.ndarray:
+        out = w * self.diag
+        out[..., :-1] += self.off * w[..., 1:]
+        out[..., 1:] += self.off * w[..., :-1]
+        return out
 
     def to_w(self, u_grid) -> np.ndarray:
         u = np.asarray(u_grid, dtype=float)
@@ -62,12 +73,12 @@ class FdSystem:
         return u
 
     def apply_grid(self, u_grid) -> np.ndarray:
-        return self.from_w(self.to_w(u_grid) @ self.matrix.T)
+        return self.from_w(self.act(self.to_w(u_grid)))
 
 
 def assemble_fd(bc: BoundaryCondition, k: float, grid: int,
                 x_max: float = 30.0) -> FdSystem:
-    """Assemble the dense symmetric system for one mode.
+    """Assemble the symmetric tridiagonal system for one mode.
 
     Dirichlet eliminates the x = 0 node.  Neumann/Robin/multiplier enter as
     the boundary stiffness alpha u(0)^2 with a half mass cell at the node,
@@ -81,28 +92,22 @@ def assemble_fd(bc: BoundaryCondition, k: float, grid: int,
     kind = "wentzell" if bc.is_dynamic else ("dirichlet" if bc.kind == "dirichlet"
                                              else "robin")
     alpha = None if bc.is_dynamic else bc.effective_alpha(k)
-    if kind == "dirichlet":
-        m = grid - 2
-        offset = 1
-    else:
-        m = grid - 1
-        offset = 0
-    K = np.zeros((m, m))
-    idx = np.arange(m)
-    K[idx, idx] = 2.0 / dx
-    K[idx[:-1], idx[:-1] + 1] = -1.0 / dx
-    K[idx[:-1] + 1, idx[:-1]] = -1.0 / dx
+    m = grid - 2 if kind == "dirichlet" else grid - 1
+    offset = 1 if kind == "dirichlet" else 0
+    kd = np.full(m, 2.0 / dx)
+    ko = -1.0 / dx
     b = np.full(m, dx)
     if kind == "robin":
-        K[0, 0] = 1.0 / dx + alpha
+        kd[0] = 1.0 / dx + alpha
         b[0] = dx / 2.0
     elif kind == "wentzell":
-        K[0, 0] = 1.0 / dx
+        kd[0] = 1.0 / dx
         b[0] = dx / 2.0 + 1.0     # boundary degree of freedom carries weight 1
     sb = np.sqrt(b)
-    S = K / sb[:, None] / sb[None, :] + (k * k) * np.eye(m)
-    S = 0.5 * (S + S.T)           # kill asymmetric rounding exactly
-    return FdSystem(matrix=S, mass=b, dx=dx, k=float(k), kind=kind,
+    diag = kd / sb / sb + k * k
+    # both triangles of b^(-1/2) K b^(-1/2), averaged: exactly symmetric
+    off = 0.5 * (ko / sb[:-1] / sb[1:] + ko / sb[1:] / sb[:-1])
+    return FdSystem(diag=diag, off=off, mass=b, dx=dx, k=float(k), kind=kind,
                     offset=offset, n=grid,
                     meta={"alpha": alpha, "x_max": x_max})
 
@@ -110,14 +115,16 @@ def assemble_fd(bc: BoundaryCondition, k: float, grid: int,
 def fd_spectrum(sys: FdSystem, count: int = None) -> np.ndarray:
     """Lowest ``count`` eigenvalues (all when count is None), ascending."""
     if count is None or count >= sys.n_active:
-        return eigvalsh(sys.matrix)
-    return eigvalsh(sys.matrix, subset_by_index=[0, count - 1])
+        return eigvalsh_tridiagonal(sys.diag, sys.off)
+    return eigvalsh_tridiagonal(sys.diag, sys.off, select="i",
+                                select_range=(0, count - 1))
 
 
 def fd_modes(sys: FdSystem, count: int):
     """Lowest eigenpairs; eigenvectors returned on the full grid, normalized
     in the discrete (mass-weighted) inner product."""
-    vals, vecs = eigh(sys.matrix, subset_by_index=[0, count - 1])
+    vals, vecs = eigh_tridiagonal(sys.diag, sys.off, select="i",
+                                  select_range=(0, count - 1))
     return vals, sys.from_w(vecs.T)
 
 
@@ -143,34 +150,27 @@ def leapfrog(sys: FdSystem, u0, v0, dt: float, T: float,
     if dt > 0.5 * sys.dx + 1e-15:
         raise ValueError(f"unstable step: dt = {dt} exceeds 0.5 dx = {0.5 * sys.dx}")
     nsteps = int(round(T / dt))
-    S = sys.matrix
-    sb = np.sqrt(sys.mass)
 
     def forcing(i):
         if source is None:
             return 0.0
-        f = source(i * dt) if callable(source) else source[i]
-        return np.asarray(f, dtype=float)[sys.offset:sys.offset + sys.n_active] * sb
+        return sys.to_w(source(i * dt) if callable(source) else source[i])
 
     w_prev = sys.to_w(u0)
     wd0 = sys.to_w(v0)
-    acc = -(S @ w_prev) + forcing(0)
+    acc = -sys.act(w_prev) + forcing(0)
     w = w_prev + dt * wd0 + 0.5 * dt * dt * acc
 
     times = [0.0]
     traj_w = [w_prev]
     vel_w = [wd0]
-    pending = None  # sample index waiting for its centered velocity
     for i in range(1, nsteps + 1):
+        acc = -sys.act(w) + forcing(i)
+        w_next = 2.0 * w - w_prev + dt * dt * acc
         if i % sample_stride == 0 or i == nsteps:
             times.append(i * dt)
             traj_w.append(w)
-            pending = len(traj_w) - 1
-        acc = -(S @ w) + forcing(i)
-        w_next = 2.0 * w - w_prev + dt * dt * acc
-        if pending is not None:
             vel_w.append((w_next - w_prev) / (2.0 * dt))
-            pending = None
         w_prev, w = w, w_next
     U = sys.from_w(np.array(traj_w))
     Udot = sys.from_w(np.array(vel_w))

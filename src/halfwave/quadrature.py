@@ -23,7 +23,10 @@ def trapezoid_weights(n, dx):
     return w
 
 
-_EM_EDGE = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
+# one-sided fourth-order first derivative at an end node, times 12 dx; the
+# Euler-Maclaurin edge weights and every end-node derivative share it
+_D1_EDGE = np.array([-25.0, 48.0, -36.0, 16.0, -3.0])
+_EM_EDGE = _D1_EDGE / 12.0
 
 
 def corrected_weights(n, dx):
@@ -41,11 +44,8 @@ def corrected_weights(n, dx):
 
 def _endpoint_slopes(h, dx):
     # one-sided fourth-order first derivatives at the two ends
-    d0 = (-25 * h[..., 0] + 48 * h[..., 1] - 36 * h[..., 2]
-          + 16 * h[..., 3] - 3 * h[..., 4]) / (12 * dx)
-    d1 = (25 * h[..., -1] - 48 * h[..., -2] + 36 * h[..., -3]
-          - 16 * h[..., -4] + 3 * h[..., -5]) / (12 * dx)
-    return d0, d1
+    c = _D1_EDGE / (12 * dx)
+    return h[..., :5] @ c, -(h[..., :-6:-1] @ c)
 
 
 def integrate(h, dx, corrected=True):
@@ -77,14 +77,11 @@ def first_derivative(u, dx):
     d = np.empty_like(u)
     d[..., 2:-2] = (u[..., :-4] - 8 * u[..., 1:-3]
                     + 8 * u[..., 3:-1] - u[..., 4:]) / (12 * dx)
-    d[..., 0] = (-25 * u[..., 0] + 48 * u[..., 1] - 36 * u[..., 2]
-                 + 16 * u[..., 3] - 3 * u[..., 4]) / (12 * dx)
+    d[..., 0], d[..., -1] = _endpoint_slopes(u, dx)
     d[..., 1] = (-3 * u[..., 0] - 10 * u[..., 1] + 18 * u[..., 2]
                  - 6 * u[..., 3] + u[..., 4]) / (12 * dx)
     d[..., -2] = (3 * u[..., -1] + 10 * u[..., -2] - 18 * u[..., -3]
                   + 6 * u[..., -4] - u[..., -5]) / (12 * dx)
-    d[..., -1] = (25 * u[..., -1] - 48 * u[..., -2] + 36 * u[..., -3]
-                  - 16 * u[..., -4] + 3 * u[..., -5]) / (12 * dx)
     return d
 
 
@@ -107,7 +104,7 @@ def second_derivative(u, dx):
 
 _BOUNDARY_D1 = {
     2: np.array([-3.0, 4.0, -1.0]) / 2.0,
-    4: np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0,
+    4: _EM_EDGE,
     6: np.array([-49.0 / 20, 6.0, -15.0 / 2, 20.0 / 3, -15.0 / 4, 6.0 / 5, -1.0 / 6]),
 }
 

@@ -30,6 +30,7 @@ from .quadrature import (check_decay, corrected_weights, integrate,
 
 DEFAULT_XI_MAX = 40.0
 DEFAULT_NODES = 4000
+MIN_NODES = 64
 
 _CHUNK = 256
 
@@ -299,8 +300,8 @@ def resolve(bc: BoundaryCondition, k: float, x,
     """
     if not xi_max > 0:
         raise ValueError("xi_max must be positive")
-    if nodes < 64:
-        raise ValueError("need at least 64 quadrature nodes")
+    if nodes < MIN_NODES:
+        raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
     x = np.asarray(x, dtype=float)
     xi = np.linspace(0.0, float(xi_max), int(nodes))
     if bc.is_dynamic:

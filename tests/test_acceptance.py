@@ -1,8 +1,8 @@
 """Acceptance suite: one test per headline guarantee, at its stated
 tolerance, each printing a PASS/FAIL line (run with ``pytest -s`` to see
 them).  Every check pits the spectral construction against an independent
-route: closed-form reflection kernels, dense eigensolvers, leapfrog time
-stepping, or conserved functionals.
+route: closed-form reflection kernels, tridiagonal FD eigensolvers,
+leapfrog time stepping, or conserved functionals.
 """
 
 import numpy as np

@@ -254,6 +254,8 @@ class TestEvolveInputs:
         {"source": {"sigma_x": 0.0}},
         {"source": {"sigma_x": float("inf")}},
         {"source": {"sigma_x": float("nan")}},
+        {"evolve": {"t_max": float("nan")}},
+        {"evolve": {"t_max": 0.0}},
     ])
     def test_rejected_before_any_work(self, tmp_path, capsys, sections):
         cfg = write_config(tmp_path, model={"grid": 256, "x_max": 12.0},
@@ -272,6 +274,41 @@ class TestEvolveInputs:
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out), "evolve"]) == EXIT_OK
         assert len((out / "field.csv").read_text().splitlines()) == 1 + 2 * 256
+
+
+class TestConfigInputs:
+    @pytest.mark.parametrize("command,sections", [
+        ("kernel", {"bc": {"kind": "robin", "alpha": "nan"}}),
+        ("spectrum", {"bc": {"kind": "robin", "alpha": "nan"}}),
+        ("evolve", {"bc": {"kind": "robin", "alpha": float("-inf")}}),
+        ("kernel", {"bc": {"kind": "robin", "alpha": "steep"}}),
+        ("kernel", {"bc": {"kind": "multiplier", "poly": [0.0, float("nan")]}}),
+        ("spectrum", {"bc": {"kind": "multiplier", "poly": [1.0, "inf"]}}),
+        ("kernel", {"grids": {"t": 5}}),
+        ("kernel", {"grids": {"x": [0.2, 3.0]}}),
+        ("kernel", {"grids": {"y": [0.2, "nan", 20]}}),
+        ("kernel", {"quadrature": {"nodes": 10}}),
+        ("evolve", {"quadrature": {"nodes": 63}}),
+        ("kernel", {"quadrature": {"xi_max": float("inf")}}),
+        ("spectrum", {"scan": {"lambda_min": float("nan")}}),
+    ])
+    def test_rejected_with_one_line(self, tmp_path, capsys, command, sections):
+        cfg = write_config(tmp_path, model={"grid": 256, "x_max": 12.0},
+                           **sections)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), command]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    def test_nodes_floor_is_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, model={"grid": 256, "x_max": 12.0},
+                           quadrature={"nodes": 64},
+                           grids={"t": [0.5, 1.0, 2], "x": [1.0, 2.0, 2],
+                                  "y": [1.0, 2.0, 2]})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "kernel"]) == EXIT_OK
 
 
 def test_verify_check_order(tmp_path, capsys):

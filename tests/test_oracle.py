@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from halfwave.model import BoundaryCondition
@@ -9,14 +10,17 @@ from halfwave.oracle import (assemble_fd, fd_modes, fd_spectrum,
 DIR = BoundaryCondition.dirichlet()
 
 
+ASSEMBLY_CASES = [
+    (DIR, 0.0),
+    (BoundaryCondition.neumann(), 0.0),
+    (BoundaryCondition.robin(-1.0), 0.0),
+    (BoundaryCondition.robin(2.0), 1.5),
+    (BoundaryCondition.wentzell_laplace(), 1.0),
+]
+
+
 class TestAssembly:
-    @pytest.mark.parametrize("bc,k", [
-        (DIR, 0.0),
-        (BoundaryCondition.neumann(), 0.0),
-        (BoundaryCondition.robin(-1.0), 0.0),
-        (BoundaryCondition.robin(2.0), 1.5),
-        (BoundaryCondition.wentzell_laplace(), 1.0),
-    ])
+    @pytest.mark.parametrize("bc,k", ASSEMBLY_CASES)
     def test_exact_symmetry(self, bc, k):
         sysm = assemble_fd(bc, k, 128, 10.0)
         assert np.max(np.abs(sysm.matrix - sysm.matrix.T)) == 0.0
@@ -132,6 +136,87 @@ class TestLeapfrog:
         assert_allclose(U2, 2.0 * U1, rtol=1e-12, atol=1e-300)
 
 
+def dense_assembly(bc, k, grid, x_max):
+    # stiffness and lumped mass as full matrices, scaled and symmetrized
+    dx = x_max / (grid - 1)
+    m = grid - 2 if bc.kind == "dirichlet" else grid - 1
+    K = (np.diag(np.full(m, 2.0 / dx)) + np.diag(np.full(m - 1, -1.0 / dx), 1)
+         + np.diag(np.full(m - 1, -1.0 / dx), -1))
+    b = np.full(m, dx)
+    if bc.is_dynamic:
+        K[0, 0], b[0] = 1.0 / dx, dx / 2.0 + 1.0
+    elif bc.kind != "dirichlet":
+        K[0, 0], b[0] = 1.0 / dx + bc.effective_alpha(k), dx / 2.0
+    sb = np.sqrt(b)
+    S = K / sb[:, None] / sb[None, :] + (k * k) * np.eye(m)
+    return 0.5 * (S + S.T)
+
+
+class TestDenseReference:
+    """The tridiagonal solvers and stencil against dense linear algebra on
+    the matrix the system describes."""
+
+    # the two triangles of the boundary entry round differently at these
+    # grids, and their average equals the lower one at 16, the upper at 23
+    @pytest.mark.parametrize("bc", [case[0] for case in ASSEMBLY_CASES])
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    @pytest.mark.parametrize("grid", [16, 23])
+    def test_assembly_bit_identical(self, bc, k, grid):
+        sysm = assemble_fd(bc, k, grid, 10.0)
+        assert np.array_equal(sysm.matrix, dense_assembly(bc, k, grid, 10.0))
+
+    @pytest.mark.parametrize("bc,k", ASSEMBLY_CASES)
+    def test_spectrum(self, bc, k):
+        sysm = assemble_fd(bc, k, 128, 10.0)
+        dense = scipy.linalg.eigvalsh(sysm.matrix)
+        assert np.max(np.abs(fd_spectrum(sysm) - dense)) <= 1e-13
+        # a count selects by bisection, as the dense subset solver does
+        lowest = scipy.linalg.eigvalsh(sysm.matrix, subset_by_index=[0, 4])
+        assert np.max(np.abs(fd_spectrum(sysm, 5) - lowest)) <= 1e-13
+
+    @pytest.mark.parametrize("bc,k", ASSEMBLY_CASES)
+    def test_modes(self, bc, k):
+        sysm = assemble_fd(bc, k, 128, 10.0)
+        vals, vecs = scipy.linalg.eigh(sysm.matrix, subset_by_index=[0, 3])
+        got_vals, got = fd_modes(sysm, 4)
+        want = sysm.from_w(vecs.T)
+        sign = np.sign(np.sum(got * want, axis=1))[:, None]
+        assert np.max(np.abs(got_vals - vals)) <= 1e-13
+        assert np.max(np.abs(sign * got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("bc,k", ASSEMBLY_CASES)
+    def test_leapfrog(self, bc, k):
+        sysm = assemble_fd(bc, k, 128, 10.0)
+        x = np.linspace(0, 10, 128)
+        u0 = np.exp(-((x - 4.0) ** 2) / 0.5)
+        dt = 0.4 * sysm.dx
+        _, U, Udot = leapfrog(sysm, u0, np.zeros(128), dt, 2.0, sample_stride=4)
+        S = sysm.matrix
+        w_prev = sysm.to_w(u0)
+        w = w_prev - 0.5 * dt * dt * (S @ w_prev)
+        want, want_dot = [w_prev], [0.0 * w_prev]
+        nsteps = int(round(2.0 / dt))
+        for i in range(1, nsteps + 1):
+            w_next = 2.0 * w - w_prev - dt * dt * (S @ w)
+            if i % 4 == 0 or i == nsteps:
+                want.append(w)
+                want_dot.append((w_next - w_prev) / (2.0 * dt))
+            w_prev, w = w, w_next
+        for got, ref in ((U, want), (Udot, want_dot)):
+            ref = sysm.from_w(np.array(ref))
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("bc,k", ASSEMBLY_CASES)
+    def test_apply_grid(self, bc, k):
+        sysm = assemble_fd(bc, k, 128, 10.0)
+        x = np.linspace(0, 10, 128)
+        u = np.sin(np.outer([0.5, 1.0, 2.0], x)) * np.exp(-x / 3.0)
+        want = sysm.from_w(sysm.to_w(u) @ sysm.matrix.T)
+        got = sysm.apply_grid(u)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 class TestImagesKernel:
     def test_equal_time_vanishes(self):
         assert images_kernel(0.0, 0.4, 0.5, DIR) == 0.0
@@ -180,7 +265,7 @@ class TestImagesKernel:
 def test_fd_spectrum_ordering_on_trivial_system():
     # deterministic ascending order, independent of assembly
     from halfwave.oracle import FdSystem
-    sysm = FdSystem(matrix=np.diag([2.0, 1.0]), mass=np.ones(2), dx=1.0,
-                    k=0.0, kind="dirichlet", offset=1, n=4)
+    sysm = FdSystem(diag=np.array([2.0, 1.0]), off=np.zeros(1), mass=np.ones(2),
+                    dx=1.0, k=0.0, kind="dirichlet", offset=1, n=4)
     assert_allclose(fd_spectrum(sysm), [1.0, 2.0], rtol=0, atol=0)
     assert_allclose(fd_spectrum(sysm, 1), [1.0], rtol=0, atol=0)
