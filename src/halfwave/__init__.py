@@ -10,9 +10,8 @@ ships the independent finite-difference, time-stepping and reflection
 oracles plus the verification instruments used to cross-check everything.
 """
 
-from .model import (BoundaryCondition, HalfSpaceModel, ModeProblem,
-                    WarpedProfile, assemble_potential, conformal_factors,
-                    mode_problem)
+from .model import (BoundaryCondition, HalfSpaceModel, WarpedProfile,
+                    assemble_potential, conformal_factors)
 from .oracle import (FdSystem, assemble_fd, fd_modes, fd_spectrum,
                      images_kernel, leapfrog)
 from .propagator import (KernelGrid, apply_advanced, apply_causal,

@@ -157,17 +157,21 @@ def _axis(grids, name: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _resolve(cfg: dict):
-    model = _build_model(cfg["model"])
-    bc = _build_bc(cfg["bc"])
-    quad = cfg["quadrature"]
-    xi_max = _finite(quad["xi_max"], "quadrature.xi_max")
-    nodes = int(_finite(quad["nodes"], "quadrature.nodes"))
+def _quadrature(section: dict):
+    xi_max = _finite(section["xi_max"], "quadrature.xi_max")
+    nodes = int(_finite(section["nodes"], "quadrature.nodes"))
     if xi_max <= 0:
         raise ConfigError(f"quadrature.xi_max must be positive, got {xi_max}")
     if nodes < spectral.MIN_NODES:
         raise ConfigError(f"quadrature.nodes must be at least "
                           f"{spectral.MIN_NODES}, got {nodes}")
+    return xi_max, nodes
+
+
+def _resolve(cfg: dict):
+    model = _build_model(cfg["model"])
+    bc = _build_bc(cfg["bc"])
+    xi_max, nodes = _quadrature(cfg["quadrature"])
     res = spectral.resolve(bc, model.k, model.x(), xi_max=xi_max, nodes=nodes)
     return model, bc, res
 
@@ -193,13 +197,13 @@ def _gaussian_source(cfg: dict, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     src = cfg["source"]
     if src.get("profile", "gaussian") != "gaussian":
         raise ConfigError(f"unknown source profile {src.get('profile')!r}")
-    amp = float(src["amplitude"])
+    amp, t0, sigma_t, x0, sigma_x = (
+        _finite(src[key], f"source.{key}")
+        for key in ("amplitude", "t0", "sigma_t", "x0", "sigma_x"))
     if amp == 0.0:
         return np.zeros((t.size, x.size))
-    return amp * np.exp(-((t[:, None] - float(src["t0"])) ** 2)
-                        / (2 * float(src["sigma_t"]) ** 2)
-                        - ((x[None, :] - float(src["x0"])) ** 2)
-                        / (2 * float(src["sigma_x"]) ** 2))
+    return amp * np.exp(-((t[:, None] - t0) ** 2) / (2 * sigma_t ** 2)
+                        - ((x[None, :] - x0) ** 2) / (2 * sigma_x ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +215,7 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
     scan = cfg["scan"]
     lam_min, lam_max = (_finite(scan[key], f"scan.{key}")
                         for key in ("lambda_min", "lambda_max"))
-    steps = int(scan["steps"])
+    steps = int(_finite(scan["steps"], "scan.steps"))
     if lam_max >= 0:
         lam_max = -1e-12
     lam_grid = np.linspace(lam_min, lam_max, steps) if steps > 0 else []
@@ -250,7 +254,7 @@ def cmd_kernel(cfg: dict, outdir: Path) -> int:
 
 def _check_evolve(cfg: dict) -> None:
     # inputs that would crash the time integrals or write a NaN field
-    steps = int(cfg["evolve"]["steps"])
+    steps = int(_finite(cfg["evolve"]["steps"], "evolve.steps"))
     if steps < 2:
         raise ConfigError(f"evolve.steps must be at least 2, got {steps}")
     for name, value in (("evolve.t_max", cfg["evolve"]["t_max"]),
@@ -394,7 +398,17 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
         if unknown:
             raise ConfigError(f"unknown check name(s): {', '.join(unknown)}; "
                               f"known: {', '.join(_VERIFY_CHECKS)}")
-    scale = float(cfg["verify"].get("tol_scale", 1.0))
+    scale = _finite(cfg["verify"].get("tol_scale", 1.0), "verify.tol_scale")
+    if scale <= 0:
+        raise ConfigError(f"verify.tol_scale must be positive, got {scale}")
+    override = cfg["verify"].get("bc_check_alpha_override")
+    if override is not None:
+        _finite(override, "verify.bc_check_alpha_override")
+    # the sections the checks read, before the first verdict is printed
+    _build_model(cfg["model"])
+    _build_bc(cfg["bc"])
+    _quadrature(cfg["quadrature"])
+    _gaussian_source(cfg, np.empty(0), np.empty(0))
     checks = {}
     for name in names:
         runner, tol = _VERIFY_CHECKS[name]

@@ -136,33 +136,6 @@ class BoundaryCondition:
 
 
 @dataclass(frozen=True)
-class ModeProblem:
-    """One transverse mode reduced to the half line.
-
-    Operator -d^2/dx^2 + k^2 with the per-mode boundary data.  ``alpha`` is
-    None for Dirichlet; ``dynamic`` marks the extended-space (dynamical)
-    condition, whose boundary symbol value is ``theta``.
-    """
-
-    k: float
-    alpha: Optional[float]
-    dynamic: bool = False
-    theta: Optional[float] = None
-
-    @property
-    def shift(self) -> float:
-        """Eigenvalue offset k^2 contributed by the transverse mode."""
-        return self.k ** 2
-
-
-def mode_problem(bc: BoundaryCondition, k: float) -> ModeProblem:
-    """Package the per-mode 1-D problem consumed by the spectral machinery."""
-    if bc.is_dynamic:
-        return ModeProblem(k=float(k), alpha=None, dynamic=True, theta=float(k) ** 2)
-    return ModeProblem(k=float(k), alpha=bc.effective_alpha(k))
-
-
-@dataclass(frozen=True)
 class WarpedProfile:
     """Sampled warp factor beta > 0 on a uniform grid, with spatial dimension m."""
 

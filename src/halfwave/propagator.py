@@ -14,6 +14,14 @@ Conventions (fixed here, used by every test):
 * both one-sided appliers are two-sided inverses of d_tt + A on compactly
   supported sources.
 
+The three appliers share one window routine, ``_window``: the time
+convolution with s(lam, t - t') factors through the addition formula of
+sin, of t - t' at lam = 0, or of sinh for lam < 0, into integrals of the
+source coefficients over the whole sample (causal), its prefix (retarded)
+or its suffix (advanced, negated).  The continuum, its omega = 0 node
+included, is one call; the bound channel is a second one, through sinh/cosh
+whenever its eigenvalue k^2 - alpha^2 is negative.
+
 Truncating the frequency integral at xi_max leaves an oscillatory tail of
 size O(1/(xi_max * c)), c the distance to the nearest characteristic, far
 too large for pointwise kernel work.  For the k = 0 trigonometric families
@@ -42,7 +50,7 @@ from scipy.special import exp1, sici
 
 from .model import WarpedProfile, conformal_factors
 from .quadrature import TruncationWarning, check_decay
-from .spectral import _CHUNK, ExtendedState, SpectralResolution
+from .spectral import ExtendedState, SpectralResolution
 
 _SERIES_CUT = 1e-4
 
@@ -199,10 +207,7 @@ def causal_kernel(res: SpectralResolution, t, x, y, tails: Optional[bool] = None
     terms, _ = _non_separable(res, tt, xx, yy, tails)
     out = np.zeros(tt.size)
     w = res.xi_weights()
-    for i0 in range(0, res.xi.size, _CHUNK):
-        sl = slice(i0, min(i0 + _CHUNK, res.xi.size))
-        phi_x, _ = res.family_block(sl, points=xx)
-        phi_y, _ = res.family_block(sl, points=yy)
+    for (sl, phi_x, _), (_, phi_y, _) in zip(res.blocks(xx), res.blocks(yy)):
         lam = (res.xi[sl] ** 2 + res.k ** 2)[:, None]
         s = sin_propagator(lam, tt[None, :])
         out += (w[sl][:, None] * s * phi_x * phi_y).sum(axis=0)
@@ -311,13 +316,6 @@ def build_kernel_grid(res: SpectralResolution, t, x, y,
 # ---------------------------------------------------------------------------
 # space-time appliers
 
-def _source_coefficients(res: SpectralResolution, f, extend: bool):
-    """Per-mode coefficients c_xi(t) of a space-time source (nt, nx)."""
-    f = np.asarray(f, dtype=float)
-    fb = f[:, 0] if extend else 0.0
-    return res.analyze(f, fb)
-
-
 def _check_source_window(res, f, t):
     f = np.asarray(f)
     if f.size == 0 or np.max(np.abs(f)) == 0:
@@ -333,93 +331,70 @@ def _check_source_window(res, f, t):
     check_decay(f, res.dx, what="source spatial support")
 
 
-def _harmonics(res, t):
-    om = np.sqrt(res.omega_sq())
-    pos = om > 0
-    omc = np.where(pos, om, 1.0)
-    s = np.where(pos[None, :], np.sin(np.multiply.outer(t, om)),
-                 np.broadcast_to(t[:, None], (t.size, om.size)))
-    c = np.where(pos[None, :], np.cos(np.multiply.outer(t, om)), 1.0)
-    return om, pos, omc, s, c
+def _harmonics(lam, t):
+    """Factors (s, c, rate) of s(lam, t - t') = (s(t) c(t') - c(t) s(t'))/rate.
+
+    Per column of ``lam``: sin, cos and sqrt(lam) for lam > 0; t, 1 and 1 at
+    lam = 0; sinh, cosh and sqrt(-lam) for lam < 0.  Arrays are (nt, nlam).
+    """
+    lam = np.asarray(lam, dtype=float)
+    rate = np.sqrt(np.abs(lam))
+    arg = np.multiply.outer(t, rate)
+    pos, neg = lam > 0, lam < 0
+    s = np.broadcast_to(t[:, None], arg.shape).copy()
+    c = np.ones(arg.shape)
+    np.sin(arg, out=s, where=pos)
+    np.sinh(arg, out=s, where=neg)
+    np.cos(arg, out=c, where=pos)
+    np.cosh(arg, out=c, where=neg)
+    return s, c, np.where(lam == 0, 1.0, rate)
 
 
-def _bound_harmonics(res, t):
-    # sin/sinh share the addition formula the appliers factor through
-    if res.bound.lam < 0:
-        mu = np.sqrt(-res.bound.lam)
-        return np.sinh(mu * t), np.cosh(mu * t), mu
-    om = np.sqrt(res.bound.lam)
-    return np.sin(om * t), np.cos(om * t), om
+def _window(coeffs, t, lam, support: str):
+    """Time convolution of mode coefficients with s(lam, t - t') over a window.
+
+    ``coeffs`` is (nt, nlam), one column per eigenvalue in ``lam``.  The
+    addition formula of :func:`_harmonics` turns the convolution into
+    (s(t) I_c(t) - c(t) I_s(t))/rate, with I_c, I_s the trapezoid integrals
+    of c(t') coeffs and s(t') coeffs over the window ``support`` selects:
+    all t' for 'causal', the prefix t' <= t for 'retarded' and the suffix
+    t' >= t for 'advanced', whose result is negated so that
+    retarded - advanced = causal.
+    """
+    s, c, rate = _harmonics(lam, t)
+    dt = float(t[1] - t[0])
+    if support == "causal":
+        Ic = np.trapezoid(c * coeffs, dx=dt, axis=0)
+        Is = np.trapezoid(s * coeffs, dx=dt, axis=0)
+    else:
+        Ic = cumulative_trapezoid(c * coeffs, dx=dt, axis=0, initial=0.0)
+        Is = cumulative_trapezoid(s * coeffs, dx=dt, axis=0, initial=0.0)
+        if support == "advanced":
+            Ic, Is = Ic[-1] - Ic, Is[-1] - Is
+    D = (s * Ic - c * Is) / rate
+    return -D if support == "advanced" else D
 
 
 def _apply(res: SpectralResolution, f, t, support: str):
     """Shared machinery behind the causal/retarded/advanced appliers.
 
-    The time convolution with s(lam, t - t') factorizes through the addition
-    formulas of sin/sinh, so each mode costs two cumulative integrals over
-    the source instead of a dense (t, t') contraction.
+    The source is analyzed into mode coefficients, each mode is convolved in
+    time by one window routine, :func:`_window` (two cumulative integrals
+    per mode instead of a dense (t, t') contraction), and the result is
+    synthesized.  The continuum (including its omega = 0 node) and the
+    bound channel (sinh/cosh while its eigenvalue is negative) are two
+    calls of that routine.
     """
     t = np.asarray(t, dtype=float)
-    dt = float(t[1] - t[0])
     f = np.asarray(f, dtype=float)
     if f.shape != (t.size, res.x.size):
         raise ValueError("source must be sampled on the (t, x) grid of the call")
     _check_source_window(res, f, t)
-    coeffs, cb = _source_coefficients(res, f, res.extended)
-
-    om, pos, omc, s, c = _harmonics(res, t)
-
-    def pair_integrals(a, b):
-        # returns I_a, I_b: integrals of a*coeffs and b*coeffs over the window
-        # dictated by `support`
-        if support == "causal":
-            Ia = np.trapezoid(a * coeffs, dx=dt, axis=0)[None, :] * np.ones((t.size, 1))
-            Ib = np.trapezoid(b * coeffs, dx=dt, axis=0)[None, :] * np.ones((t.size, 1))
-            return Ia, Ib
-        pre_a = cumulative_trapezoid(a * coeffs, dx=dt, axis=0, initial=0.0)
-        pre_b = cumulative_trapezoid(b * coeffs, dx=dt, axis=0, initial=0.0)
-        if support == "retarded":
-            return pre_a, pre_b
-        return pre_a[-1] - pre_a, pre_b[-1] - pre_b  # suffix integrals
-
-    Ic, Is = pair_integrals(c, s)
-    if support in ("causal", "retarded"):
-        D = (s * Ic - c * Is) / omc[None, :]
-    else:
-        D = (c * Is - s * Ic) / omc[None, :]
-    # omega = 0 node: s(0, t - t') = t - t'
-    if np.any(~pos):
-        idx = np.where(~pos)[0]
-        if support == "causal":
-            m0 = np.trapezoid(coeffs[:, idx], dx=dt, axis=0)
-            m1 = np.trapezoid(t[:, None] * coeffs[:, idx], dx=dt, axis=0)
-            D[:, idx] = t[:, None] * m0[None, :] - m1[None, :]
-        else:
-            p0 = cumulative_trapezoid(coeffs[:, idx], dx=dt, axis=0, initial=0.0)
-            p1 = cumulative_trapezoid(t[:, None] * coeffs[:, idx], dx=dt, axis=0,
-                                      initial=0.0)
-            if support == "retarded":
-                D[:, idx] = t[:, None] * p0 - p1
-            else:
-                D[:, idx] = (p1[-1] - p1) - t[:, None] * (p0[-1] - p0)
-
+    coeffs, cb = res.analyze(f, f[:, 0] if res.extended else 0.0)
+    D = _window(coeffs, t, res.omega_sq(), support)
     Db = None
     if res.bound is not None:
-        sb, cbh, rate = _bound_harmonics(res, t)
-        if support == "causal":
-            Icb = np.full(t.size, np.trapezoid(cbh * cb, dx=dt))
-            Isb = np.full(t.size, np.trapezoid(sb * cb, dx=dt))
-        else:
-            pc = cumulative_trapezoid(cbh * cb, dx=dt, initial=0.0)
-            ps = cumulative_trapezoid(sb * cb, dx=dt, initial=0.0)
-            if support == "retarded":
-                Icb, Isb = pc, ps
-            else:
-                Icb, Isb = pc[-1] - pc, ps[-1] - ps
-        Db = (sb * Icb - cbh * Isb) / rate
-        if support == "advanced":
-            Db = -Db
-
+        Db = _window(cb[:, None], t, [res.bound.lam], support)[:, 0]
     out = res.synthesize(D, Db)
     return out[0] if res.extended else out
 

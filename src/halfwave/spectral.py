@@ -10,8 +10,9 @@ eigenfunctions on the half line:
   (cos(xi x) - xi sin(xi x), 1) / sqrt(1 + xi^2)
 
 all with uniform Plancherel weight 2/pi, plus a single bound state
-sqrt(2 kappa) exp(-kappa x) with kappa = -alpha whenever alpha < 0 and
-k^2 < alpha^2.  A ``SpectralResolution`` samples the family on a truncated
+sqrt(2 kappa) exp(-kappa x) with kappa = -alpha whenever alpha < 0, at
+eigenvalue k^2 - alpha^2 below the continuum threshold k^2 (negative when
+k^2 < alpha^2).  A ``SpectralResolution`` samples the family on a truncated
 uniform quadrature grid xi in [0, xi_max] and provides analysis/synthesis,
 which is all downstream propagator construction needs.
 """
@@ -67,11 +68,12 @@ class BoundState:
 def bound_state(alpha: float, k: float, x=None) -> Optional[BoundState]:
     """Bound state of the Robin(alpha) mode problem, if one exists.
 
-    Exists iff alpha < 0 and k^2 < alpha^2 (strict: at the threshold the
-    state merges into the continuum).  Its eigenvalue is k^2 - alpha^2 and
-    its L2-normalized profile is sqrt(2 kappa) exp(-kappa x), kappa = -alpha.
+    Exists iff alpha < 0.  Its L2-normalized profile is sqrt(2 kappa)
+    exp(-kappa x), kappa = -alpha, and its eigenvalue k^2 - alpha^2 lies
+    below the continuum threshold k^2 for every k; it is negative (the
+    negative spectrum) iff k^2 < alpha^2.
     """
-    if alpha is None or not alpha < 0.0 or not k * k < alpha * alpha:
+    if alpha is None or not alpha < 0.0:
         return None
     return BoundState(lam=float(k * k - alpha * alpha), kappa=float(-alpha), k=float(k))
 
@@ -200,6 +202,16 @@ class SpectralResolution:
         nrm = 1.0 / np.sqrt(1.0 + xi * xi)
         return nrm * (np.cos(X) - xi * np.sin(X)), nrm[:, 0]
 
+    def blocks(self, points=None):
+        """Yield ``(sl, phi, v)`` over consecutive blocks of xi nodes.
+
+        ``(phi, v)`` is :meth:`family_block` on the slice ``sl``; blocking
+        bounds the transient family sample to _CHUNK rows.
+        """
+        for i0 in range(0, self.xi.size, _CHUNK):
+            sl = slice(i0, min(i0 + _CHUNK, self.xi.size))
+            yield (sl, *self.family_block(sl, points=points))
+
     def analyze(self, f, f_boundary: float = 0.0):
         """Project onto the family: returns (continuum coeffs, bound coeff).
 
@@ -213,9 +225,7 @@ class SpectralResolution:
         fw = f * corrected_weights(self.x.size, self.dx)
         lead = f.shape[:-1]
         coeffs = np.empty(lead + (self.xi.size,))
-        for i0 in range(0, self.xi.size, _CHUNK):
-            sl = slice(i0, min(i0 + _CHUNK, self.xi.size))
-            phi, v = self.family_block(sl)
+        for sl, phi, v in self.blocks():
             block = fw @ phi.T
             if v is not None:
                 block = block + np.multiply.outer(np.asarray(f_boundary, dtype=float), v)
@@ -236,9 +246,7 @@ class SpectralResolution:
         out = np.zeros(lead + (self.x.size,))
         out_b = np.zeros(lead) if self.extended else None
         w = self.xi_weights() * self.weight
-        for i0 in range(0, self.xi.size, _CHUNK):
-            sl = slice(i0, min(i0 + _CHUNK, self.xi.size))
-            phi, v = self.family_block(sl)
+        for sl, phi, v in self.blocks():
             wc = coeffs[..., sl] * w[sl]
             out += wc @ phi
             if v is not None:
@@ -295,8 +303,8 @@ def resolve(bc: BoundaryCondition, k: float, x,
 
     Dirichlet gives the sine family; Neumann, Robin and multiplier conditions
     give the Robin family at the per-mode coefficient (plus the bound state
-    when alpha < 0 and k^2 < alpha^2); the dynamical condition gives the
-    extended family.  ``xi_max`` and ``nodes`` fix the quadrature truncation.
+    when alpha < 0); the dynamical condition gives the extended family.
+    ``xi_max`` and ``nodes`` fix the quadrature truncation.
     """
     if not xi_max > 0:
         raise ValueError("xi_max must be positive")
@@ -341,34 +349,22 @@ def sine_transform(f, x, xi) -> np.ndarray:
     """Forward half-line sine transform by endpoint-corrected quadrature.
 
     Coefficients are plain projections int f(x) sin(xi x) dx on the given
-    xi grid; the Dirichlet realization acts on them as multiplication by
-    xi^2 + k^2.
+    xi grid, computed as the analysis of the Dirichlet resolution; the
+    Dirichlet realization acts on them as multiplication by xi^2 + k^2.
     """
+    res = SpectralResolution(kind="dirichlet", alpha=None, k=0.0, x=x, xi=xi)
     f = np.asarray(f, dtype=float)
-    x = np.asarray(x, dtype=float)
-    dx = float(x[1] - x[0])
-    check_decay(f, dx, what="sine transform input")
-    xi = np.asarray(xi, dtype=float)
-    out = np.empty(xi.size)
-    for i0 in range(0, xi.size, _CHUNK):
-        sl = slice(i0, min(i0 + _CHUNK, xi.size))
-        out[sl] = integrate(np.sin(xi[sl][:, None] * x[None, :]) * f[None, :], dx)
-    return out
+    check_decay(f, res.dx, what="sine transform input")
+    return res.analyze(f)[0]
 
 
 def inverse_sine_transform(coeffs, x, xi) -> np.ndarray:
     """Inverse of :func:`sine_transform` with Plancherel weight 2/pi.
 
-    Exact inversion only up to the band limit xi_max: input content beyond
-    the truncation is unrecoverable and returns as a residual of order
+    The synthesis of the Dirichlet resolution on a uniform xi grid.  Exact
+    inversion only up to the band limit xi_max: input content beyond the
+    truncation is unrecoverable and returns as a residual of order
     1/(xi_max * distance-to-boundary).
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    w = trapezoid_weights(xi.size, float(xi[1] - xi[0])) * (2.0 / np.pi)
-    out = np.zeros(x.size)
-    for i0 in range(0, xi.size, _CHUNK):
-        sl = slice(i0, min(i0 + _CHUNK, xi.size))
-        out += (coeffs[sl] * w[sl]) @ np.sin(xi[sl][:, None] * x[None, :])
-    return out
+    res = SpectralResolution(kind="dirichlet", alpha=None, k=0.0, x=x, xi=xi)
+    return res.synthesize(coeffs)

@@ -19,7 +19,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .model import BoundaryCondition, ModeProblem
+from .model import BoundaryCondition
 from .quadrature import (boundary_derivative, check_decay, inner_product,
                          second_derivative)
 
@@ -85,7 +85,7 @@ def cayley_unitary(theta: float) -> complex:
     return (-t - 1j) / (-t + 1j)
 
 
-def greens_identity_residual(f1, f2, mode: Union[ModeProblem, float], x) -> float:
+def greens_identity_residual(f1, f2, k: float, x) -> float:
     """Defect of the boundary Green identity for two sampled functions.
 
     Computes | (A f1, f2) - (f1, A f2) - [g1(f1) g0(f2) - g0(f1) g1(f2)] |
@@ -97,10 +97,10 @@ def greens_identity_residual(f1, f2, mode: Union[ModeProblem, float], x) -> floa
     Parameters
     ----------
     f1, f2 : sampled functions on the uniform grid ``x``.
-    mode : ModeProblem (for its wavenumber) or the wavenumber itself.
+    k : transverse wavenumber.
     x : uniform grid starting at 0.
     """
-    k = mode.k if isinstance(mode, ModeProblem) else float(mode)
+    k = float(k)
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -165,6 +165,17 @@ def _theta_minus_weyl(bc: BoundaryCondition, lam: float, k: np.ndarray) -> np.nd
     return alpha + root
 
 
+def _k_sample(k_range: Union[float, tuple, Iterable[float]],
+              samples: int) -> np.ndarray:
+    """Wavenumbers of a ``k_range``: one k, an interval ``(k_min, k_max)``
+    sampled at ``samples`` points, or an explicit sample."""
+    if isinstance(k_range, (int, float)):
+        return np.array([float(k_range)])
+    if isinstance(k_range, tuple) and len(k_range) == 2:
+        return np.linspace(float(k_range[0]), float(k_range[1]), samples)
+    return np.asarray(list(k_range), dtype=float)
+
+
 def spectrum_test(lam: float, bc: BoundaryCondition,
                   k_range: Union[float, tuple, Iterable[float]] = 0.0,
                   samples: int = 2001, tol: float = 1e-9) -> str:
@@ -174,25 +185,12 @@ def spectrum_test(lam: float, bc: BoundaryCondition,
     {theta(k) + sqrt(k^2 - lambda)} over admissible k.  ``k_range`` is a
     single wavenumber (n = 0 style), an interval ``(k_min, k_max)``, or an
     explicit sample of wavenumbers.  Interval input is sampled and decided
-    by sign change or |value| <= tol on the min/max envelope.
+    by sign change or |value| <= tol on the min/max envelope; the verdict
+    is that of :func:`spectrum_scan` on the single lambda.
     """
     if lam >= 0:
         raise ValueError("spectrum_test scans below the continuum: lambda < 0")
-    if isinstance(k_range, (int, float)):
-        ks = np.array([float(k_range)])
-    elif isinstance(k_range, tuple) and len(k_range) == 2:
-        ks = np.linspace(float(k_range[0]), float(k_range[1]), samples)
-    else:
-        ks = np.asarray(list(k_range), dtype=float)
-    vals = _theta_minus_weyl(bc, lam, ks)
-    vals = vals[np.isfinite(vals)]
-    if vals.size == 0:
-        return NOT_IN_SPECTRUM
-    if np.min(np.abs(vals)) <= tol:
-        return IN_SPECTRUM
-    if np.min(vals) < 0.0 < np.max(vals):
-        return IN_SPECTRUM
-    return NOT_IN_SPECTRUM
+    return spectrum_scan(bc, [lam], k_range, samples, tol)[0][3]
 
 
 def spectrum_scan(bc: BoundaryCondition, lam_grid,
@@ -205,12 +203,7 @@ def spectrum_scan(bc: BoundaryCondition, lam_grid,
     k sample (the root-finding witness behind each verdict).
     """
     rows = []
-    if isinstance(k_range, (int, float)):
-        ks = np.array([float(k_range)])
-    elif isinstance(k_range, tuple) and len(k_range) == 2:
-        ks = np.linspace(float(k_range[0]), float(k_range[1]), samples)
-    else:
-        ks = np.asarray(list(k_range), dtype=float)
+    ks = _k_sample(k_range, samples)
     for lam in np.asarray(lam_grid, dtype=float):
         vals = _theta_minus_weyl(bc, lam, ks)
         finite = np.isfinite(vals)
@@ -235,10 +228,7 @@ def negative_spectrum_roots(bc: BoundaryCondition, lam_min: float,
     for single-k problems, band edges for interval k ranges).
     """
     lam_grid = np.arange(lam_min, 0.0, step)
-    if isinstance(k_range, (int, float)):
-        ks = np.array([float(k_range)])
-    else:
-        ks = np.linspace(float(k_range[0]), float(k_range[1]), 2001)
+    ks = _k_sample(k_range, 2001)
 
     def witness(lam):
         vals = _theta_minus_weyl(bc, lam, ks)

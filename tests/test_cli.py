@@ -256,6 +256,8 @@ class TestEvolveInputs:
         {"source": {"sigma_x": float("nan")}},
         {"evolve": {"t_max": float("nan")}},
         {"evolve": {"t_max": 0.0}},
+        {"evolve": {"steps": "many"}},
+        {"source": {"amplitude": "loud"}},
     ])
     def test_rejected_before_any_work(self, tmp_path, capsys, sections):
         cfg = write_config(tmp_path, model={"grid": 256, "x_max": 12.0},
@@ -291,15 +293,25 @@ class TestConfigInputs:
         ("evolve", {"quadrature": {"nodes": 63}}),
         ("kernel", {"quadrature": {"xi_max": float("inf")}}),
         ("spectrum", {"scan": {"lambda_min": float("nan")}}),
+        ("spectrum", {"scan": {"steps": "many"}}),
+        ("verify", {"quadrature": {"nodes": 10}}),
+        ("verify", {"verify": {"tol_scale": "x"}}),
+        ("verify", {"verify": {"tol_scale": float("nan")}}),
+        ("verify", {"verify": {"tol_scale": -1.0}}),
+        ("verify", {"verify": {"tol_scale": 0.0}}),
+        ("verify", {"verify": {"bc_check_alpha_override": "steep"}}),
+        ("verify", {"bc": {"kind": "robin", "alpha": "nan"}}),
+        ("verify", {"source": {"amplitude": "loud"}}),
     ])
     def test_rejected_with_one_line(self, tmp_path, capsys, command, sections):
         cfg = write_config(tmp_path, model={"grid": 256, "x_max": 12.0},
                            **sections)
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out), command]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:")
-        assert err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
         assert list(out.iterdir()) == []
 
     def test_nodes_floor_is_accepted(self, tmp_path):

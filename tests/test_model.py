@@ -3,8 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from halfwave.model import (BoundaryCondition, HalfSpaceModel, WarpedProfile,
-                            assemble_potential, conformal_factors,
-                            mode_problem)
+                            assemble_potential, conformal_factors)
 
 
 def profile_const(value, m, n=64):
@@ -75,28 +74,23 @@ class TestAssemblePotential:
             assemble_potential(prof)
 
 
-class TestModeProblem:
+class TestEffectiveAlpha:
     def test_dirichlet(self):
-        mp = mode_problem(BoundaryCondition.dirichlet(), 0.0)
-        assert mp.alpha is None and mp.k == 0.0 and not mp.dynamic
+        assert BoundaryCondition.dirichlet().effective_alpha(0.0) is None
 
-    def test_eigenvalue_shift(self):
-        mp = mode_problem(BoundaryCondition.robin(-1.0), 2.0)
-        assert mp.shift == 4.0
-        assert mp.alpha == -1.0
+    def test_robin(self):
+        assert BoundaryCondition.robin(-1.0).effective_alpha(2.0) == -1.0
 
     def test_multiplier_reduces_to_robin(self):
         bc = BoundaryCondition.multiplier(lambda k: k * k - 5.0)
-        mp = mode_problem(bc, 3.0)
-        assert mp.alpha == 4.0
+        assert bc.effective_alpha(3.0) == 4.0
 
     def test_robin_zero_equals_neumann(self):
-        assert (mode_problem(BoundaryCondition.robin(0.0), 1.5)
-                == mode_problem(BoundaryCondition.neumann(), 1.5))
+        assert (BoundaryCondition.robin(0.0).effective_alpha(1.5)
+                == BoundaryCondition.neumann().effective_alpha(1.5))
 
     def test_dynamic_mode(self):
-        mp = mode_problem(BoundaryCondition.wentzell_laplace(), 2.0)
-        assert mp.dynamic and mp.theta == 4.0
+        assert BoundaryCondition.wentzell_laplace().effective_alpha(2.0) == 4.0
 
 
 class TestValidation:

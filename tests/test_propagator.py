@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 
 from halfwave.model import BoundaryCondition, WarpedProfile
 from halfwave.oracle import assemble_fd, images_kernel, leapfrog
-from halfwave.propagator import (KernelGrid, apply_advanced, apply_causal,
-                                 apply_retarded, build_kernel_grid,
+from halfwave.propagator import (KernelGrid, _window, apply_advanced,
+                                 apply_causal, apply_retarded, build_kernel_grid,
                                  causal_kernel, conformal_wrap,
                                  cos_propagator, evolve_cauchy,
                                  kernel_time_derivative_apply, sin_propagator,
@@ -276,6 +276,56 @@ class TestAppliers:
         times, U, _ = leapfrog(sysm, np.zeros_like(x), np.zeros_like(x), dt,
                                3.0, sample_stride=1, source=f)
         assert rel_l2(u[: times.size], U) <= 1e-2
+
+
+def direct_window(coeffs, t, lam, support):
+    # dense (t, t') trapezoid sum of s(lam, t - t') coeffs(t') per window
+    dt = t[1] - t[0]
+    S = sin_propagator(lam[None, None, :], (t[:, None] - t[None, :])[:, :, None])
+    out = np.zeros((t.size, lam.size))
+    for i in range(t.size):
+        lo, hi = {"causal": (0, t.size), "retarded": (0, i + 1),
+                  "advanced": (i, t.size)}[support]
+        if hi - lo > 1:
+            out[i] = np.trapezoid(S[i, lo:hi] * coeffs[lo:hi], dx=dt, axis=0)
+    return -out if support == "advanced" else out
+
+
+SUPPORTS = ("causal", "retarded", "advanced")
+APPLIERS = {"causal": apply_causal, "retarded": apply_retarded,
+            "advanced": apply_advanced}
+
+
+class TestWindow:
+    T = np.linspace(0.0, 3.0, 41)
+    X = np.linspace(0.0, 12.0, 64)
+
+    @pytest.mark.parametrize("support", SUPPORTS)
+    @pytest.mark.parametrize("bc,channel", [(NEU, "continuum"), (ROBIN, "bound")])
+    def test_matches_direct_convolution(self, bc, channel, support):
+        # Neumann at k = 0 has the omega = 0 node (lam = 0) next to lam > 0;
+        # the Robin alpha = -1 bound channel has lam = -1
+        res = resolve(bc, 0.0, self.X, nodes=64)
+        lam = res.omega_sq() if channel == "continuum" else np.array([res.bound.lam])
+        rng = np.random.default_rng(3)
+        coeffs = (np.exp(-((self.T[:, None] - 1.5) ** 2) / 0.18)
+                  * rng.normal(size=lam.size))
+        got = _window(coeffs, self.T, lam, support)
+        want = direct_window(coeffs, self.T, lam, support)
+        if channel == "continuum":
+            assert lam[0] == 0.0 and np.all(lam[1:] > 0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("support", SUPPORTS)
+    def test_applier_sums_continuum_and_bound_channel(self, support):
+        res = resolve(ROBIN, 0.0, self.X, nodes=200)
+        f = gaussian_source(self.T, self.X, 1.5, 0.2, 2.0, 0.5)
+        coeffs, cb = res.analyze(f)
+        want = res.synthesize(
+            direct_window(coeffs, self.T, res.omega_sq(), support),
+            direct_window(cb[:, None], self.T, np.array([res.bound.lam]), support)[:, 0])
+        got = APPLIERS[support](res, f, self.T)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestEvolveCauchy:

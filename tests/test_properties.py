@@ -1,14 +1,16 @@
-"""Property-based checks of the causal kernel on random tensor grids and of
-the tridiagonal FD oracle against dense linear algebra."""
+"""Property-based checks of the causal kernel on random tensor grids, of the
+space-time appliers and the analyze/synthesize round trip, and of the
+tridiagonal FD oracle against dense linear algebra."""
 
 import numpy as np
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from halfwave.model import BoundaryCondition
 from halfwave.oracle import assemble_fd, fd_spectrum
-from halfwave.propagator import build_kernel_grid, causal_kernel
+from halfwave.propagator import (apply_advanced, apply_causal, apply_retarded,
+                                 build_kernel_grid, causal_kernel)
 from halfwave.spectral import resolve
 
 X_GRID = np.linspace(0.0, 12.0, 64)
@@ -39,3 +41,42 @@ def test_robin_fd_spectrum_matches_dense(alpha, k, grid):
     sysm = assemble_fd(BoundaryCondition.robin(alpha), k, grid, 10.0)
     dense = scipy.linalg.eigvalsh(sysm.matrix)
     assert np.max(np.abs(fd_spectrum(sysm) - dense)) <= 1e-13
+
+
+# Robin alpha in [-2, 2] or the dynamical condition, at a transverse k
+BCS = st.one_of(st.floats(-2.0, 2.0).map(BoundaryCondition.robin),
+                st.just(BoundaryCondition.wentzell_laplace()))
+
+
+def bump(x, center, width):
+    return np.exp(-((x - center) ** 2) / (2 * width ** 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(bc=BCS, k=st.floats(0.0, 2.0), t0=st.floats(1.3, 1.7),
+       x0=st.floats(3.0, 6.0))
+def test_retarded_minus_advanced_is_causal(bc, k, t0, x0):
+    res = resolve(bc, k, X_GRID, nodes=400)
+    t = np.linspace(0.0, 3.0, 40)
+    f = bump(t, t0, 0.2)[:, None] * bump(X_GRID, x0, 0.8)[None, :]
+    cau = apply_causal(res, f, t)
+    diff = apply_retarded(res, f, t) - apply_advanced(res, f, t)
+    assert np.max(np.abs(diff - cau)) <= 1e-12 * np.max(np.abs(cau))
+
+
+@settings(max_examples=25, deadline=None)
+@given(bc=BCS, k=st.floats(0.0, 2.0), x0=st.floats(4.5, 6.0))
+def test_analyze_synthesize_round_trip(bc, k, x0):
+    # the xi grid (spacing 0.04) resolves the Robin family's transition at
+    # xi ~ |alpha| only for |alpha| well above the spacing (the unresolved
+    # case is the xfail in test_spectral.py); the bump is ~1e-7 at x = 0, so
+    # the band limit's boundary residual stays below the tolerance
+    assume(bc.alpha is None or bc.alpha == 0.0 or abs(bc.alpha) >= 0.3)
+    x = np.linspace(0.0, 12.0, 256)
+    res = resolve(bc, k, x, nodes=1000)
+    f = bump(x, x0, 0.8)
+    rec = res.synthesize(*res.analyze(f, f[0]))
+    if res.extended:
+        rec, rec_b = rec
+        assert abs(rec_b - f[0]) <= 1e-6
+    assert np.max(np.abs(rec - f)) <= 1e-6
