@@ -20,6 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .quadrature import check_uniform_grid
+
 
 @dataclass(frozen=True)
 class HalfSpaceModel:
@@ -151,9 +153,7 @@ class WarpedProfile:
         if x.ndim != 1 or b.shape != x.shape:
             raise ValueError("x and beta must be matching 1-D arrays")
         if x.size >= 2:
-            steps = np.diff(x)
-            if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-10):
-                raise ValueError("x must be a uniform increasing grid")
+            check_uniform_grid(x)
         if np.any(b <= 0):
             raise ValueError("beta must be strictly positive")
         if self.m < 1:

@@ -19,8 +19,15 @@ convolution with s(lam, t - t') factors through the addition formula of
 sin, of t - t' at lam = 0, or of sinh for lam < 0, into integrals of the
 source coefficients over the whole sample (causal), its prefix (retarded)
 or its suffix (advanced, negated).  The continuum, its omega = 0 node
-included, is one call; the bound channel is a second one, through sinh/cosh
-whenever its eigenvalue k^2 - alpha^2 is negative.
+included, goes through it block by block; the bound channel is one more
+call, through sinh/cosh whenever its eigenvalue k^2 - alpha^2 is negative.
+
+Every applier on the x grid (the three above, ``wentzell_apply``,
+``evolve_cauchy`` and ``kernel_time_derivative_apply``) is one pass of
+``SpectralResolution.transform``: one loop over blocks of _CHUNK xi nodes
+that evaluates each family block once, projects the source on it, acts on
+the block's modes and sums the block back into the field.  Transient memory
+is O(nt nx + nt _CHUNK + _CHUNK nx); no nt x n_xi coefficient array exists.
 
 Truncating the frequency integral at xi_max leaves an oscillatory tail of
 size O(1/(xi_max * c)), c the distance to the nearest characteristic, far
@@ -378,24 +385,22 @@ def _window(coeffs, t, lam, support: str):
 def _apply(res: SpectralResolution, f, t, support: str):
     """Shared machinery behind the causal/retarded/advanced appliers.
 
-    The source is analyzed into mode coefficients, each mode is convolved in
-    time by one window routine, :func:`_window` (two cumulative integrals
-    per mode instead of a dense (t, t') contraction), and the result is
-    synthesized.  The continuum (including its omega = 0 node) and the
-    bound channel (sinh/cosh while its eigenvalue is negative) are two
-    calls of that routine.
+    One pass of :meth:`SpectralResolution.transform`: per block of _CHUNK xi
+    nodes the source is projected on the family block, each mode is
+    convolved in time by one window routine, :func:`_window` (two cumulative
+    integrals per mode instead of a dense (t, t') contraction), and the
+    block is summed back against the same family block.  The continuum
+    (including its omega = 0 node) and the bound channel (sinh/cosh while
+    its eigenvalue is negative) go through that routine alike.  Transient
+    memory is O(nt nx + nt _CHUNK + _CHUNK nx); no nt x n_xi array is formed.
     """
     t = np.asarray(t, dtype=float)
     f = np.asarray(f, dtype=float)
     if f.shape != (t.size, res.x.size):
         raise ValueError("source must be sampled on the (t, x) grid of the call")
     _check_source_window(res, f, t)
-    coeffs, cb = res.analyze(f, f[:, 0] if res.extended else 0.0)
-    D = _window(coeffs, t, res.omega_sq(), support)
-    Db = None
-    if res.bound is not None:
-        Db = _window(cb[:, None], t, [res.bound.lam], support)[:, 0]
-    out = res.synthesize(D, Db)
+    out = res.transform(f, f[:, 0] if res.extended else 0.0,
+                        lambda c, lam: _window(c, t, lam, support))
     return out[0] if res.extended else out
 
 
@@ -452,16 +457,13 @@ def evolve_cauchy(res: SpectralResolution, u0, v0, times):
     else:
         v0 = np.asarray(v0, dtype=float)
         fb1 = v0[0] if res.extended else 0.0
-    a, ab = res.analyze(u0, fb0)
-    b, bb = res.analyze(v0, fb1)
-    lam = res.omega_sq()
-    coeff = (cos_propagator(lam[None, :], times[:, None]) * a[None, :]
-             + sin_propagator(lam[None, :], times[:, None]) * b[None, :])
-    cbt = None
-    if res.bound is not None:
-        lb = res.bound.lam
-        cbt = (cos_propagator(lb, times) * ab + sin_propagator(lb, times) * bb)
-    out = res.synthesize(coeff, cbt)
+
+    def act(c, lam):
+        # c stacks the coefficients of u0 and v0; one row per time out
+        return (cos_propagator(lam[None, :], times[:, None]) * c[0]
+                + sin_propagator(lam[None, :], times[:, None]) * c[1])
+
+    out = res.transform(np.stack([u0, v0]), np.array([fb0, fb1], dtype=float), act)
     return out[0] if res.extended else out
 
 
@@ -471,9 +473,8 @@ def kernel_time_derivative_apply(res: SpectralResolution, g):
     The equal-time derivative is a reproducing (delta-type) kernel, so the
     output should reproduce ``g`` up to quadrature residuals.
     """
-    c, cb = res.analyze(np.asarray(g, dtype=float),
-                        g[0] if res.extended else 0.0)
-    out = res.synthesize(c, cb)
+    g = np.asarray(g, dtype=float)
+    out = res.transform(g, g[0] if res.extended else 0.0, lambda c, lam: c)
     return out[0] if res.extended else out
 
 

@@ -15,6 +15,20 @@ class TruncationWarning(UserWarning):
     """Input does not decay inside the truncated computational window."""
 
 
+def check_uniform_grid(x) -> None:
+    """Raise ``ValueError`` unless ``x`` is a uniform increasing 1-D grid.
+
+    That takes at least 2 samples, and steps that are all positive and
+    equal to relative precision 1e-10.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError("x must be a 1-D grid of at least 2 samples")
+    steps = np.diff(x)
+    if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-10):
+        raise ValueError("x must be a uniform increasing grid")
+
+
 def trapezoid_weights(n, dx):
     """Trapezoid quadrature weights for ``n`` uniform nodes of spacing ``dx``."""
     w = np.full(n, dx)

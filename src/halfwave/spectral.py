@@ -13,8 +13,9 @@ all with uniform Plancherel weight 2/pi, plus a single bound state
 sqrt(2 kappa) exp(-kappa x) with kappa = -alpha whenever alpha < 0, at
 eigenvalue k^2 - alpha^2 below the continuum threshold k^2 (negative when
 k^2 < alpha^2).  A ``SpectralResolution`` samples the family on a truncated
-uniform quadrature grid xi in [0, xi_max] and provides analysis/synthesis,
-which is all downstream propagator construction needs.
+uniform quadrature grid xi in [0, xi_max] and provides analysis/synthesis
+and ``transform``, their fusion around a per-mode action, which is all
+downstream propagator construction needs.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .model import BoundaryCondition
-from .quadrature import (check_decay, corrected_weights, integrate,
-                         trapezoid_weights)
+from .quadrature import (check_decay, check_uniform_grid, corrected_weights,
+                         integrate, trapezoid_weights)
 
 DEFAULT_XI_MAX = 40.0
 DEFAULT_NODES = 4000
@@ -135,6 +136,15 @@ def wentzell_mode(x1, xi: float, k: float) -> WentzellMode:
                         k=float(k), norm=norm)
 
 
+def _project(fw, f_boundary, phi, v):
+    # coefficients of pre-weighted samples ``fw`` (plus the boundary
+    # component, in the extended case) on one block of the family
+    block = fw @ phi.T
+    if v is not None:
+        block = block + np.multiply.outer(np.asarray(f_boundary, dtype=float), v)
+    return block
+
+
 @dataclass(frozen=True)
 class SpectralResolution:
     """Sampled diagonalization of one self-adjoint realization at mode k.
@@ -147,7 +157,8 @@ class SpectralResolution:
 
     Analysis maps a gridded function (plus a boundary value in the extended
     case) to continuum and bound coefficients; synthesis inverts.  Both use
-    endpoint-corrected trapezoid quadrature on the x grid.
+    endpoint-corrected trapezoid quadrature on the x grid.  ``transform``
+    runs analysis, a per-mode action and synthesis block by block.
     """
 
     kind: str
@@ -212,6 +223,26 @@ class SpectralResolution:
             sl = slice(i0, min(i0 + _CHUNK, self.xi.size))
             yield (sl, *self.family_block(sl, points=points))
 
+    def _synthesize(self, coeffs_of, cb):
+        # sum the family against the block coefficients ``coeffs_of(sl, phi,
+        # v)``, one block at a time, then add the bound channel ``cb``
+        out = out_b = None
+        w = self.xi_weights() * self.weight
+        for sl, phi, v in self.blocks():
+            wc = coeffs_of(sl, phi, v) * w[sl]
+            if out is None:
+                out = np.zeros(wc.shape[:-1] + (self.x.size,))
+                out_b = np.zeros(wc.shape[:-1]) if self.extended else None
+            out += wc @ phi
+            if v is not None:
+                out_b += wc @ v
+        if self.bound is not None and cb is not None:
+            out += np.multiply.outer(np.asarray(cb, dtype=float),
+                                     self.bound.profile(self.x))
+        if self.extended:
+            return out, out_b
+        return out
+
     def analyze(self, f, f_boundary: float = 0.0):
         """Project onto the family: returns (continuum coeffs, bound coeff).
 
@@ -226,10 +257,7 @@ class SpectralResolution:
         lead = f.shape[:-1]
         coeffs = np.empty(lead + (self.xi.size,))
         for sl, phi, v in self.blocks():
-            block = fw @ phi.T
-            if v is not None:
-                block = block + np.multiply.outer(np.asarray(f_boundary, dtype=float), v)
-            coeffs[..., sl] = block
+            coeffs[..., sl] = _project(fw, f_boundary, phi, v)
         cb = None
         if self.bound is not None:
             cb = fw @ self.bound.profile(self.x)
@@ -242,21 +270,30 @@ class SpectralResolution:
         extended resolutions.
         """
         coeffs = np.asarray(coeffs, dtype=float)
-        lead = coeffs.shape[:-1]
-        out = np.zeros(lead + (self.x.size,))
-        out_b = np.zeros(lead) if self.extended else None
-        w = self.xi_weights() * self.weight
-        for sl, phi, v in self.blocks():
-            wc = coeffs[..., sl] * w[sl]
-            out += wc @ phi
-            if v is not None:
-                out_b += wc @ v
-        if self.bound is not None and cb is not None:
-            out += np.multiply.outer(np.asarray(cb, dtype=float),
-                                     self.bound.profile(self.x))
-        if self.extended:
-            return out, out_b
-        return out
+        return self._synthesize(lambda sl, phi, v: coeffs[..., sl], cb)
+
+    def transform(self, f, f_boundary, act):
+        """``synthesize`` of ``act`` applied to the ``analyze`` coefficients.
+
+        ``act(c, lam)`` maps a block of coefficients ``c`` (grid axis of
+        ``f`` replaced by the block's modes) at eigenvalues ``lam`` to new
+        coefficients; it must act on each mode independently, and may change
+        the leading axes.  The continuum runs through it one block of _CHUNK
+        xi nodes at a time: the family block is evaluated once, projected on,
+        acted on and summed against, so no full coefficient array is formed.
+        The bound channel is one more call, with ``lam = [bound.lam]``.
+        Returns what :meth:`synthesize` returns.
+        """
+        f = np.asarray(f, dtype=float)
+        fw = f * corrected_weights(self.x.size, self.dx)
+        lam = self.omega_sq()
+        cb = None
+        if self.bound is not None:
+            cb = act((fw @ self.bound.profile(self.x))[..., None],
+                     np.array([self.bound.lam]))[..., 0]
+        return self._synthesize(
+            lambda sl, phi, v: act(_project(fw, f_boundary, phi, v), lam[sl]),
+            cb)
 
     def apply_operator(self, f, f_boundary: float = 0.0):
         """Apply the realized operator through the resolution.
@@ -264,11 +301,7 @@ class SpectralResolution:
         Continuum coefficients are multiplied by xi^2 + k^2 and the bound
         coefficient by its eigenvalue before resynthesis.
         """
-        c, cb = self.analyze(f, f_boundary)
-        c = c * self.omega_sq()
-        if cb is not None:
-            cb = cb * self.bound.lam
-        return self.synthesize(c, cb)
+        return self.transform(f, f_boundary, lambda c, lam: c * lam)
 
     def to_json(self) -> str:
         doc = {
@@ -304,13 +337,17 @@ def resolve(bc: BoundaryCondition, k: float, x,
     Dirichlet gives the sine family; Neumann, Robin and multiplier conditions
     give the Robin family at the per-mode coefficient (plus the bound state
     when alpha < 0); the dynamical condition gives the extended family.
-    ``xi_max`` and ``nodes`` fix the quadrature truncation.
+    ``xi_max`` and ``nodes`` fix the quadrature truncation.  ``x`` must be a
+    uniform increasing grid starting at the boundary, x = 0.
     """
     if not xi_max > 0:
         raise ValueError("xi_max must be positive")
     if nodes < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
     x = np.asarray(x, dtype=float)
+    check_uniform_grid(x)
+    if x[0] != 0.0:
+        raise ValueError(f"x must start at the boundary x = 0, got {x[0]:g}")
     xi = np.linspace(0.0, float(xi_max), int(nodes))
     if bc.is_dynamic:
         return SpectralResolution(kind="wentzell", alpha=None, k=float(k), x=x, xi=xi)

@@ -154,15 +154,21 @@ IN_SPECTRUM = "IN_SPECTRUM"
 NOT_IN_SPECTRUM = "NOT_IN_SPECTRUM"
 
 
-def _theta_minus_weyl(bc: BoundaryCondition, lam: float, k: np.ndarray) -> np.ndarray:
-    """theta(k) + sqrt(k^2 - lambda) evaluated on a k sample."""
-    root = np.sqrt(k * k - lam)
+def _alpha_sample(bc: BoundaryCondition, k: np.ndarray):
+    """theta(k), the per-mode Robin coefficient, on a k sample; None for
+    Dirichlet.  It does not depend on lambda, so scans evaluate it once."""
     if bc.kind == "dirichlet":
+        return None
+    return np.array([bc.effective_alpha(kv) for kv in k], dtype=float)
+
+
+def _theta_minus_weyl(alpha, lam: float, k: np.ndarray) -> np.ndarray:
+    """theta(k) + sqrt(k^2 - lambda) on a k sample, theta from :func:`_alpha_sample`."""
+    if alpha is None:
         # Dirichlet is the degenerate realization: no finite boundary operator,
         # nothing to vanish below the continuum.
         return np.full_like(k, np.inf)
-    alpha = np.array([bc.effective_alpha(kv) for kv in np.atleast_1d(k)], dtype=float)
-    return alpha + root
+    return alpha + np.sqrt(k * k - lam)
 
 
 def _k_sample(k_range: Union[float, tuple, Iterable[float]],
@@ -204,8 +210,9 @@ def spectrum_scan(bc: BoundaryCondition, lam_grid,
     """
     rows = []
     ks = _k_sample(k_range, samples)
+    alpha = _alpha_sample(bc, ks)
     for lam in np.asarray(lam_grid, dtype=float):
-        vals = _theta_minus_weyl(bc, lam, ks)
+        vals = _theta_minus_weyl(alpha, lam, ks)
         finite = np.isfinite(vals)
         if not np.any(finite):
             rows.append((float(lam), float(ks[0]), float("inf"), NOT_IN_SPECTRUM))
@@ -229,9 +236,10 @@ def negative_spectrum_roots(bc: BoundaryCondition, lam_min: float,
     """
     lam_grid = np.arange(lam_min, 0.0, step)
     ks = _k_sample(k_range, 2001)
+    alpha = _alpha_sample(bc, ks)
 
     def witness(lam):
-        vals = _theta_minus_weyl(bc, lam, ks)
+        vals = _theta_minus_weyl(alpha, lam, ks)
         vals = vals[np.isfinite(vals)]
         return vals[np.argmin(np.abs(vals))] if vals.size else np.inf
 

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +14,8 @@ from halfwave.propagator import (KernelGrid, _window, apply_advanced,
                                  cos_propagator, evolve_cauchy,
                                  kernel_time_derivative_apply, sin_propagator,
                                  wentzell_apply)
-from halfwave.spectral import resolve, wentzell_mode
+from halfwave.spectral import (_CHUNK, SpectralResolution, resolve,
+                               wentzell_mode)
 from halfwave.quadrature import TruncationWarning
 from halfwave.verify import wave_operator
 
@@ -326,6 +329,77 @@ class TestWindow:
             direct_window(cb[:, None], self.T, np.array([res.bound.lam]), support)[:, 0])
         got = APPLIERS[support](res, f, self.T)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def reference_apply(res, f, t, support):
+    # analyze -> window -> synthesize over the whole xi grid at once
+    coeffs, cb = res.analyze(f, f[:, 0] if res.extended else 0.0)
+    D = _window(coeffs, t, res.omega_sq(), support)
+    Db = None
+    if res.bound is not None:
+        Db = _window(cb[:, None], t, np.array([res.bound.lam]), support)[:, 0]
+    out = res.synthesize(D, Db)
+    return out[0] if res.extended else out
+
+
+FUSED_CALLS = {
+    "apply_retarded": lambda res, f, t: apply_retarded(res, f, t),
+    "wentzell_apply": lambda res, f, t: wentzell_apply(res, f, t),
+    "apply_operator": lambda res, f, t: res.apply_operator(f[0], f[0, 0]),
+    "evolve_cauchy": lambda res, f, t: evolve_cauchy(res, f[0], f[1], t),
+    "kernel_time_derivative_apply":
+        lambda res, f, t: kernel_time_derivative_apply(res, f[0]),
+}
+
+
+class TestFusedBlockLoop:
+    T = np.linspace(0.0, 3.0, 41)
+    X = np.linspace(0.0, 12.0, 64)
+
+    @pytest.mark.parametrize("support", SUPPORTS)
+    @pytest.mark.parametrize(
+        "bc,k", STRUCTURAL_CASES + [(BoundaryCondition.wentzell_laplace(), 0.0)])
+    def test_bit_identical_to_whole_grid_composition(self, bc, k, support):
+        # 400 nodes: one full block of _CHUNK and one partial block
+        res = resolve(bc, k, self.X, nodes=400)
+        f = gaussian_source(self.T, self.X, 1.5, 0.2, 2.0, 0.5)
+        if res.extended:
+            got = wentzell_apply(res, f, self.T, support)
+        else:
+            got = APPLIERS[support](res, f, self.T)
+        assert_allclose(got, reference_apply(res, f, self.T, support),
+                        rtol=0, atol=0)
+
+    @pytest.mark.parametrize("call", sorted(FUSED_CALLS))
+    def test_family_evaluated_once_per_block(self, monkeypatch, call):
+        bc = (BoundaryCondition.wentzell_laplace() if call == "wentzell_apply"
+              else ROBIN)
+        res = resolve(bc, 0.0, self.X, nodes=400)
+        f = gaussian_source(self.T, self.X, 1.5, 0.2, 2.0, 0.5)
+        calls = []
+        family_block = SpectralResolution.family_block
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return family_block(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpectralResolution, "family_block", counted)
+        FUSED_CALLS[call](res, f, self.T)
+        assert len(calls) == math.ceil(400 / _CHUNK)
+
+    def test_transient_memory_below_one_coefficient_pair(self):
+        # the whole-grid composition holds several nt x n_xi arrays at once
+        t = np.linspace(0.0, 6.0, 480)
+        x = np.linspace(0.0, 12.0, 1024)
+        res = resolve(ROBIN, 0.0, x, nodes=4000)
+        f = gaussian_source(t, x, 3.0, 0.3, 4.0, 0.4)
+        tracemalloc.start()
+        try:
+            apply_retarded(res, f, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * t.size * res.xi.size * 8
 
 
 class TestEvolveCauchy:

@@ -156,6 +156,22 @@ class TestResolve:
         with pytest.raises(ValueError):
             resolve(BoundaryCondition.dirichlet(), 0.0, X, nodes=32)
 
+    @pytest.mark.parametrize("x,match", [
+        (np.array([0.0]), "at least 2 samples"),
+        (np.empty(0), "at least 2 samples"),
+        (np.zeros((2, 64)), "1-D grid"),
+        (np.concatenate([X[:10], X[11:]]), "uniform increasing"),
+        (np.array([0.0, 0.1, 0.3, 0.4]), "uniform increasing"),
+        (X[::-1], "uniform increasing"),
+        (np.zeros(64), "uniform increasing"),
+        (X + 0.5, "start at the boundary"),
+        (X - X[1], "start at the boundary"),
+    ])
+    def test_rejects_unusable_x_grids(self, x, match):
+        # analysis reads dx from the first step and places the boundary at x[0]
+        with pytest.raises(ValueError, match=match):
+            resolve(BoundaryCondition.robin(-1.0), 0.0, x)
+
     def test_operator_through_resolution_matches_fd(self):
         f = bump(X, 8.0, 0.7)
         for bc, k in [(BoundaryCondition.dirichlet(), 0.0),
