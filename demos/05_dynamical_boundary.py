@@ -13,19 +13,22 @@ Run:  python demos/05_dynamical_boundary.py
 
 import numpy as np
 
+from dataclasses import replace
+
 from halfwave import (BoundaryCondition, apply_retarded, assemble_fd,
-                      bc_residual, fd_spectrum, resolve, wentzell_apply,
-                      wentzell_mode)
+                      bc_residual, fd_spectrum, resolve, wentzell_apply)
 
 k = 1.0
 wbc = BoundaryCondition.wentzell_laplace()
 
-print("extended modes carry their boundary value along:")
+print("extended modes carry their boundary value 1/sqrt(1 + xi^2) along:")
 x = np.linspace(0.0, 12.0, 1024)
-for xi in (0.5, 2.0):
-    mode = wentzell_mode(x, xi, k)
-    print(f"  xi = {xi}: bulk(0) = {mode.bulk[0]:.6f} = boundary value "
-          f"{mode.boundary_value:.6f}; rings at sqrt(xi^2+k^2) = "
+res_w = resolve(wbc, k, x)
+xis = np.array([0.5, 2.0])
+bulk, boundary = replace(res_w, xi=xis).family_block(slice(None))
+for xi, b, v in zip(xis, bulk, boundary):
+    print(f"  xi = {xi}: bulk(0) = {b[0]:.6f} = boundary value "
+          f"{v:.6f}; rings at sqrt(xi^2+k^2) = "
           f"{np.sqrt(xi ** 2 + k ** 2):.4f}")
 
 sysm = assemble_fd(wbc, k, 1024, 12.0)
@@ -37,7 +40,6 @@ print(f"lowest extended eigenvalue {fd_spectrum(sysm, 1)[0]:.4f} "
 t = np.linspace(0.0, 5.0, 400)
 f = np.exp(-((t[:, None] - 1.6) ** 2) / (2 * 0.25 ** 2)
            - ((x[None, :] - 3.0) ** 2) / (2 * 0.4 ** 2))
-res_w = resolve(wbc, k, x)
 u_dyn = wentzell_apply(res_w, f, t)
 
 static = BoundaryCondition.multiplier(lambda kk: kk * kk)

@@ -20,9 +20,8 @@ from .propagator import (KernelGrid, apply_advanced, apply_causal,
                          sin_propagator, wentzell_apply)
 from .quadrature import TruncationWarning
 from .spectral import (BoundState, ExtendedState, SpectralResolution,
-                       WentzellMode, bound_state, completeness_residual,
-                       inverse_sine_transform, resolve, robin_continuum_mode,
-                       sine_transform, wentzell_mode)
+                       bound_state, completeness_residual,
+                       inverse_sine_transform, resolve, sine_transform)
 from .triple import (IN_SPECTRUM, NOT_IN_SPECTRUM, TraceMaps, WeylValue,
                      cayley_unitary, deficiency_decay, extension_membership,
                      greens_identity_residual, lower_bound_estimate,

@@ -10,6 +10,8 @@ A warped time metric enters only through pointwise multipliers and a
 zeroth-order potential: ``conformal_factors`` gives the pre/post multipliers
 that wrap a flat-model Green operator into the physical one, and
 ``assemble_potential`` gives the potential picked up by the reduction.
+Both differentiate the sampled profile with the fourth-order stencils of
+:mod:`halfwave.quadrature`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import check_uniform_grid
+from .quadrature import check_uniform_grid, first_derivative, second_derivative
 
 
 @dataclass(frozen=True)
@@ -194,34 +196,18 @@ def conformal_factors(profile: WarpedProfile):
     return pre, post
 
 
-def _d1(u, dx):
-    # centered second order, one-sided at the ends
-    d = np.empty_like(u)
-    d[1:-1] = (u[2:] - u[:-2]) / (2 * dx)
-    d[0] = (-3 * u[0] + 4 * u[1] - u[2]) / (2 * dx)
-    d[-1] = (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * dx)
-    return d
-
-
-def _d2(u, dx):
-    d = np.empty_like(u)
-    d[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / dx ** 2
-    d[0] = (2 * u[0] - 5 * u[1] + 4 * u[2] - u[3]) / dx ** 2
-    d[-1] = (2 * u[-1] - 5 * u[-2] + 4 * u[-3] - u[-4]) / dx ** 2
-    return d
-
-
 def conformal_laplacian(profile: WarpedProfile, u: np.ndarray) -> np.ndarray:
     """Apply the Laplacian of the conformally scaled metric beta^(-1) g.
 
     On a 1-D profile this is -beta u'' - (1 - m/2) beta' u', discretized with
-    second-order stencils (one-sided at the endpoints).
+    fourth-order stencils (one-sided at the endpoints).
     """
-    if profile.x.size < 5:
-        raise ValueError("need at least 5 samples for second differences")
+    if profile.x.size < 6:
+        raise ValueError("need at least 6 samples for second differences")
     dx = profile.dx
-    return (-profile.beta * _d2(u, dx)
-            - (1.0 - profile.m / 2.0) * _d1(profile.beta, dx) * _d1(u, dx))
+    return (-profile.beta * second_derivative(u, dx)
+            - (1.0 - profile.m / 2.0) * first_derivative(profile.beta, dx)
+            * first_derivative(u, dx))
 
 
 def assemble_potential(profile: WarpedProfile) -> np.ndarray:
@@ -232,11 +218,8 @@ def assemble_potential(profile: WarpedProfile) -> np.ndarray:
 
     sampled on the profile grid.  Identically zero for constant beta.
     """
-    if profile.x.size < 5:
-        raise ValueError("need at least 5 samples for second differences")
     m = profile.m
-    dx = profile.dx
     root = np.sqrt(profile.beta)
     lap_root = conformal_laplacian(profile, root)
-    grad_sq = _d1(profile.beta, dx) ** 2
+    grad_sq = first_derivative(profile.beta, profile.dx) ** 2
     return (1.0 - m) / 2.0 / root * lap_root - (1.0 - m) * (m - 3.0) / 4.0 * grad_sq

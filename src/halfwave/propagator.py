@@ -62,6 +62,25 @@ from .spectral import ExtendedState, SpectralResolution
 _SERIES_CUT = 1e-4
 
 
+def _continued(lam, t, series, trig, hyp, per_rate):
+    # one body for the continued functions of sqrt(lam) t: ``series(t, z)``
+    # for |z| = |lam| t^2 below _SERIES_CUT, else ``trig`` for lam > 0 and
+    # ``hyp`` for lam < 0 at sqrt(|lam|) t, divided by sqrt(|lam|) when
+    # ``per_rate``
+    lam, t = np.broadcast_arrays(np.asarray(lam, dtype=float),
+                                 np.asarray(t, dtype=float))
+    z = lam * t * t
+    out = np.empty(z.shape)
+    small = np.abs(z) < _SERIES_CUT
+    out[small] = series(t[small], z[small])
+    big = ~small
+    lb, tb = lam[big], t[big]
+    rb = np.sqrt(np.abs(lb))
+    vals = np.where(lb > 0, trig(rb * tb), hyp(rb * tb))
+    out[big] = vals / np.where(rb == 0, 1.0, rb) if per_rate else vals
+    return out
+
+
 def sin_propagator(lam, t):
     """s(lam, t) = sin(sqrt(lam) t)/sqrt(lam), continued through lam <= 0.
 
@@ -69,34 +88,14 @@ def sin_propagator(lam, t):
     series branch handles |lam| t^2 < 1e-4 without cancellation; the series
     is one and the same for both signs of lam.
     """
-    lam, t = np.broadcast_arrays(np.asarray(lam, dtype=float),
-                                 np.asarray(t, dtype=float))
-    z = lam * t * t
-    out = np.empty(z.shape)
-    small = np.abs(z) < _SERIES_CUT
-    zs = z[small]
-    out[small] = t[small] * (1.0 - zs / 6.0 + zs * zs / 120.0)
-    big = ~small
-    lb, tb = lam[big], t[big]
-    rb = np.sqrt(np.abs(lb))
-    out[big] = np.where(lb > 0, np.sin(rb * tb), np.sinh(rb * tb)) / np.where(rb == 0, 1.0, rb)
-    return out
+    return _continued(lam, t, lambda t, z: t * (1.0 - z / 6.0 + z * z / 120.0),
+                      np.sin, np.sinh, per_rate=True)
 
 
 def cos_propagator(lam, t):
     """cos(sqrt(lam) t) continued through lam <= 0 (cosh for lam < 0)."""
-    lam, t = np.broadcast_arrays(np.asarray(lam, dtype=float),
-                                 np.asarray(t, dtype=float))
-    z = lam * t * t
-    out = np.empty(z.shape)
-    small = np.abs(z) < _SERIES_CUT
-    zs = z[small]
-    out[small] = 1.0 - zs / 2.0 + zs * zs / 24.0
-    big = ~small
-    lb, tb = lam[big], t[big]
-    rb = np.sqrt(np.abs(lb))
-    out[big] = np.where(lb > 0, np.cos(rb * tb), np.cosh(rb * tb))
-    return out
+    return _continued(lam, t, lambda t, z: 1.0 - z / 2.0 + z * z / 24.0,
+                      np.cos, np.cosh, per_rate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Shared 1-D quadrature and finite-difference stencils.
 
 All gridded functions in this package live on uniform grids.  Inner products
-use trapezoid weights with an optional Euler-Maclaurin endpoint correction,
-which upgrades the trapezoid rule to fourth order on smooth integrands and is
+use trapezoid weights with the Euler-Maclaurin endpoint correction, which
+upgrades the trapezoid rule to fourth order on smooth integrands and is
 what lets oracle-grade residuals reach 1e-8 on grids of a few thousand nodes.
 """
 
@@ -46,8 +46,8 @@ _EM_EDGE = _D1_EDGE / 12.0
 def corrected_weights(n, dx):
     """Trapezoid weights with the Euler-Maclaurin endpoint correction folded in.
 
-    Dotting samples with these weights equals ``integrate(..., corrected=True)``;
-    the vector form lets stacked integrals run as matrix products.
+    Dotting samples with these weights equals :func:`integrate`; the vector
+    form lets stacked integrals run as matrix products.
     """
     w = trapezoid_weights(n, dx)
     if n >= 5:
@@ -62,27 +62,27 @@ def _endpoint_slopes(h, dx):
     return h[..., :5] @ c, -(h[..., :-6:-1] @ c)
 
 
-def integrate(h, dx, corrected=True):
+def integrate(h, dx):
     """Integrate sampled values along the last axis.
 
-    With ``corrected=True`` the trapezoid sum gets the Euler-Maclaurin
-    endpoint term dx^2/12 (h'(a) - h'(b)), making the rule fourth order.
-    Needs at least 5 samples for the correction.
+    The trapezoid sum gets the Euler-Maclaurin endpoint term
+    dx^2/12 (h'(a) - h'(b)), making the rule fourth order.  Fewer than 5
+    samples get the plain trapezoid sum.
     """
     v = np.trapezoid(h, dx=dx, axis=-1)
-    if corrected and h.shape[-1] >= 5:
+    if h.shape[-1] >= 5:
         d0, d1 = _endpoint_slopes(h, dx)
         v = v + dx * dx / 12.0 * (d0 - d1)
     return v
 
 
-def inner_product(f, g, dx, corrected=True):
+def inner_product(f, g, dx):
     """L2 inner product of two sampled functions on a uniform grid."""
-    return integrate(f * g, dx, corrected=corrected)
+    return integrate(f * g, dx)
 
 
-def l2_norm(f, dx, corrected=True):
-    return float(np.sqrt(max(inner_product(f, f, dx, corrected=corrected), 0.0)))
+def l2_norm(f, dx):
+    return float(np.sqrt(max(inner_product(f, f, dx), 0.0)))
 
 
 def first_derivative(u, dx):
@@ -116,17 +116,15 @@ def second_derivative(u, dx):
     return d
 
 
-_BOUNDARY_D1 = {
-    2: np.array([-3.0, 4.0, -1.0]) / 2.0,
-    4: _EM_EDGE,
-    6: np.array([-49.0 / 20, 6.0, -15.0 / 2, 20.0 / 3, -15.0 / 4, 6.0 / 5, -1.0 / 6]),
-}
+# one-sided sixth-order first derivative at an end node, times dx
+_D1_EDGE6 = np.array([-49.0 / 20, 6.0, -15.0 / 2, 20.0 / 3, -15.0 / 4, 6.0 / 5, -1.0 / 6])
 
 
-def boundary_derivative(u, dx, order=6):
-    """Inward first derivative at the first grid node (one-sided stencil)."""
-    c = _BOUNDARY_D1[order]
-    return float(np.dot(c, np.asarray(u, dtype=float)[: len(c)])) / dx
+def boundary_derivative(u, dx):
+    """Inward first derivative at the first grid node (one-sided sixth-order
+    stencil)."""
+    head = np.asarray(u, dtype=float)[: _D1_EDGE6.size]
+    return float(np.dot(_D1_EDGE6, head)) / dx
 
 
 def check_decay(f, dx, rel_tol=1e-8, what="input"):

@@ -16,6 +16,10 @@ k^2 < alpha^2).  A ``SpectralResolution`` samples the family on a truncated
 uniform quadrature grid xi in [0, xi_max] and provides analysis/synthesis
 and ``transform``, their fusion around a per-mode action, which is all
 downstream propagator construction needs.
+
+``SpectralResolution.family_block`` is the one evaluator of the continuum
+family, at any points and any block of xi nodes; ``BoundState.profile`` is
+the one evaluator of the bound state.
 """
 
 from __future__ import annotations
@@ -35,23 +39,6 @@ DEFAULT_NODES = 4000
 MIN_NODES = 64
 
 _CHUNK = 256
-
-
-def robin_continuum_mode(x, xi, alpha: float):
-    """Continuum eigenfunction of the Robin realization at radial frequency xi.
-
-    (xi cos(xi x) + alpha sin(xi x)) / sqrt(xi^2 + alpha^2); satisfies
-    u'(0) = alpha u(0) identically.  alpha = 0 reduces to cos(xi x).
-    Degenerate at xi = alpha = 0.
-    """
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if alpha == 0.0:
-        if np.any(xi == 0.0):
-            raise ValueError("xi = alpha = 0 is degenerate: no normalized "
-                             "direction exists there")
-        return np.cos(xi * x)
-    return (xi * np.cos(xi * x) + alpha * np.sin(xi * x)) / np.hypot(xi, alpha)
 
 
 @dataclass(frozen=True)
@@ -100,40 +87,6 @@ class ExtendedState:
     def compatibility_residual(self) -> float:
         scale = max(float(np.max(np.abs(self.u))), abs(self.v), 1e-300)
         return abs(float(self.u[0]) - self.v) / scale
-
-
-@dataclass(frozen=True)
-class WentzellMode:
-    """One extended-space harmonic mode (transverse phase factored out).
-
-    ``bulk`` holds [a (xi^2+1)]^(-1/2) (cos(xi x) - xi sin(xi x)) sampled on
-    the requested points, ``boundary_value`` the matching boundary component.
-    bulk[0] = boundary_value whenever the sample starts at x = 0, and the
-    inward derivative at 0 equals -xi^2 boundary_value, which is the
-    harmonic form of the dynamical condition at frequency sqrt(xi^2 + k^2).
-    """
-
-    bulk: np.ndarray
-    boundary_value: float
-    xi: float
-    k: float
-    norm: float
-
-
-# per-mode normalization constant of the extended continuum family;
-# the transverse plane-wave factor carries its own (2 pi)-per-dimension
-WENTZELL_NORM = np.pi / 2.0
-
-
-def wentzell_mode(x1, xi: float, k: float) -> WentzellMode:
-    """Extended-space continuum mode at radial frequency xi for mode k."""
-    if not xi > 0:
-        raise ValueError("xi must be positive")
-    x1 = np.asarray(x1, dtype=float)
-    norm = 1.0 / np.sqrt(WENTZELL_NORM * (xi * xi + 1.0))
-    bulk = norm * (np.cos(xi * x1) - xi * np.sin(xi * x1))
-    return WentzellMode(bulk=bulk, boundary_value=norm, xi=float(xi),
-                        k=float(k), norm=norm)
 
 
 def _project(fw, f_boundary, phi, v):

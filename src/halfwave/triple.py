@@ -13,7 +13,7 @@ operators.
 from __future__ import annotations
 
 import cmath
-import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -28,18 +28,17 @@ from .quadrature import (boundary_derivative, check_decay, inner_product,
 class TraceMaps:
     """Evaluators of u(0) and the inward derivative u'(0) on sampled functions.
 
-    ``order`` sets the one-sided stencil order for the derivative trace;
-    the default 6 keeps trace errors near 1e-12 on grids with dx ~ 1e-2.
+    The derivative trace uses the one-sided sixth-order stencil, which keeps
+    trace errors near 1e-12 on grids with dx ~ 1e-2.
     """
 
     dx: float
-    order: int = 6
 
     def gamma0(self, u) -> float:
         return float(np.asarray(u)[0])
 
     def gamma1(self, u) -> float:
-        return boundary_derivative(u, self.dx, order=self.order)
+        return boundary_derivative(u, self.dx)
 
 
 @dataclass(frozen=True)
@@ -171,6 +170,18 @@ def _theta_minus_weyl(alpha, lam: float, k: np.ndarray) -> np.ndarray:
     return alpha + np.sqrt(k * k - lam)
 
 
+def _closest_to_zero(vals: np.ndarray):
+    """Index of the finite value of ``vals`` closest to 0 (the first one on
+    ties), or None when no value is finite: the witness of a scan over k."""
+    dist = np.abs(vals)
+    idx = int(dist.argmin())
+    if math.isnan(dist[idx]):
+        # argmin stops at the first NaN: look again among finite values only
+        dist[~np.isfinite(vals)] = np.inf
+        idx = int(dist.argmin())
+    return idx if math.isfinite(vals[idx]) else None
+
+
 def _k_sample(k_range: Union[float, tuple, Iterable[float]],
               samples: int) -> np.ndarray:
     """Wavenumbers of a ``k_range``: one k, an interval ``(k_min, k_max)``
@@ -213,13 +224,13 @@ def spectrum_scan(bc: BoundaryCondition, lam_grid,
     alpha = _alpha_sample(bc, ks)
     for lam in np.asarray(lam_grid, dtype=float):
         vals = _theta_minus_weyl(alpha, lam, ks)
-        finite = np.isfinite(vals)
-        if not np.any(finite):
+        idx = _closest_to_zero(vals)
+        if idx is None:
             rows.append((float(lam), float(ks[0]), float("inf"), NOT_IN_SPECTRUM))
             continue
-        idx = np.argmin(np.abs(np.where(finite, vals, np.inf)))
         witness = float(vals[idx])
-        hit = abs(witness) <= tol or (np.min(vals[finite]) < 0.0 < np.max(vals[finite]))
+        finite = vals[np.isfinite(vals)]
+        hit = abs(witness) <= tol or (np.min(finite) < 0.0 < np.max(finite))
         rows.append((float(lam), float(ks[idx]), witness,
                      IN_SPECTRUM if hit else NOT_IN_SPECTRUM))
     return rows
@@ -240,8 +251,8 @@ def negative_spectrum_roots(bc: BoundaryCondition, lam_min: float,
 
     def witness(lam):
         vals = _theta_minus_weyl(alpha, lam, ks)
-        vals = vals[np.isfinite(vals)]
-        return vals[np.argmin(np.abs(vals))] if vals.size else np.inf
+        idx = _closest_to_zero(vals)
+        return np.inf if idx is None else vals[idx]
 
     w = np.array([witness(l) for l in lam_grid])
     roots = []
@@ -262,12 +273,3 @@ def negative_spectrum_roots(bc: BoundaryCondition, lam_min: float,
                     lo, flo = mid, fm
             roots.append(float(0.5 * (lo + hi)))
     return roots
-
-
-def write_scan_csv(path, rows) -> None:
-    """Emit spectrum-scan rows as CSV (lambda, k, theta_minus_weyl, verdict)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "k", "theta_minus_weyl", "verdict"])
-        for lam, k, value, verdict in rows:
-            writer.writerow([f"{lam:.17g}", f"{k:.17g}", f"{value:.17g}", verdict])

@@ -13,7 +13,7 @@ from halfwave.oracle import assemble_fd, fd_spectrum, images_kernel, leapfrog
 from halfwave.propagator import (apply_advanced, apply_causal, apply_retarded,
                                  build_kernel_grid, causal_kernel,
                                  wentzell_apply)
-from halfwave.spectral import resolve, wentzell_mode
+from halfwave.spectral import SpectralResolution, resolve
 from halfwave.triple import (greens_identity_residual, lower_bound_estimate,
                              negative_spectrum_roots)
 from halfwave.quadrature import boundary_derivative, second_derivative
@@ -185,16 +185,18 @@ def test_criterion_08_dynamical_condition_suite():
 
     xloc = np.linspace(0.0, 0.004, 8)
     xfine = np.linspace(0.0, 12.0, 4800)
+    xis = np.array([0.5, 2.0, 7.0])
+    modes = SpectralResolution(kind="wentzell", alpha=None, k=k, x=xfine, xi=xis)
+    fine, v = modes.family_block(slice(None))
+    local, _ = modes.family_block(slice(None), points=xloc)
     mode_res = 0.0
-    for xi in (0.5, 2.0, 7.0):
-        mode = wentzell_mode(xfine, xi, k)
-        compat = abs(mode.bulk[0] - mode.boundary_value)
-        eig = np.max(np.abs((-second_derivative(mode.bulk, xfine[1] - xfine[0])
-                             + k * k * mode.bulk
-                             - (xi ** 2 + k * k) * mode.bulk)[: 2400]))
-        local = wentzell_mode(xloc, xi, k)
-        dyn = abs(boundary_derivative(local.bulk, xloc[1] - xloc[0])
-                  + xi ** 2 * local.boundary_value)
+    for xi, bulk, bulk_loc, v_j in zip(xis, fine, local, v):
+        compat = abs(bulk[0] - v_j)
+        eig = np.max(np.abs((-second_derivative(bulk, xfine[1] - xfine[0])
+                             + k * k * bulk
+                             - (xi ** 2 + k * k) * bulk)[: 2400]))
+        dyn = abs(boundary_derivative(bulk_loc, xloc[1] - xloc[0])
+                  + xi ** 2 * v_j)
         mode_res = max(mode_res, compat, eig, dyn)
 
     x = np.linspace(0.0, 12.0, 1024)

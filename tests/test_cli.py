@@ -57,6 +57,16 @@ class TestSpectrum:
         body = (out / "spectrum.csv").read_text()
         assert "IN_SPECTRUM" not in body.replace("NOT_IN_SPECTRUM", "")
 
+    def test_csv_header_and_rows(self, tmp_path):
+        cfg = write_config(tmp_path, scan={"lambda_min": -2.0,
+                                           "lambda_max": -0.5, "steps": 31},
+                           model={"grid": 256})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == EXIT_OK
+        text = (out / "spectrum.csv").read_text().splitlines()
+        assert text[0] == "lambda,k,theta_minus_weyl,verdict,fd_eigs_below"
+        assert len(text) == 31 + 1
+
     def test_empty_range(self, tmp_path):
         cfg = write_config(tmp_path, scan={"steps": 0}, model={"grid": 256})
         out = tmp_path / "out"

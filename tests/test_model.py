@@ -11,6 +11,22 @@ def profile_const(value, m, n=64):
     return WarpedProfile(x=x, beta=np.full(n, value), m=m)
 
 
+def symbolic_potential(m):
+    """The potential C of beta = 1 + x^2/10 at dimension m, derived by sympy."""
+    sympy = pytest.importorskip("sympy")
+    X = sympy.symbols("x", positive=True)
+    beta_s = 1 + sympy.Rational(1, 10) * X ** 2
+
+    def lap_conf(u):
+        return -beta_s ** sympy.Rational(m, 2) * sympy.diff(
+            beta_s ** (1 - sympy.Rational(m, 2)) * sympy.diff(u, X), X)
+
+    C = (sympy.Rational(1 - m, 2) * beta_s ** sympy.Rational(-1, 2)
+         * lap_conf(sympy.sqrt(beta_s))
+         - sympy.Rational((1 - m) * (m - 3), 4) * sympy.diff(beta_s, X) ** 2)
+    return sympy.lambdify(X, sympy.simplify(C), "numpy")
+
+
 class TestConformalFactors:
     def test_unit_beta_is_identity(self):
         pre, post = conformal_factors(profile_const(1.0, m=3))
@@ -49,28 +65,32 @@ class TestAssemblePotential:
                         atol=1e-9)
 
     def test_against_symbolic_oracle(self):
-        sympy = pytest.importorskip("sympy")
-        X = sympy.symbols("x", positive=True)
-        beta_s = 1 + sympy.Rational(1, 10) * X ** 2
         m = 3
-
-        def lap_conf(u):
-            return -beta_s ** sympy.Rational(m, 2) * sympy.diff(
-                beta_s ** (1 - sympy.Rational(m, 2)) * sympy.diff(u, X), X)
-
-        C = (sympy.Rational(1 - m, 2) * beta_s ** sympy.Rational(-1, 2)
-             * lap_conf(sympy.sqrt(beta_s))
-             - sympy.Rational((1 - m) * (m - 3), 4) * sympy.diff(beta_s, X) ** 2)
-        C_fn = sympy.lambdify(X, sympy.simplify(C), "numpy")
-
+        C_fn = symbolic_potential(m)
         x = np.linspace(0.0, 1.0, 101)
         prof = WarpedProfile(x=x, beta=1 + 0.1 * x ** 2, m=m)
         got = assemble_potential(prof)
         assert np.max(np.abs(got - C_fn(x))) <= 1e-4
 
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_fourth_order_against_symbolic_oracle(self, m):
+        # fourth-order stencils leave 3e-10 (m = 3) and 7e-10 (m = 5) at
+        # 101 samples; second-order ones left 3e-6 and 6e-6
+        C_fn = symbolic_potential(m)
+        x = np.linspace(0.0, 1.0, 101)
+        prof = WarpedProfile(x=x, beta=1 + 0.1 * x ** 2, m=m)
+        got = assemble_potential(prof)
+        assert np.max(np.abs(got - C_fn(x))) <= 1e-8
+
     def test_grid_too_coarse(self):
         prof = WarpedProfile(x=np.linspace(0, 1, 4), beta=np.ones(4), m=3)
-        with pytest.raises(ValueError, match="at least 5"):
+        with pytest.raises(ValueError, match="at least 6"):
+            assemble_potential(prof)
+
+    def test_five_samples_rejected(self):
+        # the one-sided second-derivative stencil reads six samples
+        prof = WarpedProfile(x=np.linspace(0, 1, 5), beta=np.ones(5), m=3)
+        with pytest.raises(ValueError, match="at least 6"):
             assemble_potential(prof)
 
 

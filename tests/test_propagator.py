@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,7 @@ from halfwave.propagator import (KernelGrid, _window, apply_advanced,
                                  cos_propagator, evolve_cauchy,
                                  kernel_time_derivative_apply, sin_propagator,
                                  wentzell_apply)
-from halfwave.spectral import (_CHUNK, SpectralResolution, resolve,
-                               wentzell_mode)
+from halfwave.spectral import _CHUNK, SpectralResolution, resolve
 from halfwave.quadrature import TruncationWarning
 from halfwave.verify import wave_operator
 
@@ -464,9 +464,9 @@ class TestWentzell:
         # warning is expected
         xi0, k = 2.0, 1.0
         omega0 = np.sqrt(xi0 ** 2 + k ** 2)
-        mode = wentzell_mode(self.X, xi0, k)
+        bulk = replace(res_w, xi=np.array([xi0])).family_block(slice(None))[0]
         window = np.exp(-((self.T - 1.2) ** 2) / (2 * 0.5 ** 2))
-        f = window[:, None] * mode.bulk[None, :]
+        f = window[:, None] * bulk
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             u = wentzell_apply(res_w, f, self.T, support="retarded")

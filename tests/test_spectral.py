@@ -9,8 +9,7 @@ from halfwave.quadrature import (TruncationWarning, boundary_derivative,
                                  l2_norm, second_derivative)
 from halfwave.spectral import (SpectralResolution, bound_state,
                                completeness_residual, inverse_sine_transform,
-                               resolve, robin_continuum_mode, sine_transform,
-                               wentzell_mode)
+                               resolve, sine_transform)
 
 X = np.linspace(0.0, 30.0, 3000)
 XI = np.linspace(0.0, 40.0, 4000)
@@ -20,31 +19,40 @@ def bump(x, center, width):
     return np.exp(-((x - center) ** 2) / (2 * width ** 2))
 
 
+def family(kind, xi, points, alpha=None):
+    """``family_block`` of a resolution sampled at the radial frequencies
+    ``xi``: (phi, v) with one row of phi per frequency."""
+    res = SpectralResolution(kind=kind, alpha=alpha, k=0.0, x=X,
+                             xi=np.atleast_1d(xi))
+    return res.family_block(slice(None), points=points)
+
+
 class TestRobinContinuumMode:
     def test_neumann_limit(self):
-        assert_allclose(robin_continuum_mode(X, 1.3, 0.0), np.cos(1.3 * X))
+        assert_allclose(family("robin", 1.3, X, alpha=0.0)[0][0], np.cos(1.3 * X))
 
     def test_boundary_value(self):
         for xi, alpha in [(1.0, -1.0), (2.5, 0.7), (0.3, 3.0)]:
-            got = robin_continuum_mode(0.0, xi, alpha)
+            got = family("robin", xi, [0.0], alpha=alpha)[0][0, 0]
             assert got == pytest.approx(xi / np.sqrt(xi ** 2 + alpha ** 2))
 
     def test_printed_value(self):
-        got = robin_continuum_mode(np.pi / 2, 1.0, -1.0)
+        got = family("robin", 1.0, [np.pi / 2], alpha=-1.0)[0][0, 0]
         assert got == pytest.approx(-1.0 / np.sqrt(2.0))
 
     def test_eigen_equation(self):
         xi = 1.0
-        psi = robin_continuum_mode(X, xi, -1.0)
+        psi = family("robin", xi, X, alpha=-1.0)[0][0]
         resid = -second_derivative(psi, X[1] - X[0]) - xi ** 2 * psi
         assert np.max(np.abs(resid[: len(X) // 2])) <= 1e-6
 
     def test_boundary_condition_all_frequencies(self):
         # fine local grid so the derivative trace carries no stencil error
         xloc = np.linspace(0.0, 0.004, 8)
-        for xi in np.linspace(0.05, 39.0, 25):
-            for alpha in (-2.0, -1.0, 0.0, 0.5, 4.0):
-                psi = robin_continuum_mode(xloc, xi, alpha)
+        for alpha in (-2.0, -1.0, 0.0, 0.5, 4.0):
+            phi, _ = family("robin", np.linspace(0.05, 39.0, 25), xloc,
+                            alpha=alpha)
+            for psi in phi:
                 d0 = boundary_derivative(psi, xloc[1] - xloc[0])
                 assert abs(d0 - alpha * psi[0]) <= 1e-10
 
@@ -223,26 +231,23 @@ class TestCompleteness:
 
 class TestWentzell:
     def test_boundary_compatibility(self):
-        mode = wentzell_mode(X, 2.0, 1.0)
-        assert mode.bulk[0] == mode.boundary_value
+        phi, v = family("wentzell", 2.0, X)
+        assert phi[0, 0] == v[0]
 
     def test_dynamic_condition_at_harmonic_frequency(self):
         xloc = np.linspace(0.0, 0.01, 8)
-        for xi in (0.5, 1.0, 3.0, 10.0):
-            mode = wentzell_mode(xloc, xi, 1.0)
-            d0 = boundary_derivative(mode.bulk, xloc[1] - xloc[0])
-            assert abs(d0 + xi ** 2 * mode.boundary_value) <= 1e-6
+        xi = np.array([0.5, 1.0, 3.0, 10.0])
+        phi, v = family("wentzell", xi, xloc)
+        for bulk, xi_j, v_j in zip(phi, xi, v):
+            d0 = boundary_derivative(bulk, xloc[1] - xloc[0])
+            assert abs(d0 + xi_j ** 2 * v_j) <= 1e-6
 
     def test_eigen_equation(self):
         k = 1.0
-        mode = wentzell_mode(X, 2.0, k)
-        lhs = -second_derivative(mode.bulk, X[1] - X[0]) + k * k * mode.bulk
-        rhs = (2.0 ** 2 + k * k) * mode.bulk
+        bulk = family("wentzell", 2.0, X)[0][0]
+        lhs = -second_derivative(bulk, X[1] - X[0]) + k * k * bulk
+        rhs = (2.0 ** 2 + k * k) * bulk
         assert np.max(np.abs(lhs - rhs)[: len(X) // 2]) <= 1e-6
-
-    def test_requires_positive_frequency(self):
-        with pytest.raises(ValueError):
-            wentzell_mode(X, 0.0, 1.0)
 
     def test_extended_completeness(self):
         res = resolve(BoundaryCondition.wentzell_laplace(), 1.0, X)
@@ -264,11 +269,6 @@ def test_resolution_json_round_trip():
     c2, b2 = back.analyze(f)
     assert_allclose(c1, c2, rtol=0, atol=0)
     assert b1 == b2
-
-
-def test_degenerate_normalization_rejected():
-    with pytest.raises(ValueError, match="degenerate"):
-        robin_continuum_mode(X, 0.0, 0.0)
 
 
 def test_sine_transform_warns_on_undecayed_input():

@@ -9,8 +9,7 @@ from halfwave.triple import (IN_SPECTRUM, NOT_IN_SPECTRUM, TraceMaps,
                              cayley_unitary, deficiency_decay,
                              extension_membership, greens_identity_residual,
                              lower_bound_estimate, negative_spectrum_roots,
-                             spectrum_scan, spectrum_test, weyl_function,
-                             write_scan_csv)
+                             spectrum_scan, spectrum_test, weyl_function)
 
 X30 = np.linspace(0.0, 30.0, 3000)
 
@@ -171,6 +170,15 @@ class TestSpectrumTest:
         for lam in (-0.25, -1.0, -4.0):
             assert spectrum_test(lam, bc, 0.0) == NOT_IN_SPECTRUM
 
+    def test_witness_skips_nan_wavenumbers(self):
+        # the witness is the finite value closest to 0 over the k sample;
+        # a NaN ahead of it in the sample does not hide it
+        rows = spectrum_scan(BoundaryCondition.robin(-1.0), [-1.0],
+                             [np.nan, 2.0, 0.0])
+        assert rows == [(-1.0, 0.0, 0.0, IN_SPECTRUM)]
+        (row,) = spectrum_scan(BoundaryCondition.robin(-1.0), [-1.0], [np.nan])
+        assert row[2:] == (float("inf"), NOT_IN_SPECTRUM)
+
     def test_robin_band_with_transverse_modes(self):
         bc = BoundaryCondition.robin(-2.0)
         assert spectrum_test(-3.0, bc, (0.0, 8.0)) == IN_SPECTRUM
@@ -187,15 +195,6 @@ class TestSpectrumTest:
             sysm = assemble_fd(BoundaryCondition.robin(alpha), 0.0, 1024, 20.0)
             negatives = int(np.sum(fd_spectrum(sysm, 8) < 0))
             assert len(roots) == negatives
-
-    def test_scan_csv(self, tmp_path):
-        rows = spectrum_scan(BoundaryCondition.robin(-1.0),
-                             np.linspace(-2, -0.5, 31), 0.0)
-        path = tmp_path / "scan.csv"
-        write_scan_csv(path, rows)
-        text = path.read_text().splitlines()
-        assert text[0] == "lambda,k,theta_minus_weyl,verdict"
-        assert len(text) == 32
 
 
 class TestLowerBound:
