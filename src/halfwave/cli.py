@@ -22,6 +22,12 @@ Configuration is a single JSON document; ``default_config()`` is the
 canonical schema and ``parse_config`` deep-merges user files over it.  The
 multiplier boundary condition takes polynomial coefficients, lowest power
 first: {"kind": "multiplier", "poly": [0, 0, 1]} is p(k) = k^2.
+
+``quadrature.nodes`` defaults to null: each command then sizes the xi grid
+for its own window with ``spectral.default_nodes`` (span t_max + 2 x_max for
+the appliers, max|t| + max x + max y for kernels) and records the grid it
+used, ``{"xi_max", "nodes"}``, next to its outputs.  An explicit count is
+used as given.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ def default_config() -> dict:
     return {
         "model": {"n": 0, "k": 0.0, "x_max": 30.0, "grid": 1024},
         "bc": {"kind": "robin", "alpha": -1.0},
-        "quadrature": {"xi_max": 40.0, "nodes": 4000},
+        "quadrature": {"xi_max": 40.0, "nodes": None},
         "grids": {
             "t": [0.0, 2.0, 20],
             "x": [0.2, 3.0, 20],
@@ -158,22 +164,26 @@ def _axis(grids, name: str) -> np.ndarray:
 
 
 def _quadrature(section: dict):
+    # (xi_max, nodes); nodes is None when the window should size the grid
     xi_max = _finite(section["xi_max"], "quadrature.xi_max")
-    nodes = int(_finite(section["nodes"], "quadrature.nodes"))
     if xi_max <= 0:
         raise ConfigError(f"quadrature.xi_max must be positive, got {xi_max}")
+    nodes = section.get("nodes")
+    if nodes is None:
+        return xi_max, None
+    nodes = int(_finite(nodes, "quadrature.nodes"))
     if nodes < spectral.MIN_NODES:
         raise ConfigError(f"quadrature.nodes must be at least "
                           f"{spectral.MIN_NODES}, got {nodes}")
     return xi_max, nodes
 
 
-def _resolve(cfg: dict):
-    model = _build_model(cfg["model"])
-    bc = _build_bc(cfg["bc"])
+def _resolution(cfg: dict, bc: BoundaryCondition, k: float, x, span: float):
+    # the configured quadrature, or the default node count for ``span``
     xi_max, nodes = _quadrature(cfg["quadrature"])
-    res = spectral.resolve(bc, model.k, model.x(), xi_max=xi_max, nodes=nodes)
-    return model, bc, res
+    if nodes is None:
+        nodes = spectral.default_nodes(bc, k, xi_max, span)
+    return spectral.resolve(bc, k, x, xi_max=xi_max, nodes=nodes)
 
 
 def _outdir(cfg: dict, out_flag) -> Path:
@@ -216,10 +226,13 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
     lam_min, lam_max = (_finite(scan[key], f"scan.{key}")
                         for key in ("lambda_min", "lambda_max"))
     steps = int(_finite(scan["steps"], "scan.steps"))
+    k_max = _finite(scan.get("k_max", 8.0), "scan.k_max")
+    if k_max <= 0:
+        raise ConfigError(f"scan.k_max must be positive, got {k_max}")
     if lam_max >= 0:
         lam_max = -1e-12
     lam_grid = np.linspace(lam_min, lam_max, steps) if steps > 0 else []
-    k_range = model.k if model.n == 0 else (0.0, float(scan.get("k_max", 8.0)))
+    k_range = model.k if model.n == 0 else (0.0, k_max)
     rows = triple.spectrum_scan(bc, lam_grid, k_range=k_range)
     # FD comparison: count of eigenvalues below each lambda
     sysm = oracle.assemble_fd(bc, model.k, model.grid, model.x_max)
@@ -238,8 +251,9 @@ def cmd_spectrum(cfg: dict, outdir: Path) -> int:
 
 
 def cmd_kernel(cfg: dict, outdir: Path) -> int:
-    model, bc, res = _resolve(cfg)
     t, x, y = (_axis(cfg["grids"], name) for name in ("t", "x", "y"))
+    model, bc = _build_model(cfg["model"]), _build_bc(cfg["bc"])
+    res = _resolution(cfg, bc, model.k, model.x(), propagator.kernel_span(t, x, y))
     grid = propagator.build_kernel_grid(res, t, x, y)
     formats = cfg["outputs"]["formats"]
     if "csv" in formats:
@@ -266,10 +280,11 @@ def _check_evolve(cfg: dict) -> None:
 
 def cmd_evolve(cfg: dict, outdir: Path) -> int:
     _check_evolve(cfg)
-    model, bc, res = _resolve(cfg)
-    t = np.linspace(0.0, float(cfg["evolve"]["t_max"]),
-                    int(cfg["evolve"]["steps"]))
+    t_max = float(cfg["evolve"]["t_max"])
+    model, bc = _build_model(cfg["model"]), _build_bc(cfg["bc"])
     x = model.x()
+    res = _resolution(cfg, bc, model.k, x, t_max + 2.0 * model.x_max)
+    t = np.linspace(0.0, t_max, int(cfg["evolve"]["steps"]))
     f = _gaussian_source(cfg, t, x)
     if bc.is_dynamic:
         field = propagator.wentzell_apply(res, f, t, support="retarded")
@@ -285,7 +300,8 @@ def cmd_evolve(cfg: dict, outdir: Path) -> int:
     _write_sidecar(outdir / "field.sidecar.json", "evolve", cfg,
                    {"bc_residual": residual,
                     "axes": {"t": [float(t[0]), float(t[-1]), int(t.size)],
-                             "x": [0.0, model.x_max, int(x.size)]}})
+                             "x": [0.0, model.x_max, int(x.size)]},
+                    "quadrature": res.quadrature})
     print(f"wrote field {field.shape} to {outdir}; bc residual {residual:.3e}")
     return EXIT_OK
 
@@ -319,37 +335,41 @@ def _verify_kernel_images(cfg, tol):
     bc = _build_bc(cfg["bc"])
     if bc.is_dynamic or model.k != 0.0:
         bc = BoundaryCondition.dirichlet()
-    res = spectral.resolve(bc, 0.0, np.linspace(0, 10, 64))
-    images_bc = bc if res.alpha is None else BoundaryCondition.robin(res.alpha)
     rng = np.random.default_rng(11)
     t = rng.uniform(0.05, 2.0, 100)
     x = rng.uniform(0.2, 3.0, 100)
     y = rng.uniform(0.2, 3.0, 100)
     guard = 0.05
     keep = (np.abs(t - np.abs(x - y)) > guard) & (np.abs(t - (x + y)) > guard)
-    K = propagator.causal_kernel(res, t[keep], x[keep], y[keep])
-    Im = oracle.images_kernel(t[keep], x[keep], y[keep], images_bc)
+    t, x, y = t[keep], x[keep], y[keep]
+    res = _resolution(cfg, bc, 0.0, np.linspace(0, 10, 64),
+                      propagator.kernel_span(t, x, y))
+    images_bc = bc if res.alpha is None else BoundaryCondition.robin(res.alpha)
+    K = propagator.causal_kernel(res, t, x, y)
+    Im = oracle.images_kernel(t, x, y, images_bc)
     worst = float(np.max(np.abs(K - Im)))
-    return {"bc": bc.describe(0.0), "max_err": worst, "points": int(np.sum(keep)),
-            "tol": tol, "passed": worst <= tol}
+    return {"bc": bc.describe(0.0), "max_err": worst, "points": int(t.size),
+            "quadrature": res.quadrature, "tol": tol, "passed": worst <= tol}
 
 
 def _verify_causality(cfg, tol):
-    model, bc, res = _resolve(cfg)
-    if bc.is_dynamic or model.k != 0.0:
-        bc = BoundaryCondition.robin(-1.0)
-        res = spectral.resolve(bc, 0.0, model.x())
+    model = _build_model(cfg["model"])
+    bc, k = _build_bc(cfg["bc"]), model.k
+    if bc.is_dynamic or k != 0.0:
+        bc, k = BoundaryCondition.robin(-1.0), 0.0
     t = np.linspace(0.0, 1.5, 9)
     x = np.linspace(0.3, 3.5, 12)
+    res = _resolution(cfg, bc, k, model.x(), propagator.kernel_span(t, x, x))
     grid = propagator.build_kernel_grid(res, t, x, x)
     report = verify.causality_report(grid, tol=tol)
-    return {"max_acausal": report["max_acausal"], "tol": tol,
-            "passed": report["passed"]}
+    return {"max_acausal": report["max_acausal"], "quadrature": res.quadrature,
+            "tol": tol, "passed": report["passed"]}
 
 
 def _verify_bc(cfg, tol):
-    model, bc, res = _resolve(cfg)
     t = np.linspace(0.0, 4.0, 320)
+    model, bc = _build_model(cfg["model"]), _build_bc(cfg["bc"])
+    res = _resolution(cfg, bc, model.k, model.x(), float(t[-1]) + 2.0 * model.x_max)
     f = _gaussian_source(_merge(cfg, {"source": {"t0": 1.6, "sigma_t": 0.25,
                                                  "x0": 2.5, "sigma_x": 0.4}}),
                          t, model.x())
@@ -362,11 +382,12 @@ def _verify_bc(cfg, tol):
     if override is not None:
         check_bc = BoundaryCondition.robin(float(override))
     residual = verify.bc_residual(field, t, model.x(), check_bc, k=model.k)
-    return {"residual": residual, "tol": tol, "passed": residual <= tol}
+    return {"residual": residual, "quadrature": res.quadrature, "tol": tol,
+            "passed": residual <= tol}
 
 
 def _verify_energy(cfg, tol):
-    model, bc, res = _resolve(cfg)
+    model, bc = _build_model(cfg["model"]), _build_bc(cfg["bc"])
     sysm = oracle.assemble_fd(bc, model.k, model.grid, model.x_max)
     x = model.x()
     u0 = np.exp(-((x - 0.35 * model.x_max) ** 2) / (2 * 0.5 ** 2))
@@ -432,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float, default=None,
                         help="scale factor applied to verify tolerances")
     parser.add_argument("--nodes", type=int, default=None,
-                        help="override quadrature node count")
+                        help="quadrature node count (default: sized for "
+                             "each command's window)")
     parser.add_argument("--xi-max", type=float, default=None,
                         help="override quadrature truncation")
     parser.add_argument("command", choices=["spectrum", "kernel", "evolve",

@@ -34,8 +34,15 @@ size O(1/(xi_max * c)), c the distance to the nearest characteristic, far
 too large for pointwise kernel work.  For the k = 0 trigonometric families
 the tail has closed form in sine-integral and exponential-integral
 functions, and ``causal_kernel`` adds it back by default, leaving pure
-quadrature error (about 1e-6 at the default resolution, quartering when the
-node count doubles).  Elsewhere no completion exists and the kernel warns.
+quadrature error.  The xi weights carry the Euler-Maclaurin correction at
+xi_max (``SpectralResolution.xi_weights``), so that error is fourth order in
+the node spacing: below 1e-7 at 801 nodes on [0, 40], about 3e-11 at 4000.
+Elsewhere no completion exists and the kernel warns.
+
+The trapezoid rule in xi aliases once the evaluated span, the widest
+|t - t'| + x + y, exceeds 2 pi/dxi; every kernel and applier then raises a
+:class:`TruncationWarning`.  ``spectral.default_nodes`` sizes the grid with
+a factor 2 clear of that limit.
 
 On a tensor grid the continuum sum separates into t, x and y factors:
 ``build_kernel_grid`` evaluates the family once per axis and contracts one
@@ -158,6 +165,21 @@ def _kernel_tail(kind, alpha, t, x, y, xi_max):
     return tail
 
 
+def _check_aliasing(res: SpectralResolution, span: float) -> None:
+    # the xi trapezoid aliases e^{i xi span} once span exceeds 2 pi/dxi
+    limit = 2.0 * np.pi / res.dxi
+    if span > limit:
+        warnings.warn(
+            f"the evaluated span {span:.4g} exceeds 2 pi/dxi = {limit:.4g} "
+            f"at {res.xi.size} xi nodes: the frequency quadrature aliases; "
+            "use more nodes or a narrower window", TruncationWarning, stacklevel=3)
+
+
+def kernel_span(t, x, y) -> float:
+    """Widest |t| + |x| + |y| a kernel evaluation at these samples reaches."""
+    return sum(float(np.max(np.abs(a))) if np.size(a) else 0.0 for a in (t, x, y))
+
+
 def _non_separable(res: SpectralResolution, t, x, y, tails: Optional[bool]):
     """Kernel terms outside the continuum sum, at broadcastable (t, x, y).
 
@@ -210,6 +232,7 @@ def causal_kernel(res: SpectralResolution, t, x, y, tails: Optional[bool] = None
     tt = np.broadcast_to(t, shape).ravel()
     xx = np.broadcast_to(x, shape).ravel()
     yy = np.broadcast_to(y, shape).ravel()
+    _check_aliasing(res, kernel_span(tt, xx, yy))
     terms, _ = _non_separable(res, tt, xx, yy, tails)
     out = np.zeros(tt.size)
     w = res.xi_weights()
@@ -300,6 +323,7 @@ def build_kernel_grid(res: SpectralResolution, t, x, y,
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    _check_aliasing(res, kernel_span(t, x, y))
     terms, tails = _non_separable(res, t[:, None, None], x[None, :, None],
                                   y[None, None, :], tails)
     phi_x, _ = res.family_block(slice(None), points=x)
@@ -313,7 +337,7 @@ def build_kernel_grid(res: SpectralResolution, t, x, y,
         "kind": res.kind,
         "alpha": res.alpha,
         "k": res.k,
-        "quadrature": {"xi_max": float(res.xi[-1]), "nodes": int(res.xi.size)},
+        "quadrature": res.quadrature,
         "tails": tails,
     }
     return KernelGrid(t=t, x=x, y=y, values=values, meta=meta)
@@ -392,12 +416,15 @@ def _apply(res: SpectralResolution, f, t, support: str):
     (including its omega = 0 node) and the bound channel (sinh/cosh while
     its eigenvalue is negative) go through that routine alike.  Transient
     memory is O(nt nx + nt _CHUNK + _CHUNK nx); no nt x n_xi array is formed.
+    The xi grid must resolve the span t_max - t_min + 2 x_max; a coarser
+    grid aliases and raises a :class:`TruncationWarning`.
     """
     t = np.asarray(t, dtype=float)
     f = np.asarray(f, dtype=float)
     if f.shape != (t.size, res.x.size):
         raise ValueError("source must be sampled on the (t, x) grid of the call")
     _check_source_window(res, f, t)
+    _check_aliasing(res, float(t[-1] - t[0]) + 2.0 * float(res.x[-1]))
     out = res.transform(f, f[:, 0] if res.extended else 0.0,
                         lambda c, lam: _window(c, t, lam, support))
     return out[0] if res.extended else out

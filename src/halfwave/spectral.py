@@ -17,6 +17,13 @@ uniform quadrature grid xi in [0, xi_max] and provides analysis/synthesis
 and ``transform``, their fusion around a per-mode action, which is all
 downstream propagator construction needs.
 
+The xi integrals use one weight vector, ``SpectralResolution.xi_weights``:
+trapezoid weights with the Euler-Maclaurin correction at the xi_max end
+only.  Every integrand (family products, analysis/synthesis pairs) is even
+in xi, so the trapezoid rule carries no error at xi = 0 and the correction
+there would only spoil completeness; at xi_max it lifts the rule to fourth
+order.  ``default_nodes`` sizes the grid for the window a caller evaluates.
+
 ``SpectralResolution.family_block`` is the one evaluator of the continuum
 family, at any points and any block of xi nodes; ``BoundState.profile`` is
 the one evaluator of the bound state.
@@ -25,18 +32,20 @@ the one evaluator of the bound state.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .model import BoundaryCondition
-from .quadrature import (check_decay, check_uniform_grid, corrected_weights,
-                         integrate, trapezoid_weights)
+from .quadrature import (_EM_EDGE, check_decay, check_uniform_grid,
+                         corrected_weights, integrate, trapezoid_weights)
 
 DEFAULT_XI_MAX = 40.0
 DEFAULT_NODES = 4000
 MIN_NODES = 64
+MAX_STEP = 0.05     # xi spacing that keeps end-corrected kernels within 1e-7
 
 _CHUNK = 256
 
@@ -139,12 +148,24 @@ class SpectralResolution:
     def extended(self) -> bool:
         return self.kind == "wentzell"
 
+    @property
+    def quadrature(self) -> dict:
+        """The xi truncation as recorded in sidecars: xi_max and node count."""
+        return {"xi_max": float(self.xi[-1]), "nodes": int(self.xi.size)}
+
     def omega_sq(self) -> np.ndarray:
         """Continuum eigenvalues xi^2 + k^2."""
         return self.xi ** 2 + self.k ** 2
 
     def xi_weights(self) -> np.ndarray:
-        return trapezoid_weights(self.xi.size, self.dxi)
+        """Trapezoid weights on ``xi``, Euler-Maclaurin corrected at xi_max.
+
+        The xi = 0 end stays plain: the integrands are even in xi there.
+        """
+        w = trapezoid_weights(self.xi.size, self.dxi)
+        if self.xi.size >= 5:
+            w[-5:] += self.dxi / 12.0 * _EM_EDGE[::-1]
+        return w
 
     def family_block(self, sl: slice, points=None):
         """Continuum family sampled at ``points`` for a block of xi nodes.
@@ -262,7 +283,7 @@ class SpectralResolution:
             "alpha": self.alpha,
             "k": self.k,
             "x": {"max": float(self.x[-1]), "nodes": int(self.x.size)},
-            "quadrature": {"xi_max": float(self.xi[-1]), "nodes": int(self.xi.size)},
+            "quadrature": self.quadrature,
             "weight": self.weight,
             "bound": None if self.bound is None else
                      {"lam": self.bound.lam, "kappa": self.bound.kappa},
@@ -282,6 +303,28 @@ class SpectralResolution:
         return res
 
 
+def default_nodes(bc: BoundaryCondition, k: float,
+                  xi_max: float = DEFAULT_XI_MAX, span: float = 0.0) -> int:
+    """Quadrature node count for the window of width ``span``.
+
+    ``span`` is the largest |t - t'| + x + y the caller evaluates: the
+    widest t window plus twice x_max for the appliers, max|t| + max x +
+    max y for kernels.  The node spacing h is the smallest of MAX_STEP,
+    pi/span (the trapezoid aliases an oscillation e^{i xi span} once
+    h > 2 pi/span; pi/span keeps a factor 2 clear of it) and, for Robin
+    type conditions with alpha(k) != 0, |alpha|/10 (the family turns from
+    0 to cos(xi x) over xi ~ |alpha|).  Returns ceil(xi_max/h) + 1, at
+    least MIN_NODES and at most DEFAULT_NODES.
+    """
+    h = MAX_STEP
+    if span > 0:
+        h = min(h, math.pi / span)
+    alpha = None if bc.is_dynamic else bc.effective_alpha(k)
+    if alpha:
+        h = min(h, abs(alpha) / 10.0)
+    return max(MIN_NODES, min(DEFAULT_NODES, math.ceil(xi_max / h) + 1))
+
+
 def resolve(bc: BoundaryCondition, k: float, x,
             xi_max: float = DEFAULT_XI_MAX,
             nodes: int = DEFAULT_NODES) -> SpectralResolution:
@@ -290,7 +333,8 @@ def resolve(bc: BoundaryCondition, k: float, x,
     Dirichlet gives the sine family; Neumann, Robin and multiplier conditions
     give the Robin family at the per-mode coefficient (plus the bound state
     when alpha < 0); the dynamical condition gives the extended family.
-    ``xi_max`` and ``nodes`` fix the quadrature truncation.  ``x`` must be a
+    ``xi_max`` and ``nodes`` fix the quadrature truncation; the node count
+    for a given window is :func:`default_nodes`.  ``x`` must be a
     uniform increasing grid starting at the boundary, x = 0.
     """
     if not xi_max > 0:

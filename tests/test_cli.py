@@ -1,11 +1,13 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from halfwave.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE,
                           default_config, emit_config, main, parse_config)
+from halfwave.quadrature import TruncationWarning
 
 
 def write_config(tmp_path, **sections):
@@ -312,6 +314,12 @@ class TestConfigInputs:
         ("verify", {"verify": {"bc_check_alpha_override": "steep"}}),
         ("verify", {"bc": {"kind": "robin", "alpha": "nan"}}),
         ("verify", {"source": {"amplitude": "loud"}}),
+        ("spectrum", {"scan": {"k_max": float("nan")}}),
+        ("spectrum", {"scan": {"k_max": float("inf")}}),
+        ("spectrum", {"scan": {"k_max": 0.0}}),
+        ("spectrum", {"scan": {"k_max": -2.0}}),
+        ("spectrum", {"scan": {"k_max": "abc"}}),
+        ("kernel", {"quadrature": {"nodes": "many"}}),
     ])
     def test_rejected_with_one_line(self, tmp_path, capsys, command, sections):
         cfg = write_config(tmp_path, model={"grid": 256, "x_max": 12.0},
@@ -331,6 +339,60 @@ class TestConfigInputs:
                                   "y": [1.0, 2.0, 2]})
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out), "kernel"]) == EXIT_OK
+
+
+class TestQuadratureDefault:
+    # the default evolve window, span t_max + 2 x_max = 66, on a coarse grid
+    EVOLVE = {"model": {"grid": 256, "x_max": 30.0},
+              "evolve": {"t_max": 6.0, "steps": 120}}
+
+    def _evolve(self, tmp_path, *flags, config=None, name="out"):
+        cfg = config or write_config(tmp_path, **self.EVOLVE)
+        out = tmp_path / name
+        assert main(["--config", str(cfg), "--out", str(out), *flags,
+                     "evolve"]) == EXIT_OK
+        return out, json.loads((out / "field.sidecar.json").read_text())
+
+    def test_default_is_null_and_derived(self, tmp_path):
+        assert default_config()["quadrature"] == {"xi_max": 40.0, "nodes": None}
+        _, sidecar = self._evolve(tmp_path)
+        assert sidecar["config"]["quadrature"]["nodes"] is None
+        assert sidecar["quadrature"] == {"xi_max": 40.0, "nodes": 842}
+
+    def test_explicit_nodes_honoured(self, tmp_path):
+        _, sidecar = self._evolve(tmp_path, "--nodes", "4000")
+        assert sidecar["config"]["quadrature"]["nodes"] == 4000
+        assert sidecar["quadrature"] == {"xi_max": 40.0, "nodes": 4000}
+
+    def test_null_nodes_sidecar_replays_bit_for_bit(self, tmp_path):
+        first, _ = self._evolve(tmp_path, name="a")
+        second, _ = self._evolve(tmp_path, config=first / "field.sidecar.json",
+                                 name="b")
+        for name in ("field.bin", "field.csv", "field.sidecar.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_aliasing_guard_on_the_evolve_window(self, tmp_path):
+        with pytest.warns(TruncationWarning, match="aliases"):
+            self._evolve(tmp_path, "--nodes", "400", name="coarse")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self._evolve(tmp_path, name="default")
+
+    def test_kernel_and_verify_record_their_grids(self, tmp_path):
+        cfg = write_config(tmp_path, model={"grid": 256},
+                           verify={"checks": ["kernel_images", "causality",
+                                              "bc_residual"]})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "kernel"]) == EXIT_OK
+        meta = json.loads((out / "kernel.sidecar.json").read_text())["kernel_meta"]
+        assert meta["quadrature"] == {"xi_max": 40.0, "nodes": 801}
+        assert main(["--config", str(cfg), "--out", str(out), "verify"]) == EXIT_OK
+        checks = json.loads((out / "verify.json").read_text())["checks"]
+        assert checks["kernel_images"]["quadrature"]["nodes"] == 801
+        assert checks["causality"]["quadrature"]["nodes"] == 801
+        assert checks["bc_residual"]["quadrature"]["nodes"] == 816
+        assert checks["kernel_images"]["max_err"] <= 1e-7
+        assert checks["causality"]["max_acausal"] <= 1e-7
 
 
 def test_verify_check_order(tmp_path, capsys):

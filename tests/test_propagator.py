@@ -15,7 +15,7 @@ from halfwave.propagator import (KernelGrid, _window, apply_advanced,
                                  cos_propagator, evolve_cauchy,
                                  kernel_time_derivative_apply, sin_propagator,
                                  wentzell_apply)
-from halfwave.spectral import _CHUNK, SpectralResolution, resolve
+from halfwave.spectral import _CHUNK, SpectralResolution, default_nodes, resolve
 from halfwave.quadrature import TruncationWarning
 from halfwave.verify import wave_operator
 
@@ -435,6 +435,67 @@ class TestEvolveCauchy:
         got = evolve_cauchy(res_robin, e, np.zeros_like(e), times)
         want = np.cosh(times)[:, None] * e[None, :]
         assert np.max(np.abs(got - want)) <= 1e-3
+
+
+class TestDerivedNodeCount:
+    """Outputs at ``default_nodes`` against a 16000-node reference or the
+    images oracle, and the aliasing guard that bounds the node spacing."""
+
+    # the default evolve window (span t_max + 2 x_max = 66) on coarser samples
+    T = np.linspace(0.0, 6.0, 240)
+    X = np.linspace(0.0, 30.0, 512)
+
+    @pytest.mark.parametrize("bc", [
+        BoundaryCondition.robin(-1.5), BoundaryCondition.robin(-0.5),
+        BoundaryCondition.robin(0.5), DIR, NEU,
+        BoundaryCondition.wentzell_laplace()],
+        ids=["robin-1.5", "robin-0.5", "robin0.5", "dirichlet", "neumann",
+             "wentzell"])
+    def test_appliers_match_fine_reference(self, bc):
+        nodes = default_nodes(bc, 0.0, 40.0, self.T[-1] + 2 * self.X[-1])
+        assert nodes == 842
+        apply = wentzell_apply if bc.is_dynamic else apply_retarded
+        f = gaussian_source(self.T, self.X, 1.6, 0.25, 3.0, 0.4)
+        got = apply(resolve(bc, 0.0, self.X, nodes=nodes), f, self.T)
+        ref = apply(resolve(bc, 0.0, self.X, nodes=16000), f, self.T)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("bc", [DIR, NEU, ROBIN, BoundaryCondition.robin(0.7)],
+                             ids=["dirichlet", "neumann", "robin-1", "robin0.7"])
+    def test_kernel_grid_matches_images(self, bc):
+        t = np.linspace(0.0, 2.0, 20)
+        x = np.linspace(0.2, 3.0, 20)
+        nodes = default_nodes(bc, 0.0, 40.0, t[-1] + 2 * x[-1])
+        res = resolve(bc, 0.0, np.linspace(0.0, 12.0, 64), nodes=nodes)
+        grid = build_kernel_grid(res, t, x, x)
+        T, Xg, Y = np.meshgrid(t, x, x, indexing="ij")
+        keep = ((np.abs(T - np.abs(Xg - Y)) > 0.05)
+                & (np.abs(T - (Xg + Y)) > 0.05))
+        err = np.abs(grid.values - images_kernel(T, Xg, Y, bc))[keep]
+        assert np.max(err) <= 1e-7
+
+    def test_applier_warns_past_the_aliasing_span(self):
+        # 400 nodes on [0, 40]: 2 pi/dxi = 62.7 < 66
+        f = gaussian_source(self.T, self.X, 1.6, 0.25, 3.0, 0.4)
+        with pytest.warns(TruncationWarning, match="aliases"):
+            apply_retarded(resolve(ROBIN, 0.0, self.X, nodes=400), f, self.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            apply_retarded(resolve(ROBIN, 0.0, self.X, nodes=842), f, self.T)
+
+    def test_kernels_warn_past_the_aliasing_span(self):
+        res = resolve(DIR, 0.0, np.linspace(0.0, 12.0, 64), nodes=100)
+        # 2 pi/dxi = 15.5: t + x + y = 16 aliases, 15 does not
+        with pytest.warns(TruncationWarning, match="aliases"):
+            causal_kernel(res, 6.0, 5.0, 5.0)
+        with pytest.warns(TruncationWarning, match="aliases"):
+            build_kernel_grid(res, np.array([0.0, 6.0]), np.array([1.0, 5.0]),
+                              np.array([5.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            causal_kernel(res, 5.0, 5.0, 5.0)
+            build_kernel_grid(res, np.array([5.0]), np.array([5.0]),
+                              np.array([5.0]))
 
 
 WENTZELL_X = np.linspace(0.0, 20.0, 1200)

@@ -6,10 +6,11 @@ from scipy.integrate import quad
 from halfwave.model import BoundaryCondition
 from halfwave.oracle import assemble_fd, fd_spectrum
 from halfwave.quadrature import (TruncationWarning, boundary_derivative,
-                                 l2_norm, second_derivative)
-from halfwave.spectral import (SpectralResolution, bound_state,
-                               completeness_residual, inverse_sine_transform,
-                               resolve, sine_transform)
+                                 l2_norm, second_derivative, trapezoid_weights)
+from halfwave.spectral import (DEFAULT_NODES, MIN_NODES, SpectralResolution,
+                               bound_state, completeness_residual,
+                               default_nodes, inverse_sine_transform, resolve,
+                               sine_transform)
 
 X = np.linspace(0.0, 30.0, 3000)
 XI = np.linspace(0.0, 40.0, 4000)
@@ -227,6 +228,66 @@ class TestCompleteness:
         r_coarse = completeness_residual(coarse, e_c)
         r_fine = completeness_residual(fine, e_f)
         assert r_fine <= r_coarse / 2
+
+
+class TestXiWeights:
+    def test_corrected_at_xi_max_only(self):
+        res = resolve(BoundaryCondition.dirichlet(), 0.0, X, nodes=801)
+        w = res.xi_weights()
+        plain = trapezoid_weights(801, res.dxi)
+        assert_allclose(w[:-5], plain[:-5], rtol=0, atol=0)
+        assert not np.allclose(w[-5:], plain[-5:], rtol=1e-3, atol=0)
+        # exact on cubics over [0, xi_max]
+        xi = res.xi
+        assert np.dot(w, xi ** 3) == pytest.approx(40.0 ** 4 / 4, rel=1e-13)
+
+    @pytest.mark.parametrize("bc", [BoundaryCondition.dirichlet(),
+                                    BoundaryCondition.robin(-1.0),
+                                    BoundaryCondition.robin(0.7),
+                                    BoundaryCondition.wentzell_laplace()],
+                             ids=["dirichlet", "robin-1", "robin0.7", "wentzell"])
+    @pytest.mark.parametrize("nodes", [801, 4000])
+    def test_completeness_unchanged_by_the_correction(self, monkeypatch, bc,
+                                                      nodes):
+        x = np.linspace(0.0, 15.0, 1500)
+        res = resolve(bc, 0.0, x, nodes=nodes)
+        f = bump(x, 4.0, 0.6)
+        fb = f[0] if res.extended else 0.0
+        corrected = completeness_residual(res, f, fb)
+        monkeypatch.setattr(SpectralResolution, "xi_weights",
+                            lambda self: trapezoid_weights(self.xi.size, self.dxi))
+        assert abs(corrected - completeness_residual(res, f, fb)) <= 1e-12
+
+
+class TestDefaultNodes:
+    @pytest.mark.parametrize("bc,k,xi_max,span,nodes", [
+        # the CLI windows at the default config (Robin -1, k = 0, xi_max 40)
+        (BoundaryCondition.robin(-1.0), 0.0, 40.0, 66.0, 842),   # evolve
+        (BoundaryCondition.robin(-1.0), 0.0, 40.0, 64.0, 816),   # verify bc
+        (BoundaryCondition.robin(-1.0), 0.0, 40.0, 8.0, 801),    # kernel
+        (BoundaryCondition.robin(-1.0), 0.0, 40.0, 0.0, 801),
+        # |alpha|/10 below the 0.05 step
+        (BoundaryCondition.robin(0.3), 0.0, 40.0, 8.0, 1335),
+        # small |alpha| and wide windows hit the cap
+        (BoundaryCondition.robin(0.05), 0.0, 40.0, 8.0, DEFAULT_NODES),
+        (BoundaryCondition.robin(-1.0), 0.0, 40.0, 700.0, DEFAULT_NODES),
+        (BoundaryCondition.multiplier(lambda k: k * k), 0.2, 40.0, 8.0,
+         DEFAULT_NODES),
+        # no alpha term for Dirichlet, Neumann or the dynamical condition
+        (BoundaryCondition.dirichlet(), 0.0, 40.0, 66.0, 842),
+        (BoundaryCondition.neumann(), 0.0, 40.0, 8.0, 801),
+        (BoundaryCondition.wentzell_laplace(), 0.0, 40.0, 66.0, 842),
+        (BoundaryCondition.wentzell_laplace(), 1.0, 40.0, 8.0, 801),
+        (BoundaryCondition.dirichlet(), 0.0, 80.0, 8.0, 1601),
+        # never below the resolve floor
+        (BoundaryCondition.dirichlet(), 0.0, 1.0, 8.0, MIN_NODES),
+    ])
+    def test_table(self, bc, k, xi_max, span, nodes):
+        assert default_nodes(bc, k, xi_max, span) == nodes
+
+    def test_library_default_unchanged(self):
+        res = resolve(BoundaryCondition.robin(-1.0), 0.0, X)
+        assert res.quadrature == {"xi_max": 40.0, "nodes": 4000}
 
 
 class TestWentzell:
