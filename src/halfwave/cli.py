@@ -317,7 +317,7 @@ def _verify_greens(cfg, tol):
         f1 = np.exp(-((x - x0) ** 2) / (2 * s0 ** 2)) + rng.uniform(0, 1) * np.exp(-x)
         f2 = np.exp(-((x - x1) ** 2) / (2 * s1 ** 2)) + rng.uniform(0, 1) * x * np.exp(-x)
         worst = max(worst, triple.greens_identity_residual(f1, f2, model.k, x))
-    return {"residual": worst, "tol": tol, "passed": worst <= tol}
+    return {"residual": worst, "tol": tol, "passed": bool(worst <= tol)}
 
 
 def _verify_spectrum(cfg, tol):

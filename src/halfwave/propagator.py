@@ -52,7 +52,6 @@ evaluations against nt nx ny n_xi for pointwise sampling of every grid point.
 
 from __future__ import annotations
 
-import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -62,11 +61,13 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.special import exp1, sici
 
+from . import g17
 from .model import WarpedProfile, conformal_factors
 from .quadrature import TruncationWarning, check_decay
 from .spectral import ExtendedState, SpectralResolution
 
 _SERIES_CUT = 1e-4
+_CSV_CHUNK = 4096      # values formatted at a time by write_grid_csv
 
 
 def _continued(lam, t, series, trig, hyp, per_rate):
@@ -248,22 +249,50 @@ def write_grid_csv(path, header: str, axes, values) -> None:
 
     Rows are ``(axis values..., value)`` over the tensor product of the axes,
     last axis innermost, every number printed as ``%.17g`` (round-trip
-    precision).  Axes are formatted once; each run of the last axis is
-    filled into one ``%`` template, so the file is written row by row.
+    precision).  Axes are formatted once; values go _CSV_CHUNK at a time
+    through ``g17.text``, and each chunk's rows are assembled into one
+    NUL-padded byte matrix whose padding is dropped before the write.
+
+    The bytes are exactly ``'%.17g' % v`` (``g17`` has the derivation):
+
+    * the digits are the integer nearest to y = |v| 10^(16-E), formed as a
+      double-double hi + lo from Dekker's exact product with a double-double
+      table of 10^q, so |hi + lo - y| < 1e-14;
+    * E = floor(log10 |v|) is kept while 10^16 - 0.025 <= y < 10^17 + 0.25,
+      not by exact comparisons (10^q is inexact for q < 0 and q > 22); in
+      those edge bands both exponents give the same 17 digits once 10^17 is
+      carried to 10^16 at E + 1;
+    * values whose fractional part of y lies within 1e-9 of 1/2 (ties and
+      near-ties), zeros, non-finite values and |v| outside [1e-250, 1e250]
+      are formatted by ``%`` itself.
     """
     axes = [np.asarray(a, dtype=float) for a in axes]
     values = np.asarray(values, dtype=float).reshape([a.size for a in axes])
-    *lead, last = [[f"{v:.17g}" for v in a.tolist()] for a in axes]
-    cells = [f"{s},%.17g" for s in last]
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        if values.size == 0:
+    flat = values.ravel()
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        if flat.size == 0:
             return
-        for prefix, row in zip(itertools.product(*lead),
-                               values.reshape(-1, len(last))):
-            head = "".join(p + "," for p in prefix)
-            template = head + ("\n" + head).join(cells) + "\n"
-            fh.write(template % tuple(row.tolist()))
+        # each axis value's text and comma as one fixed-width void item,
+        # less the columns that are NUL for every value of the axis
+        cells = []
+        for a in axes:
+            c = np.hstack([g17.text(a), np.full((a.size, 1), ord(","), np.uint8)])
+            c = np.ascontiguousarray(c[:, c.any(axis=0)])
+            cells.append(c.view(f"V{c.shape[1]}").ravel())
+        strides = np.cumprod([1] + [a.size for a in axes[:0:-1]])[::-1]
+        for start in range(0, flat.size, _CSV_CHUNK):
+            fh.write(_csv_rows(cells, strides, flat, start))
+
+
+def _csv_rows(cells, strides, flat, start):
+    # the rows of flat[start:start + _CSV_CHUNK] as one byte array; a call
+    # of its own, so one chunk's buffers are freed before the next is built
+    i = np.arange(start, min(start + _CSV_CHUNK, flat.size))
+    block = np.hstack([c[i // s % c.size].view(np.uint8).reshape(i.size, -1)
+                       for c, s in zip(cells, strides)]
+                      + [g17.text(flat[i]), np.full((i.size, 1), ord("\n"), np.uint8)])
+    return block[block != 0]
 
 
 @dataclass

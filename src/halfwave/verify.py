@@ -250,10 +250,17 @@ def exact_sequence_residuals(res, fd_sys, g, t) -> tuple:
     return r1, r2, r3, r4
 
 
+def _plain(obj):
+    # numpy scalars as the Python scalars they hold: np.bool_ stays a boolean
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def emit_report(path, payload: dict) -> None:
     """Write a machine-readable JSON report next to a readable text digest."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_plain)
     txt = str(path)
     txt = txt[:-5] + ".txt" if txt.endswith(".json") else txt + ".txt"
     with open(txt, "w") as fh:

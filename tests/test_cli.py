@@ -197,6 +197,16 @@ class TestVerify:
         assert report["passed"] is True
         assert (out / "verify.txt").exists()
 
+    def test_passed_fields_are_json_booleans(self, tmp_path):
+        # the default config, whose greens_identity verdict is a numpy bool
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "verify"]) == EXIT_OK
+        text = (out / "verify.json").read_text()
+        report = json.loads(text)
+        assert report["passed"] is True
+        assert all(c["passed"] is True for c in report["checks"].values())
+        assert '"passed": 1.0' not in text
+
     def test_tampered_coefficient_fails(self, tmp_path):
         cfg = write_config(tmp_path, model={"grid": 512, "x_max": 15.0},
                            verify={"checks": ["bc_residual"],

@@ -1,6 +1,7 @@
 """Byte-level checks of the tensor-grid CSV writer against a per-value loop."""
 
 import itertools
+import json
 import tempfile
 from pathlib import Path
 
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from halfwave import g17, propagator
+from halfwave.cli import main
 from halfwave.propagator import write_grid_csv
 
 SPECIAL = [-0.0, 0.0, 1.0, 1e300, -3.3e-310, np.inf, -np.inf, np.nan]
@@ -76,3 +79,81 @@ def test_random_finite_grids(data, shape):
     with tempfile.TemporaryDirectory() as tmp:
         got = written(Path(tmp) / "grid.csv", "h", axes, values)
     assert got == reference_csv("h", axes, values)
+
+
+# ---------------------------------------------------------------------------
+# the vectorized formatter behind the writer
+
+def table_csv(tmp_path, numbers):
+    """The writer's and the per-value loop's bytes for one column of numbers,
+    with the negated numbers as the value column."""
+    axes = [np.asarray(numbers, dtype=float)]
+    values = -axes[0]
+    return (written(tmp_path / "table.csv", "v,value", axes, values),
+            reference_csv("v,value", axes, values))
+
+
+def neighbours(x):
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64),
+       cols=st.integers(1, 700), extra=st.integers(1, 2000))
+def test_raw_bit_patterns_across_chunks(bits, cols, extra):
+    # NaN payloads, subnormals, +-0 and +-inf included; the grid is longer
+    # than one chunk, so most chunk boundaries fall inside a row
+    pool = np.array(bits, dtype=np.uint64).view(np.float64)
+    rows = -(-(propagator._CSV_CHUNK + extra) // cols)
+    values = np.resize(pool, (rows, cols))
+    axes = [np.resize(pool[::-1], rows), np.resize(np.roll(pool, 1), cols)]
+    with tempfile.TemporaryDirectory() as tmp:
+        got = written(Path(tmp) / "grid.csv", "t,x,value", axes, values)
+    assert got == reference_csv("t,x,value", axes, values)
+
+
+def test_powers_of_ten_and_their_neighbours(tmp_path):
+    # 1e20, 1e-07 and 1e23 are where exact comparisons against 1e16 and 1e17
+    # pick the wrong exponent
+    powers = [float(f"1e{e}") for e in range(-323, 309)]
+    got, want = table_csv(tmp_path, neighbours(powers))
+    assert got == want
+    for text in (b"1e+20", b"9.9999999999999995e-08", b"9.9999999999999992e+22"):
+        assert b"\n" + text + b"," in got
+
+
+@pytest.mark.parametrize("numbers", [
+    [1e-79, 1e-176],                      # just below 10^E, carried to 1eE
+    neighbours([1e-4, 9.9999999999999991e-05, 1e16, 1e17]),   # %g switches
+    [5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
+    neighbours([1e-250, 1e250, 0.5, 0.1, 2.0 ** -25, 2.0 ** 60]),
+])
+def test_edge_cases(tmp_path, numbers):
+    got, want = table_csv(tmp_path, numbers)
+    assert got == want
+
+
+def test_exact_ties_round_half_even(tmp_path):
+    got, want = table_csv(tmp_path, [1000000000000000.25, 1000000000000000.75])
+    assert got == want
+    assert b"\n1000000000000000.2,-1000000000000000.2\n" in got
+    assert b"\n1000000000000000.8,-1000000000000000.8\n" in got
+
+
+def test_default_field_falls_back_only_on_exact_zeros(tmp_path, monkeypatch):
+    # a slide of ordinary values onto the per-value path would keep the bytes
+    # and lose the speed; only the field's (and the axes') exact zeros go there
+    slow = []
+    original = g17._fallback
+    monkeypatch.setattr(g17, "_fallback", lambda v: slow.append(v) or original(v))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"evolve": {"t_max": 6.0, "steps": 120}}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "evolve"]) == 0
+    field = np.fromfile(tmp_path / "field.bin")
+    axes = json.loads((tmp_path / "field.sidecar.json").read_text())["axes"]
+    zeros = np.count_nonzero(field == 0.0) + sum(
+        np.count_nonzero(np.linspace(*axes[a]) == 0.0) for a in ("t", "x"))
+    assert np.count_nonzero(field == 0.0) > 0
+    assert all(v == 0.0 for v in slow)
+    assert len(slow) == zeros

@@ -211,3 +211,16 @@ def test_report_emission(tmp_path):
     text = (tmp_path / "report.txt").read_text()
     assert "FAIL" in text and "PASS" in text
     assert render_report(payload).startswith("overall: FAIL")
+
+
+def test_report_keeps_numpy_scalar_types(tmp_path):
+    payload = {"passed": np.bool_(True),
+               "checks": {"a": {"passed": np.bool_(False), "count": np.int64(3),
+                                "residual": np.float32(0.5)}}}
+    path = tmp_path / "report.json"
+    emit_report(path, payload)
+    back = json.loads(path.read_text())
+    assert back["passed"] is True
+    assert back["checks"]["a"] == {"passed": False, "count": 3, "residual": 0.5}
+    with pytest.raises(TypeError):
+        emit_report(tmp_path / "bad.json", {"passed": object()})
