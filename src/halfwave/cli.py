@@ -16,12 +16,15 @@ sidecar holding the fully resolved configuration, so feeding a sidecar back
 as ``--config`` reproduces the run bit for bit.
 
 Exit codes: 0 success/pass, 1 check failure, 2 usage or configuration
-error, 3 I/O error.
+error, 3 I/O error, 4 internal error (an unexpected exception, reported as
+one ``internal error:`` line).
 
 Configuration is a single JSON document; ``default_config()`` is the
-canonical schema and ``parse_config`` deep-merges user files over it.  The
-multiplier boundary condition takes polynomial coefficients, lowest power
-first: {"kind": "multiplier", "poly": [0, 0, 1]} is p(k) = k^2.
+canonical schema and ``parse_config`` deep-merges user files over it.
+``settings`` validates every section, whichever command runs, before any
+work starts, and hands the commands converted values.  The multiplier
+boundary condition takes polynomial coefficients, lowest power first:
+{"kind": "multiplier", "poly": [0, 0, 1]} is p(k) = k^2.
 
 ``quadrature.nodes`` defaults to null: each command then sizes the xi grid
 for its own window with ``spectral.default_nodes`` (span t_max + 2 x_max for
@@ -35,6 +38,8 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
+import numbers
 import sys
 from pathlib import Path
 
@@ -47,6 +52,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 class ConfigError(ValueError):
@@ -93,11 +99,11 @@ def parse_config(path=None, overrides=None) -> dict:
             raise ConfigError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        # sidecars store the effective config under "config"
+        if isinstance(user, dict) and "config" in user and "command" in user:
+            user = user["config"]
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
-        # sidecars store the effective config under "config"
-        if "config" in user and "command" in user:
-            user = user["config"]
         cfg = _merge(cfg, user)
     if overrides:
         cfg = _merge(cfg, overrides)
@@ -109,195 +115,215 @@ def emit_config(cfg: dict) -> str:
     return json.dumps(cfg, indent=2, sort_keys=True)
 
 
+# What each scalar field accepts: "real" is a finite number, "positive" a
+# finite number > 0, and an int is the least value of a whole count.  A pair
+# (rule, default) marks a field that may be left out; a default of None
+# also admits null.
+_FIELDS = {
+    "model": {"n": 0, "k": "real", "x_max": "positive", "grid": 16},
+    "quadrature": {"xi_max": "positive", "nodes": (spectral.MIN_NODES, None)},
+    "scan": {"lambda_min": "real", "lambda_max": "real", "steps": 0,
+             "k_max": ("positive", 8.0)},
+    "source": {"amplitude": "real", "t0": "real", "sigma_t": "positive",
+               "x0": "real", "sigma_x": "positive"},
+    "evolve": {"t_max": "positive", "steps": 2},
+    "verify": {"tol_scale": "positive", "bc_check_alpha_override": ("real", None)},
+}
+
+
 def _finite(value, what: str) -> float:
+    # a JSON number: booleans and numeric strings are not numbers here
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}") from None
-    if not np.isfinite(number):
-        raise ConfigError(f"{what} must be finite, got {number}")
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
     return number
 
 
-def _build_bc(section: dict) -> BoundaryCondition:
+def _check(value, rule, what: str):
+    number = _finite(value, what)
+    if rule == "positive" and number <= 0:
+        raise ConfigError(f"{what} must be positive, got {number}")
+    if isinstance(rule, int):
+        count = int(value)
+        if count != value or count < rule:
+            raise ConfigError(f"{what} must be a whole number >= {rule}, got {value!r}")
+        return count
+    return number
+
+
+def _section(cfg: dict, name: str) -> dict:
+    section = cfg.get(name)
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
+    return section
+
+
+def _names(value, known, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
+        raise ConfigError(f"{what} must be a list of names, got {value!r}")
+    unknown = [name for name in value if name not in known]
+    if unknown:
+        raise ConfigError(f"unknown {what} entries: {', '.join(unknown)}; "
+                          f"known: {', '.join(known)}")
+    return list(value)
+
+
+def _boundary(section: dict) -> BoundaryCondition:
     kind = section.get("kind")
-    if kind == "dirichlet":
-        return BoundaryCondition.dirichlet()
-    if kind == "neumann":
-        return BoundaryCondition.neumann()
     if kind == "robin":
-        if "alpha" not in section:
-            raise ConfigError("robin condition needs field 'alpha'")
-        return BoundaryCondition.robin(_finite(section["alpha"], "bc.alpha"))
+        return BoundaryCondition.robin(_finite(section.get("alpha"), "bc.alpha"))
     if kind == "multiplier":
         coeffs = section.get("poly")
         if not coeffs or not isinstance(coeffs, (list, tuple)):
-            raise ConfigError("multiplier condition needs 'poly' coefficients "
-                              "(lowest power first)")
-        coeffs = [_finite(c, "bc.poly coefficient") for c in coeffs]
+            raise ConfigError(f"bc.poly must list coefficients, got {coeffs!r}")
+        coeffs = tuple(_finite(c, "bc.poly coefficient") for c in coeffs)
         return BoundaryCondition.multiplier(
-            lambda k, c=tuple(coeffs): sum(cj * k ** j for j, cj in enumerate(c)))
-    if kind == "wentzell":
-        return BoundaryCondition.wentzell_laplace()
+            lambda k, c=coeffs: sum(cj * k ** j for j, cj in enumerate(c)))
+    if kind in ("dirichlet", "neumann", "wentzell"):
+        return BoundaryCondition(kind)
     raise ConfigError(f"unknown boundary condition kind {kind!r}")
 
 
-def _build_model(section: dict) -> HalfSpaceModel:
-    try:
-        return HalfSpaceModel(n=int(section["n"]), k=float(section["k"]),
-                              x_max=float(section["x_max"]),
-                              grid=int(section["grid"]))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad model section: {exc}") from exc
-
-
-def _axis(grids, name: str) -> np.ndarray:
-    axis = grids.get(name) if isinstance(grids, dict) else None
+def _axis(grids: dict, name: str) -> np.ndarray:
+    axis = grids.get(name)
     if not isinstance(axis, (list, tuple)) or len(axis) != 3:
-        raise ConfigError(f"grids.{name} must be [start, stop, count], "
-                          f"got {axis!r}")
-    lo, hi, count = (_finite(v, f"grids.{name} entry") for v in axis)
-    count = int(count)
-    if count < 1:
-        raise ConfigError(f"grids.{name} needs at least one sample")
-    return np.linspace(lo, hi, count)
+        raise ConfigError(f"grids.{name} must be [start, stop, count], got {axis!r}")
+    lo, hi = (_finite(v, f"grids.{name} entry") for v in axis[:2])
+    return np.linspace(lo, hi, _check(axis[2], 1, f"grids.{name} count"))
 
 
-def _quadrature(section: dict):
-    # (xi_max, nodes); nodes is None when the window should size the grid
-    xi_max = _finite(section["xi_max"], "quadrature.xi_max")
-    if xi_max <= 0:
-        raise ConfigError(f"quadrature.xi_max must be positive, got {xi_max}")
-    nodes = section.get("nodes")
-    if nodes is None:
-        return xi_max, None
-    nodes = int(_finite(nodes, "quadrature.nodes"))
-    if nodes < spectral.MIN_NODES:
-        raise ConfigError(f"quadrature.nodes must be at least "
-                          f"{spectral.MIN_NODES}, got {nodes}")
-    return xi_max, nodes
+def _outputs(cfg: dict) -> dict:
+    section = _section(cfg, "outputs")
+    path = section.get("dir")
+    if not isinstance(path, str) or not path:
+        raise ConfigError(f"outputs.dir must be a directory name, got {path!r}")
+    return {"dir": path, "formats": _names(section.get("formats"),
+                                           ("csv", "binary"), "outputs.formats")}
 
 
-def _resolution(cfg: dict, bc: BoundaryCondition, k: float, x, span: float):
+def settings(cfg: dict) -> dict:
+    """Validate every section of a merged config; raise ConfigError or
+    return its values converted, one entry per section: ``model`` is a
+    HalfSpaceModel, ``bc`` a BoundaryCondition, ``grids`` the (t, x, y) axes,
+    the rest dicts of numbers and name lists.  ``config`` is ``cfg``."""
+    run = {"config": cfg}
+    for name, fields in _FIELDS.items():
+        section = _section(cfg, name)
+        run[name] = {}
+        for key, rule in fields.items():
+            rule, default = rule if isinstance(rule, tuple) else (rule, "missing")
+            value = section.get(key, default)
+            run[name][key] = (None if value is None and default is None
+                              else _check(value, rule, f"{name}.{key}"))
+    try:
+        run["model"] = HalfSpaceModel(**run["model"])
+    except ValueError as exc:
+        raise ConfigError(f"bad model section: {exc}") from None
+    run["bc"] = _boundary(_section(cfg, "bc"))
+    run["grids"] = tuple(_axis(_section(cfg, "grids"), name) for name in "txy")
+    profile = _section(cfg, "source").get("profile")
+    if profile != "gaussian":
+        raise ConfigError(f"unknown source profile {profile!r}")
+    checks = _section(cfg, "verify").get("checks")
+    run["verify"]["checks"] = (list(_VERIFY_CHECKS) if checks == "all" else
+                               _names(checks, _VERIFY_CHECKS, "verify.checks"))
+    run["outputs"] = _outputs(cfg)
+    return run
+
+
+def _resolution(run: dict, bc: BoundaryCondition, k: float, x, span: float):
     # the configured quadrature, or the default node count for ``span``
-    xi_max, nodes = _quadrature(cfg["quadrature"])
+    xi_max, nodes = run["quadrature"]["xi_max"], run["quadrature"]["nodes"]
     if nodes is None:
         nodes = spectral.default_nodes(bc, k, xi_max, span)
     return spectral.resolve(bc, k, x, xi_max=xi_max, nodes=nodes)
 
 
-def _outdir(cfg: dict, out_flag) -> Path:
-    path = Path(out_flag) if out_flag else Path(cfg["outputs"]["dir"])
+def _outdir(path) -> Path:
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        Path(path).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IOError(f"cannot create output directory {path}: {exc}") from exc
-    return path
+    return Path(path)
 
 
-def _write_sidecar(path: Path, command: str, cfg: dict, extra=None) -> None:
-    doc = {"command": command, "config": cfg}
-    if extra:
-        doc.update(extra)
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True))
+def _write_sidecar(path: Path, command: str, run: dict, extra: dict) -> None:
+    doc = {"command": command, "config": run["config"], **extra}
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _gaussian_source(cfg: dict, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    src = cfg["source"]
-    if src.get("profile", "gaussian") != "gaussian":
-        raise ConfigError(f"unknown source profile {src.get('profile')!r}")
-    amp, t0, sigma_t, x0, sigma_x = (
-        _finite(src[key], f"source.{key}")
-        for key in ("amplitude", "t0", "sigma_t", "x0", "sigma_x"))
+def _gaussian_source(src: dict, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    amp = src["amplitude"]
     if amp == 0.0:
         return np.zeros((t.size, x.size))
-    return amp * np.exp(-((t[:, None] - t0) ** 2) / (2 * sigma_t ** 2)
-                        - ((x[None, :] - x0) ** 2) / (2 * sigma_x ** 2))
+    return amp * np.exp(-((t[:, None] - src["t0"]) ** 2) / (2 * src["sigma_t"] ** 2)
+                        - ((x[None, :] - src["x0"]) ** 2) / (2 * src["sigma_x"] ** 2))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_spectrum(cfg: dict, outdir: Path) -> int:
-    model = _build_model(cfg["model"])
-    bc = _build_bc(cfg["bc"])
-    scan = cfg["scan"]
-    lam_min, lam_max = (_finite(scan[key], f"scan.{key}")
-                        for key in ("lambda_min", "lambda_max"))
-    steps = int(_finite(scan["steps"], "scan.steps"))
-    k_max = _finite(scan.get("k_max", 8.0), "scan.k_max")
-    if k_max <= 0:
-        raise ConfigError(f"scan.k_max must be positive, got {k_max}")
-    if lam_max >= 0:
-        lam_max = -1e-12
-    lam_grid = np.linspace(lam_min, lam_max, steps) if steps > 0 else []
-    k_range = model.k if model.n == 0 else (0.0, k_max)
+def cmd_spectrum(run: dict, outdir: Path) -> int:
+    model, bc, scan = run["model"], run["bc"], run["scan"]
+    lam_max = scan["lambda_max"] if scan["lambda_max"] < 0 else -1e-12
+    lam_grid = np.linspace(scan["lambda_min"], lam_max, scan["steps"])
+    k_range = model.k if model.n == 0 else (0.0, scan["k_max"])
     rows = triple.spectrum_scan(bc, lam_grid, k_range=k_range)
     # FD comparison: count of eigenvalues below each lambda
     sysm = oracle.assemble_fd(bc, model.k, model.grid, model.x_max)
-    count = min(32, sysm.n_active)
-    eigs = oracle.fd_spectrum(sysm, count)
+    eigs = oracle.fd_spectrum(sysm, min(32, sysm.n_active))
     path = outdir / "spectrum.csv"
     with open(path, "w") as fh:
         fh.write("lambda,k,theta_minus_weyl,verdict,fd_eigs_below\n")
         for lam, k, value, verdict in rows:
             below = int(np.sum(eigs < lam))
             fh.write(f"{lam:.17g},{k:.17g},{value:.17g},{verdict},{below}\n")
-    _write_sidecar(outdir / "spectrum.sidecar.json", "spectrum", cfg,
+    _write_sidecar(outdir / "spectrum.sidecar.json", "spectrum", run,
                    {"fd_lowest": float(eigs[0]) if len(eigs) else None})
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_kernel(cfg: dict, outdir: Path) -> int:
-    t, x, y = (_axis(cfg["grids"], name) for name in ("t", "x", "y"))
-    model, bc = _build_model(cfg["model"]), _build_bc(cfg["bc"])
-    res = _resolution(cfg, bc, model.k, model.x(), propagator.kernel_span(t, x, y))
+def cmd_kernel(run: dict, outdir: Path) -> int:
+    t, x, y = run["grids"]
+    model, bc = run["model"], run["bc"]
+    res = _resolution(run, bc, model.k, model.x(), propagator.kernel_span(t, x, y))
     grid = propagator.build_kernel_grid(res, t, x, y)
-    formats = cfg["outputs"]["formats"]
+    formats = run["outputs"]["formats"]
     if "csv" in formats:
         grid.to_csv(outdir / "kernel.csv")
     if "binary" in formats:
         grid.to_binary(outdir / "kernel")
-    _write_sidecar(outdir / "kernel.sidecar.json", "kernel", cfg,
+    _write_sidecar(outdir / "kernel.sidecar.json", "kernel", run,
                    {"kernel_meta": grid.meta})
     print(f"wrote kernel grid {grid.values.shape} to {outdir}")
     return EXIT_OK
 
 
-def _check_evolve(cfg: dict) -> None:
-    # inputs that would crash the time integrals or write a NaN field
-    steps = int(_finite(cfg["evolve"]["steps"], "evolve.steps"))
-    if steps < 2:
-        raise ConfigError(f"evolve.steps must be at least 2, got {steps}")
-    for name, value in (("evolve.t_max", cfg["evolve"]["t_max"]),
-                        ("source.sigma_t", cfg["source"]["sigma_t"]),
-                        ("source.sigma_x", cfg["source"]["sigma_x"])):
-        if _finite(value, name) <= 0:
-            raise ConfigError(f"{name} must be positive, got {value}")
-
-
-def cmd_evolve(cfg: dict, outdir: Path) -> int:
-    _check_evolve(cfg)
-    t_max = float(cfg["evolve"]["t_max"])
-    model, bc = _build_model(cfg["model"]), _build_bc(cfg["bc"])
+def cmd_evolve(run: dict, outdir: Path) -> int:
+    model, bc = run["model"], run["bc"]
+    t_max = run["evolve"]["t_max"]
     x = model.x()
-    res = _resolution(cfg, bc, model.k, x, t_max + 2.0 * model.x_max)
-    t = np.linspace(0.0, t_max, int(cfg["evolve"]["steps"]))
-    f = _gaussian_source(cfg, t, x)
+    res = _resolution(run, bc, model.k, x, t_max + 2.0 * model.x_max)
+    t = np.linspace(0.0, t_max, run["evolve"]["steps"])
+    f = _gaussian_source(run["source"], t, x)
     if bc.is_dynamic:
         field = propagator.wentzell_apply(res, f, t, support="retarded")
     else:
         field = propagator.apply_retarded(res, f, t)
     residual = verify.bc_residual(field, t, x, bc, k=model.k)
-    formats = cfg["outputs"]["formats"]
+    formats = run["outputs"]["formats"]
     if "csv" in formats:
         propagator.write_grid_csv(outdir / "field.csv", "t,x,value", (t, x),
                                   field)
     if "binary" in formats:
         field.astype("<f8").tofile(outdir / "field.bin")
-    _write_sidecar(outdir / "field.sidecar.json", "evolve", cfg,
+    _write_sidecar(outdir / "field.sidecar.json", "evolve", run,
                    {"bc_residual": residual,
                     "axes": {"t": [float(t[0]), float(t[-1]), int(t.size)],
                              "x": [0.0, model.x_max, int(x.size)]},
@@ -306,21 +332,21 @@ def cmd_evolve(cfg: dict, outdir: Path) -> int:
     return EXIT_OK
 
 
-def _verify_greens(cfg, tol):
-    model = _build_model(cfg["model"])
+def _verify_greens(run, tol):
     x = np.linspace(0.0, 30.0, 3000)
     rng = np.random.default_rng(7)
-    worst = 0.0
+    residuals = []
     for _ in range(20):
         x0, s0 = rng.uniform(2, 8), rng.uniform(0.5, 1.5)
         x1, s1 = rng.uniform(2, 8), rng.uniform(0.5, 1.5)
         f1 = np.exp(-((x - x0) ** 2) / (2 * s0 ** 2)) + rng.uniform(0, 1) * np.exp(-x)
         f2 = np.exp(-((x - x1) ** 2) / (2 * s1 ** 2)) + rng.uniform(0, 1) * x * np.exp(-x)
-        worst = max(worst, triple.greens_identity_residual(f1, f2, model.k, x))
+        residuals.append(triple.greens_identity_residual(f1, f2, run["model"].k, x))
+    worst = float(np.max(residuals))  # a NaN residual fails the check
     return {"residual": worst, "tol": tol, "passed": bool(worst <= tol)}
 
 
-def _verify_spectrum(cfg, tol):
+def _verify_spectrum(run, tol):
     roots = triple.negative_spectrum_roots(BoundaryCondition.robin(-1.0), -3.0)
     sysm = oracle.assemble_fd(BoundaryCondition.robin(-1.0), 0.0, 1024, 20.0)
     low = float(oracle.fd_spectrum(sysm, 1)[0])
@@ -328,12 +354,11 @@ def _verify_spectrum(cfg, tol):
     return {"roots": roots, "fd_lowest": low, "tol": tol, "passed": bool(ok)}
 
 
-def _verify_kernel_images(cfg, tol):
+def _verify_kernel_images(run, tol):
     # the configured condition when it is static at k = 0, else Dirichlet;
     # multipliers enter the oracle as the Robin condition they reduce to
-    model = _build_model(cfg["model"])
-    bc = _build_bc(cfg["bc"])
-    if bc.is_dynamic or model.k != 0.0:
+    bc = run["bc"]
+    if bc.is_dynamic or run["model"].k != 0.0:
         bc = BoundaryCondition.dirichlet()
     rng = np.random.default_rng(11)
     t = rng.uniform(0.05, 2.0, 100)
@@ -342,7 +367,7 @@ def _verify_kernel_images(cfg, tol):
     guard = 0.05
     keep = (np.abs(t - np.abs(x - y)) > guard) & (np.abs(t - (x + y)) > guard)
     t, x, y = t[keep], x[keep], y[keep]
-    res = _resolution(cfg, bc, 0.0, np.linspace(0, 10, 64),
+    res = _resolution(run, bc, 0.0, np.linspace(0, 10, 64),
                       propagator.kernel_span(t, x, y))
     images_bc = bc if res.alpha is None else BoundaryCondition.robin(res.alpha)
     K = propagator.causal_kernel(res, t, x, y)
@@ -352,42 +377,38 @@ def _verify_kernel_images(cfg, tol):
             "quadrature": res.quadrature, "tol": tol, "passed": worst <= tol}
 
 
-def _verify_causality(cfg, tol):
-    model = _build_model(cfg["model"])
-    bc, k = _build_bc(cfg["bc"]), model.k
+def _verify_causality(run, tol):
+    model, bc, k = run["model"], run["bc"], run["model"].k
     if bc.is_dynamic or k != 0.0:
         bc, k = BoundaryCondition.robin(-1.0), 0.0
     t = np.linspace(0.0, 1.5, 9)
     x = np.linspace(0.3, 3.5, 12)
-    res = _resolution(cfg, bc, k, model.x(), propagator.kernel_span(t, x, x))
+    res = _resolution(run, bc, k, model.x(), propagator.kernel_span(t, x, x))
     grid = propagator.build_kernel_grid(res, t, x, x)
     report = verify.causality_report(grid, tol=tol)
     return {"max_acausal": report["max_acausal"], "quadrature": res.quadrature,
             "tol": tol, "passed": report["passed"]}
 
 
-def _verify_bc(cfg, tol):
+def _verify_bc(run, tol):
     t = np.linspace(0.0, 4.0, 320)
-    model, bc = _build_model(cfg["model"]), _build_bc(cfg["bc"])
-    res = _resolution(cfg, bc, model.k, model.x(), float(t[-1]) + 2.0 * model.x_max)
-    f = _gaussian_source(_merge(cfg, {"source": {"t0": 1.6, "sigma_t": 0.25,
-                                                 "x0": 2.5, "sigma_x": 0.4}}),
-                         t, model.x())
+    model, bc = run["model"], run["bc"]
+    res = _resolution(run, bc, model.k, model.x(), float(t[-1]) + 2.0 * model.x_max)
+    f = _gaussian_source({**run["source"], "t0": 1.6, "sigma_t": 0.25,
+                          "x0": 2.5, "sigma_x": 0.4}, t, model.x())
     if bc.is_dynamic:
         field = propagator.wentzell_apply(res, f, t)
     else:
         field = propagator.apply_retarded(res, f, t)
-    check_bc = bc
-    override = cfg["verify"].get("bc_check_alpha_override")
-    if override is not None:
-        check_bc = BoundaryCondition.robin(float(override))
+    override = run["verify"]["bc_check_alpha_override"]
+    check_bc = bc if override is None else BoundaryCondition.robin(override)
     residual = verify.bc_residual(field, t, model.x(), check_bc, k=model.k)
     return {"residual": residual, "quadrature": res.quadrature, "tol": tol,
             "passed": residual <= tol}
 
 
-def _verify_energy(cfg, tol):
-    model, bc = _build_model(cfg["model"]), _build_bc(cfg["bc"])
+def _verify_energy(run, tol):
+    model, bc = run["model"], run["bc"]
     sysm = oracle.assemble_fd(bc, model.k, model.grid, model.x_max)
     x = model.x()
     u0 = np.exp(-((x - 0.35 * model.x_max) ** 2) / (2 * 0.5 ** 2))
@@ -409,35 +430,16 @@ _VERIFY_CHECKS = {
 }
 
 
-def cmd_verify(cfg: dict, outdir: Path) -> int:
-    requested = cfg["verify"]["checks"]
-    if requested == "all":
-        names = list(_VERIFY_CHECKS)
-    else:
-        names = list(requested)
-        unknown = [n for n in names if n not in _VERIFY_CHECKS]
-        if unknown:
-            raise ConfigError(f"unknown check name(s): {', '.join(unknown)}; "
-                              f"known: {', '.join(_VERIFY_CHECKS)}")
-    scale = _finite(cfg["verify"].get("tol_scale", 1.0), "verify.tol_scale")
-    if scale <= 0:
-        raise ConfigError(f"verify.tol_scale must be positive, got {scale}")
-    override = cfg["verify"].get("bc_check_alpha_override")
-    if override is not None:
-        _finite(override, "verify.bc_check_alpha_override")
-    # the sections the checks read, before the first verdict is printed
-    _build_model(cfg["model"])
-    _build_bc(cfg["bc"])
-    _quadrature(cfg["quadrature"])
-    _gaussian_source(cfg, np.empty(0), np.empty(0))
+def cmd_verify(run: dict, outdir: Path) -> int:
+    scale = run["verify"]["tol_scale"]
     checks = {}
-    for name in names:
+    for name in run["verify"]["checks"]:
         runner, tol = _VERIFY_CHECKS[name]
-        checks[name] = runner(cfg, tol * scale)
+        checks[name] = runner(run, tol * scale)
         status = "PASS" if checks[name]["passed"] else "FAIL"
         print(f"{status}  {name}")
     payload = {"passed": all(c["passed"] for c in checks.values()),
-               "checks": checks, "config": cfg}
+               "checks": checks, "config": run["config"]}
     verify.emit_report(outdir / "verify.json", payload)
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
@@ -475,25 +477,22 @@ def main(argv=None) -> int:
         overrides.setdefault("quadrature", {})["xi_max"] = args.xi_max
     if args.tol is not None:
         overrides.setdefault("verify", {})["tol_scale"] = args.tol
-    try:
-        cfg = parse_config(args.config, overrides)
-        outdir = _outdir(cfg, args.out)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (IOError, OSError) as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
     handlers = {"spectrum": cmd_spectrum, "kernel": cmd_kernel,
                 "evolve": cmd_evolve, "verify": cmd_verify}
     try:
-        return handlers[args.command](cfg, outdir)
+        cfg = parse_config(args.config, overrides)
+        # made before validation: a rejected config leaves it empty
+        outdir = _outdir(args.out or _outputs(cfg)["dir"])
+        return handlers[args.command](settings(cfg), outdir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IOError, OSError) as exc:
+    except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -258,13 +258,14 @@ def _plain(obj):
 
 
 def emit_report(path, payload: dict) -> None:
-    """Write a machine-readable JSON report next to a readable text digest."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_plain)
+    """Write a machine-readable JSON report next to a readable text digest;
+    both are serialized first, so a failure leaves an earlier report intact."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_plain)
     txt = str(path)
     txt = txt[:-5] + ".txt" if txt.endswith(".json") else txt + ".txt"
-    with open(txt, "w") as fh:
-        fh.write(render_report(payload))
+    for name, body in ((path, text), (txt, render_report(payload))):
+        with open(name, "w") as fh:
+            fh.write(body)
 
 
 def render_report(payload: dict) -> str:

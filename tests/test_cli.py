@@ -5,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from halfwave.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, EXIT_USAGE,
-                          default_config, emit_config, main, parse_config)
+from halfwave import cli
+from halfwave.cli import (EXIT_CHECK_FAILED, EXIT_INTERNAL, EXIT_IO, EXIT_OK,
+                          EXIT_USAGE, default_config, emit_config, main,
+                          parse_config)
 from halfwave.quadrature import TruncationWarning
 
 
@@ -241,6 +243,29 @@ class TestVerify:
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 
+    def test_crash_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
+        def crash(run, tol):
+            raise RuntimeError("boom")
+        monkeypatch.setitem(cli._VERIFY_CHECKS, "greens_identity", (crash, 1e-6))
+        cfg = write_config(tmp_path, model={"grid": 256},
+                           verify={"checks": ["greens_identity"]})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "verify"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: boom\n"
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+        assert list(out.iterdir()) == []
+
+    def test_nan_greens_residual_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.triple, "greens_identity_residual",
+                            lambda *args: float("nan"))
+        cfg = write_config(tmp_path, model={"grid": 256},
+                           verify={"checks": ["greens_identity"]})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "verify"]) == EXIT_CHECK_FAILED
+        report = json.loads((out / "verify.json").read_text())
+        assert report["checks"]["greens_identity"]["passed"] is False
+
 
 def test_flag_overrides_reach_the_sidecar(tmp_path):
     cfg = write_config(tmp_path, model={"grid": 256, "x_max": 12.0},
@@ -330,12 +355,46 @@ class TestConfigInputs:
         ("spectrum", {"scan": {"k_max": -2.0}}),
         ("spectrum", {"scan": {"k_max": "abc"}}),
         ("kernel", {"quadrature": {"nodes": "many"}}),
+        ("spectrum", {"scan": {"steps": -5}}),
+        ("kernel", {"outputs": {"formats": ["bin"]}}),
+        ("evolve", {"evolve": {"steps": 480.5}}),
+        ("kernel", {"quadrature": {"nodes": True}}),
+        ("verify", {"verify": {"checks": "some"}}),
+        ("verify", {"verify": {"tol_scale": True}}),
     ])
     def test_rejected_with_one_line(self, tmp_path, capsys, command, sections):
         cfg = write_config(tmp_path, model={"grid": 256, "x_max": 12.0},
                            **sections)
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out), command]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
+    # each is the whole config file, merged over the defaults; most name a
+    # section that some of the commands never read
+    @pytest.mark.parametrize("command", ["spectrum", "kernel", "evolve", "verify"])
+    @pytest.mark.parametrize("config", [
+        {"model": {"n": 1, "k": float("nan")}},
+        {"model": {"n": None}},
+        {"model": None},
+        {"model": {"x_max": float("inf")}},
+        {"model": {"grid": 2.7}},
+        {"outputs": {"formats": ["bin"]}},
+        {"scan": {"steps": -5}},
+        {"scan": {"k_max": -2}},
+        {"evolve": {"steps": 480.5}},
+        {"bc": {"kind": "multiplier"}},
+        {"source": {"profile": "box"}},
+    ])
+    def test_every_command_validates_every_section(self, tmp_path, capsys,
+                                                   command, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out), command]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.err.startswith("configuration error:")
         assert captured.err.count("\n") == 1

@@ -1,12 +1,14 @@
 """Property-based checks of the causal kernel on random tensor grids, of the
-space-time appliers and the analyze/synthesize round trip, and of the
-tridiagonal FD oracle against dense linear algebra."""
+space-time appliers and the analyze/synthesize round trip, of the
+tridiagonal FD oracle against dense linear algebra, and of the CLI's config
+validation."""
 
 import numpy as np
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from halfwave import cli
 from halfwave.model import BoundaryCondition
 from halfwave.oracle import assemble_fd, fd_spectrum
 from halfwave.propagator import (apply_advanced, apply_causal, apply_retarded,
@@ -80,3 +82,92 @@ def test_analyze_synthesize_round_trip(bc, k, x0):
         rec, rec_b = rec
         assert abs(rec_b - f[0]) <= 1e-6
     assert np.max(np.abs(rec - f)) <= 1e-6
+
+
+def node_paths(node, path=()):
+    # every key path and list index below the root of a config
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from node_paths(child, path + (key,))
+
+
+CONFIG_PATHS = list(node_paths(cli.default_config()))
+ODD_VALUES = [None, True, "x", float("nan"), float("inf"), float("-inf"), -1, 0,
+              2.5, [], {}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(CONFIG_PATHS), value=st.sampled_from(ODD_VALUES))
+def test_settings_accepts_or_rejects_any_value(path, value):
+    cfg = cli.default_config()
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        cli.settings(cfg)
+    except cli.ConfigError:
+        pass
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def count(lo, hi):
+    # a whole count, written as a JSON integer or as an integral float
+    return st.integers(lo, hi).flatmap(lambda n: st.sampled_from([n, float(n)]))
+
+
+BC_SECTIONS = st.one_of(
+    st.sampled_from([{"kind": "dirichlet"}, {"kind": "neumann"},
+                     {"kind": "wentzell"}]),
+    FINITE.map(lambda alpha: {"kind": "robin", "alpha": alpha}),
+    st.lists(FINITE, min_size=1, max_size=4).map(
+        lambda poly: {"kind": "multiplier", "poly": poly}))
+
+
+@st.composite
+def valid_configs(draw):
+    n = draw(count(0, 3))
+    axis = st.tuples(FINITE, FINITE, count(1, 50)).map(list)
+    checks = st.one_of(st.just("all"),
+                       st.lists(st.sampled_from(list(cli._VERIFY_CHECKS))))
+    return {
+        "model": {"n": n, "k": draw(FINITE) if n else 0.0,
+                  "x_max": draw(POSITIVE), "grid": draw(count(16, 10 ** 6))},
+        "bc": draw(BC_SECTIONS),
+        "quadrature": {"xi_max": draw(POSITIVE),
+                       "nodes": draw(st.none() | count(64, 10 ** 6))},
+        "grids": {name: draw(axis) for name in "txy"},
+        "scan": {"lambda_min": draw(FINITE), "lambda_max": draw(FINITE),
+                 "steps": draw(count(0, 10 ** 6)), "k_max": draw(POSITIVE)},
+        "source": {"profile": "gaussian", "amplitude": draw(FINITE),
+                   "t0": draw(FINITE), "sigma_t": draw(POSITIVE),
+                   "x0": draw(FINITE), "sigma_x": draw(POSITIVE)},
+        "evolve": {"t_max": draw(POSITIVE), "steps": draw(count(2, 10 ** 6))},
+        "verify": {"checks": draw(checks), "tol_scale": draw(POSITIVE),
+                   "bc_check_alpha_override": draw(st.none() | FINITE)},
+        "outputs": {"dir": draw(st.text(min_size=1)),
+                    "formats": draw(st.lists(st.sampled_from(["csv", "binary"])))},
+    }
+
+
+def comparable(run):
+    # the checked values, with the boundary symbol and the axes made
+    # comparable; "config" is the input record, which the merge fills in
+    bc = run["bc"]
+    symbol = bc.symbol(0.5) if bc.symbol else None
+    return {**run, "config": None, "bc": (bc.kind, bc.alpha, symbol),
+            "grids": [axis.tolist() for axis in run["grids"]]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=valid_configs())
+def test_settings_survive_the_config_round_trip(tmp_path_factory, cfg):
+    path = tmp_path_factory.getbasetemp() / "round_trip.json"
+    path.write_text(cli.emit_config(cfg))
+    assert comparable(cli.settings(cli.parse_config(path))) == \
+        comparable(cli.settings(cfg))

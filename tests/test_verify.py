@@ -224,3 +224,12 @@ def test_report_keeps_numpy_scalar_types(tmp_path):
     assert back["checks"]["a"] == {"passed": False, "count": 3, "residual": 0.5}
     with pytest.raises(TypeError):
         emit_report(tmp_path / "bad.json", {"passed": object()})
+
+
+def test_unserializable_report_leaves_the_old_one_intact(tmp_path):
+    path = tmp_path / "verify.json"
+    emit_report(path, {"passed": True, "checks": {"a": {"passed": True}}})
+    before = path.read_bytes(), (tmp_path / "verify.txt").read_bytes()
+    with pytest.raises(TypeError):
+        emit_report(path, {"checks": {"a": {"passed": True}}, "passed": object()})
+    assert (path.read_bytes(), (tmp_path / "verify.txt").read_bytes()) == before
