@@ -116,7 +116,8 @@ def emit_config(cfg: dict) -> str:
 
 
 # What each scalar field accepts: "real" is a finite number, "positive" a
-# finite number > 0, and an int is the least value of a whole count.  A pair
+# finite number > 0, "width" a positive Gaussian width w whose 2 w^2 is a
+# normal double, and an int is the least value of a whole count.  A pair
 # (rule, default) marks a field that may be left out; a default of None
 # also admits null.
 _FIELDS = {
@@ -124,8 +125,8 @@ _FIELDS = {
     "quadrature": {"xi_max": "positive", "nodes": (spectral.MIN_NODES, None)},
     "scan": {"lambda_min": "real", "lambda_max": "real", "steps": 0,
              "k_max": ("positive", 8.0)},
-    "source": {"amplitude": "real", "t0": "real", "sigma_t": "positive",
-               "x0": "real", "sigma_x": "positive"},
+    "source": {"amplitude": "real", "t0": "real", "sigma_t": "width",
+               "x0": "real", "sigma_x": "width"},
     "evolve": {"t_max": "positive", "steps": 2},
     "verify": {"tol_scale": "positive", "bc_check_alpha_override": ("real", None)},
 }
@@ -146,8 +147,13 @@ def _finite(value, what: str) -> float:
 
 def _check(value, rule, what: str):
     number = _finite(value, what)
-    if rule == "positive" and number <= 0:
+    if rule in ("positive", "width") and number <= 0:
         raise ConfigError(f"{what} must be positive, got {number}")
+    # the Gaussian source divides by 2 w^2, which must not overflow nor
+    # underflow to 0 (a sample at the centre would then give 0/0)
+    if rule == "width" and not sys.float_info.min <= 2.0 * number * number < math.inf:
+        raise ConfigError(f"{what} must be a width w with 2 w^2 a normal "
+                          f"double, got {number}")
     if isinstance(rule, int):
         count = int(value)
         if count != value or count < rule:
@@ -194,7 +200,11 @@ def _axis(grids: dict, name: str) -> np.ndarray:
     if not isinstance(axis, (list, tuple)) or len(axis) != 3:
         raise ConfigError(f"grids.{name} must be [start, stop, count], got {axis!r}")
     lo, hi = (_finite(v, f"grids.{name} entry") for v in axis[:2])
-    return np.linspace(lo, hi, _check(axis[2], 1, f"grids.{name} count"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.linspace(lo, hi, _check(axis[2], 1, f"grids.{name} count"))
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"grids.{name} from {lo!r} to {hi!r} overflows a double")
+    return values
 
 
 def _outputs(cfg: dict) -> dict:
@@ -257,6 +267,13 @@ def _write_sidecar(path: Path, command: str, run: dict, extra: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
+def _all_finite(what: str, values) -> None:
+    # a backstop after validation: no command writes a non-finite value
+    bad = np.size(values) - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise FloatingPointError(f"{what} has {bad} non-finite values; nothing written")
+
+
 def _gaussian_source(src: dict, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     amp = src["amplitude"]
     if amp == 0.0:
@@ -294,6 +311,7 @@ def cmd_kernel(run: dict, outdir: Path) -> int:
     model, bc = run["model"], run["bc"]
     res = _resolution(run, bc, model.k, model.x(), propagator.kernel_span(t, x, y))
     grid = propagator.build_kernel_grid(res, t, x, y)
+    _all_finite("the kernel grid", grid.values)
     formats = run["outputs"]["formats"]
     if "csv" in formats:
         grid.to_csv(outdir / "kernel.csv")
@@ -316,6 +334,7 @@ def cmd_evolve(run: dict, outdir: Path) -> int:
         field = propagator.wentzell_apply(res, f, t, support="retarded")
     else:
         field = propagator.apply_retarded(res, f, t)
+    _all_finite("the field", field)
     residual = verify.bc_residual(field, t, x, bc, k=model.k)
     formats = run["outputs"]["formats"]
     if "csv" in formats:

@@ -34,9 +34,12 @@ size O(1/(xi_max * c)), c the distance to the nearest characteristic, far
 too large for pointwise kernel work.  For the k = 0 trigonometric families
 the tail has closed form in sine-integral and exponential-integral
 functions, and ``causal_kernel`` adds it back by default, leaving pure
-quadrature error.  The xi weights carry the Euler-Maclaurin correction at
-xi_max (``SpectralResolution.xi_weights``), so that error is fourth order in
-the node spacing: below 1e-7 at 801 nodes on [0, 40], about 3e-11 at 4000.
+quadrature error.  The tail is evaluated once per distinct characteristic
+argument |t -+ u|, |t -+ v| and gathered back, so a tensor grid pays about
+nt (nx + ny) complex exp1 evaluations instead of nt nx ny.  The xi weights
+carry the Euler-Maclaurin correction at xi_max
+(``SpectralResolution.xi_weights``), so that error is fourth order in the
+node spacing: below 1e-7 at 801 nodes on [0, 40], about 3e-11 at 4000.
 Elsewhere no completion exists and the kernel warns.
 
 The trapezoid rule in xi aliases once the evaluated span, the widest
@@ -109,11 +112,20 @@ def cos_propagator(lam, t):
 # ---------------------------------------------------------------------------
 # closed-form frequency tails (k = 0 trigonometric families)
 
+def _distinct(c):
+    # the distinct |c| and the indices that gather them back onto c's shape;
+    # scipy's special functions are elementwise, so a tail computed on the
+    # distinct values and gathered is bit-identical to one computed pointwise
+    mags, inverse = np.unique(np.abs(c), return_inverse=True)
+    return mags, inverse.reshape(np.shape(c))
+
+
 def _si_tail(c, xi_max):
     # int_X^inf sin(xi c)/xi dxi
     c = np.asarray(c, dtype=float)
-    s, _ = sici(xi_max * np.abs(c))
-    return np.sign(c) * (np.pi / 2 - s)
+    mags, back = _distinct(c)
+    s, _ = sici(xi_max * mags)
+    return np.sign(c) * (np.pi / 2 - s)[back]
 
 
 def _exp1_pair(c, a, xi_max):
@@ -128,7 +140,7 @@ def _frac_tails(c, a, xi_max):
     # int_X^inf cos(xi c)/(xi^2 + a^2) dxi, even in c, and
     # int_X^inf sin(xi c) xi/(xi^2 + a^2) dxi, odd in c, from one exp1 pair
     c = np.asarray(c, dtype=float)
-    ca = np.abs(c)
+    ca, back = _distinct(c)
     a = abs(a)
     cos_tail = np.empty(ca.shape)
     sin_tail = np.zeros(ca.shape)
@@ -139,7 +151,7 @@ def _frac_tails(c, a, xi_max):
         plus, minus = _exp1_pair(ca[nz], a, xi_max)
         cos_tail[nz] = (plus - minus).imag / (2.0 * a)
         sin_tail[nz] = ((plus + minus) / 2).imag
-    return cos_tail, np.sign(c) * sin_tail
+    return cos_tail[back], np.sign(c) * sin_tail[back]
 
 
 def _kernel_tail(kind, alpha, t, x, y, xi_max):

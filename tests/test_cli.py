@@ -388,6 +388,12 @@ class TestConfigInputs:
         {"evolve": {"steps": 480.5}},
         {"bc": {"kind": "multiplier"}},
         {"source": {"profile": "box"}},
+        # an axis whose span overflows a double samples [nan, inf, ..., 1e308]
+        {"grids": {"t": [-1e308, 1e308, 5]}},
+        # 2 sigma^2 underflows to 0 (0/0 at the centre) or overflows
+        {"source": {"sigma_t": 1e-200}},
+        {"source": {"sigma_x": 1e-200}},
+        {"source": {"sigma_t": 1e200}},
     ])
     def test_every_command_validates_every_section(self, tmp_path, capsys,
                                                    command, config):
@@ -397,6 +403,32 @@ class TestConfigInputs:
         assert main(["--config", str(path), "--out", str(out), command]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.err.startswith("configuration error:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore::halfwave.quadrature.TruncationWarning")
+    @pytest.mark.parametrize("command,target", [
+        ("kernel", "build_kernel_grid"), ("evolve", "apply_retarded")])
+    def test_non_finite_output_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                              command, target):
+        real = getattr(cli.propagator, target)
+
+        def poisoned(*args, **kwargs):
+            out = real(*args, **kwargs)
+            values = out.values if command == "kernel" else out
+            values.flat[[1, values.size - 1]] = [np.nan, np.inf]
+            return out
+        monkeypatch.setattr(cli.propagator, target, poisoned)
+        cfg = write_config(tmp_path, model={"grid": 256, "x_max": 12.0},
+                           evolve={"t_max": 2.0, "steps": 40},
+                           grids={"t": [0.5, 1.0, 3], "x": [1.0, 2.0, 3],
+                                  "y": [1.0, 2.0, 3]})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), command]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.err.startswith("internal error: FloatingPointError:")
+        assert "2 non-finite values" in captured.err
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert list(out.iterdir()) == []

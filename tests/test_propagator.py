@@ -5,8 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import exp1, sici
 
+from halfwave import propagator
 from halfwave.model import BoundaryCondition, WarpedProfile
 from halfwave.oracle import assemble_fd, images_kernel, leapfrog
 from halfwave.propagator import (KernelGrid, _window, apply_advanced,
@@ -212,6 +216,102 @@ class TestKernelGridInvariants:
         g = bump(res_robin.x, 4.0, 0.6)
         out = kernel_time_derivative_apply(res_robin, g)
         assert rel_l2(out, g) <= 1e-2
+
+
+def pointwise_tail(kind, alpha, t, x, y, xi_max):
+    # the closed-form xi > xi_max tail with one sici and one exp1 pair per
+    # point, however often a characteristic argument repeats
+    def si(c):
+        return np.sign(c) * (np.pi / 2 - sici(xi_max * np.abs(c))[0])
+
+    def frac(c, a):
+        ca, a = np.abs(c), abs(a)
+        cos_tail, sin_tail = np.empty(ca.shape), np.zeros(ca.shape)
+        zero = ca == 0
+        cos_tail[zero] = (np.pi / 2 - np.arctan(xi_max / a)) / a
+        p = -1j * ca[~zero]
+        plus = np.exp(p * (-1j * a)) * exp1(p * (xi_max - 1j * a))
+        minus = np.exp(p * (1j * a)) * exp1(p * (xi_max + 1j * a))
+        cos_tail[~zero] = (plus - minus).imag / (2.0 * a)
+        sin_tail[~zero] = ((plus + minus) / 2).imag
+        return cos_tail, np.sign(c) * sin_tail
+
+    t, x, y = np.broadcast_arrays(t, x, y)
+    u, v = x - y, x + y
+    tail = 0.25 * (si(t + u) + si(t - u))
+    if kind == "dirichlet":
+        return tail - 0.25 * (si(t + v) + si(t - v))
+    if alpha == 0.0:
+        return tail + 0.25 * (si(t + v) + si(t - v))
+    tail = tail - 0.25 * (si(t + v) + si(t - v))
+    cos_minus, sin_minus = frac(t - v, alpha)
+    cos_plus, sin_plus = frac(t + v, alpha)
+    tail = tail + (alpha / 2.0) * (cos_minus - cos_plus)
+    return tail + 0.5 * (sin_plus + sin_minus)
+
+
+TAIL_CASES = [("dirichlet", None), ("robin", 0.0), ("robin", -1.0), ("robin", 0.7)]
+
+
+def assert_same_tail(kind, alpha, t, x, y, xi_max=40.0):
+    T, X, Y = t[:, None, None], x[None, :, None], y[None, None, :]
+    got = propagator._kernel_tail(kind, alpha, T, X, Y, xi_max)
+    want = pointwise_tail(kind, alpha, T, X, Y, xi_max)
+    assert got.shape == (t.size, x.size, y.size)
+    assert_allclose(got, want, rtol=0, atol=0)
+    assert got.tobytes() == want.tobytes()      # signed zeros included
+
+
+class TestDistinctTail:
+    """The closed-form tail is evaluated once per distinct |argument| and
+    gathered back: bit-identical to evaluating it at every point."""
+
+    @pytest.mark.parametrize("kind,alpha", TAIL_CASES)
+    def test_matches_pointwise_on_repeated_arguments(self, kind, alpha):
+        # x = y repeats t -+ u; t = v on the grid gives c = 0; t < 0 and
+        # t = -0.0 give negative and negative-zero arguments
+        t = np.array([-1.5, -0.0, 0.0, 0.4, 0.8, 1.2, 2.0])
+        x = np.array([0.0, 0.2, 0.4, 0.6, 1.0])
+        assert_same_tail(kind, alpha, t, x, x)
+        assert_same_tail(kind, alpha, t, x, x[::-1] + 0.2, xi_max=17.5)
+
+    @pytest.mark.parametrize("kind,alpha", TAIL_CASES)
+    def test_matches_pointwise_on_causal_kernel_points(self, kind, alpha):
+        rng = np.random.default_rng(5)
+        t, x, y = (np.round(rng.uniform(lo, 3.0, 40), 1) for lo in (-3.0, 0.0, 0.0))
+        want = pointwise_tail(kind, alpha, t, x, y, 40.0)
+        assert_allclose(propagator._kernel_tail(kind, alpha, t, x, y, 40.0), want,
+                        rtol=0, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.sampled_from(TAIL_CASES), data=st.data())
+    def test_matches_pointwise_on_random_tensor_grids(self, case, data):
+        # few distinct values per axis, so arguments repeat and hit 0
+        values = st.sampled_from([-2.5, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0,
+                                  1.75, 3.0]) | st.floats(-3.0, 3.0)
+        t, x, y = (np.array(data.draw(st.lists(values, min_size=1, max_size=6)))
+                   for _ in range(3))
+        assert_same_tail(*case, t, np.abs(x), np.abs(y),
+                         xi_max=data.draw(st.floats(1.0, 80.0)))
+
+    def test_exp1_once_per_distinct_argument(self, monkeypatch):
+        # a shifted 20^3 grid: 8000 points, far fewer distinct |t -+ v|
+        sizes = []
+        real = propagator._exp1_pair
+
+        def counting(c, a, xi_max):
+            sizes.append(c.size)
+            return real(c, a, xi_max)
+        monkeypatch.setattr(propagator, "_exp1_pair", counting)
+        t = np.linspace(0.1, 2.1, 20)
+        x = np.linspace(0.25, 3.05, 20)
+        y = np.linspace(0.15, 2.95, 20)
+        res = resolve(ROBIN, 0.0, np.linspace(0.0, 12.0, 64), nodes=400)
+        build_kernel_grid(res, t, x, y)
+        T, V = t[:, None, None], x[None, :, None] + y[None, None, :]
+        want = [np.unique(np.abs(c)[c != 0]).size for c in (T - V, T + V)]
+        assert sizes == want
+        assert max(sizes) <= t.size * (x.size + y.size - 1) < 8000
 
 
 class TestAppliers:

@@ -114,6 +114,8 @@ def test_settings_accepts_or_rejects_any_value(path, value):
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# a Gaussian width w with 2 w^2 a normal double
+WIDTH = st.floats(min_value=1.1e-154, max_value=9e153)
 
 
 def count(lo, hi):
@@ -132,7 +134,9 @@ BC_SECTIONS = st.one_of(
 @st.composite
 def valid_configs(draw):
     n = draw(count(0, 3))
-    axis = st.tuples(FINITE, FINITE, count(1, 50)).map(list)
+    # endpoints whose span is a double: a wider axis overflows
+    axis = st.tuples(FINITE, FINITE, count(1, 50)).filter(
+        lambda a: np.isfinite(a[1] - a[0])).map(list)
     checks = st.one_of(st.just("all"),
                        st.lists(st.sampled_from(list(cli._VERIFY_CHECKS))))
     return {
@@ -145,8 +149,8 @@ def valid_configs(draw):
         "scan": {"lambda_min": draw(FINITE), "lambda_max": draw(FINITE),
                  "steps": draw(count(0, 10 ** 6)), "k_max": draw(POSITIVE)},
         "source": {"profile": "gaussian", "amplitude": draw(FINITE),
-                   "t0": draw(FINITE), "sigma_t": draw(POSITIVE),
-                   "x0": draw(FINITE), "sigma_x": draw(POSITIVE)},
+                   "t0": draw(FINITE), "sigma_t": draw(WIDTH),
+                   "x0": draw(FINITE), "sigma_x": draw(WIDTH)},
         "evolve": {"t_max": draw(POSITIVE), "steps": draw(count(2, 10 ** 6))},
         "verify": {"checks": draw(checks), "tol_scale": draw(POSITIVE),
                    "bc_check_alpha_override": draw(st.none() | FINITE)},
