@@ -236,6 +236,14 @@ def settings(cfg: dict) -> dict:
         raise ConfigError(f"bad model section: {exc}") from None
     run["bc"] = _boundary(_section(cfg, "bc"))
     run["grids"] = tuple(_axis(_section(cfg, "grids"), name) for name in "txy")
+    # spectral.default_nodes divides by each window's span; the applier span
+    # is finite only when 2 x_max is, which bounds verify's 4 + 2 x_max too
+    for what, span in (("kernel span max|t| + max|x| + max|y|",
+                        propagator.kernel_span(*run["grids"])),
+                       ("applier span evolve.t_max + 2 model.x_max",
+                        run["evolve"]["t_max"] + 2.0 * run["model"].x_max)):
+        if not math.isfinite(span):
+            raise ConfigError(f"the {what} overflows a double")
     profile = _section(cfg, "source").get("profile")
     if profile != "gaussian":
         raise ConfigError(f"unknown source profile {profile!r}")
@@ -502,7 +510,10 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config, overrides)
         # made before validation: a rejected config leaves it empty
         outdir = _outdir(args.out or _outputs(cfg)["dir"])
-        return handlers[args.command](settings(cfg), outdir)
+        # an overflow inside the numerics is reported once, by the
+        # non-finite backstop before any write, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return handlers[args.command](settings(cfg), outdir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,7 +7,9 @@ Conventions (fixed here, used by every test):
              + s(lam_b, t) e(x) e(y)
   with s(lam, t) = sin(sqrt(lam) t)/sqrt(lam) continued through lam <= 0
   (t at lam = 0, sinh for lam < 0); it is odd in t, symmetric in (x, y),
-  vanishes at t = 0 and has a delta-type time derivative there;
+  vanishes at t = 0 and has a delta-type time derivative there; one
+  evaluator, ``_harmonics``, computes the continued sin/cos of sqrt(lam) t
+  for the kernels, the appliers and ``evolve_cauchy``;
 * the retarded applier integrates sources over past times only and its
   output vanishes before the source; the advanced applier is its mirror and
   vanishes after the source; retarded - advanced = causal;
@@ -69,44 +71,48 @@ from .model import WarpedProfile, conformal_factors
 from .quadrature import TruncationWarning, check_decay
 from .spectral import ExtendedState, SpectralResolution
 
-_SERIES_CUT = 1e-4
 _CSV_CHUNK = 4096      # values formatted at a time by write_grid_csv
 
 
-def _continued(lam, t, series, trig, hyp, per_rate):
-    # one body for the continued functions of sqrt(lam) t: ``series(t, z)``
-    # for |z| = |lam| t^2 below _SERIES_CUT, else ``trig`` for lam > 0 and
-    # ``hyp`` for lam < 0 at sqrt(|lam|) t, divided by sqrt(|lam|) when
-    # ``per_rate``
-    lam, t = np.broadcast_arrays(np.asarray(lam, dtype=float),
-                                 np.asarray(t, dtype=float))
-    z = lam * t * t
-    out = np.empty(z.shape)
-    small = np.abs(z) < _SERIES_CUT
-    out[small] = series(t[small], z[small])
-    big = ~small
-    lb, tb = lam[big], t[big]
-    rb = np.sqrt(np.abs(lb))
-    vals = np.where(lb > 0, trig(rb * tb), hyp(rb * tb))
-    out[big] = vals / np.where(rb == 0, 1.0, rb) if per_rate else vals
-    return out
+def _harmonics(lam, t):
+    """Factors (s, c, rate) of the continued functions of sqrt(lam) t.
+
+    At broadcastable ``(lam, t)``: sin, cos and sqrt(lam) where lam > 0; t, 1
+    and 1 where lam = 0; sinh, cosh and sqrt(-lam) where lam < 0.  Each entry
+    is computed by one of sin/sinh and one of cos/cosh only, so a large
+    sqrt(lam) t overflows nothing it does not return.  ``rate`` keeps the
+    shape of ``lam``; s/rate is s(lam, t) and the addition formula reads
+    s(lam, t - t') = (s(t) c(t') - c(t) s(t'))/rate.
+    """
+    lam = np.asarray(lam, dtype=float)
+    t = np.asarray(t, dtype=float)
+    rate = np.sqrt(np.abs(lam))
+    arg = rate * t
+    s = np.broadcast_to(t, arg.shape).copy()
+    c = np.ones(arg.shape)
+    pos, neg = lam > 0, lam < 0
+    np.sin(arg, out=s, where=pos)
+    np.sinh(arg, out=s, where=neg)
+    np.cos(arg, out=c, where=pos)
+    np.cosh(arg, out=c, where=neg)
+    return s, c, np.where(lam == 0, 1.0, rate)
 
 
 def sin_propagator(lam, t):
     """s(lam, t) = sin(sqrt(lam) t)/sqrt(lam), continued through lam <= 0.
 
-    Equals t at lam = 0 and sinh(sqrt(-lam) t)/sqrt(-lam) for lam < 0.  A
-    series branch handles |lam| t^2 < 1e-4 without cancellation; the series
-    is one and the same for both signs of lam.
+    Equals t at lam = 0 and sinh(sqrt(-lam) t)/sqrt(-lam) for lam < 0.  It
+    and :func:`cos_propagator` read :func:`_harmonics`, the one evaluator of
+    the continued functions behind the kernels, the appliers and
+    :func:`evolve_cauchy`.
     """
-    return _continued(lam, t, lambda t, z: t * (1.0 - z / 6.0 + z * z / 120.0),
-                      np.sin, np.sinh, per_rate=True)
+    s, _, rate = _harmonics(lam, t)
+    return s / rate
 
 
 def cos_propagator(lam, t):
     """cos(sqrt(lam) t) continued through lam <= 0 (cosh for lam < 0)."""
-    return _continued(lam, t, lambda t, z: 1.0 - z / 2.0 + z * z / 24.0,
-                      np.cos, np.cosh, per_rate=False)
+    return _harmonics(lam, t)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -402,25 +408,6 @@ def _check_source_window(res, f, t):
     check_decay(f, res.dx, what="source spatial support")
 
 
-def _harmonics(lam, t):
-    """Factors (s, c, rate) of s(lam, t - t') = (s(t) c(t') - c(t) s(t'))/rate.
-
-    Per column of ``lam``: sin, cos and sqrt(lam) for lam > 0; t, 1 and 1 at
-    lam = 0; sinh, cosh and sqrt(-lam) for lam < 0.  Arrays are (nt, nlam).
-    """
-    lam = np.asarray(lam, dtype=float)
-    rate = np.sqrt(np.abs(lam))
-    arg = np.multiply.outer(t, rate)
-    pos, neg = lam > 0, lam < 0
-    s = np.broadcast_to(t[:, None], arg.shape).copy()
-    c = np.ones(arg.shape)
-    np.sin(arg, out=s, where=pos)
-    np.sinh(arg, out=s, where=neg)
-    np.cos(arg, out=c, where=pos)
-    np.cosh(arg, out=c, where=neg)
-    return s, c, np.where(lam == 0, 1.0, rate)
-
-
 def _window(coeffs, t, lam, support: str):
     """Time convolution of mode coefficients with s(lam, t - t') over a window.
 
@@ -432,7 +419,7 @@ def _window(coeffs, t, lam, support: str):
     t' >= t for 'advanced', whose result is negated so that
     retarded - advanced = causal.
     """
-    s, c, rate = _harmonics(lam, t)
+    s, c, rate = _harmonics(lam[None, :], t[:, None])
     dt = float(t[1] - t[0])
     if support == "causal":
         Ic = np.trapezoid(c * coeffs, dx=dt, axis=0)
@@ -527,8 +514,8 @@ def evolve_cauchy(res: SpectralResolution, u0, v0, times):
 
     def act(c, lam):
         # c stacks the coefficients of u0 and v0; one row per time out
-        return (cos_propagator(lam[None, :], times[:, None]) * c[0]
-                + sin_propagator(lam[None, :], times[:, None]) * c[1])
+        s, cos, rate = _harmonics(lam[None, :], times[:, None])
+        return cos * c[0] + s / rate * c[1]
 
     out = res.transform(np.stack([u0, v0]), np.array([fb0, fb1], dtype=float), act)
     return out[0] if res.extended else out

@@ -13,7 +13,6 @@ operators.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -153,33 +152,48 @@ IN_SPECTRUM = "IN_SPECTRUM"
 NOT_IN_SPECTRUM = "NOT_IN_SPECTRUM"
 
 
-def _alpha_sample(bc: BoundaryCondition, k: np.ndarray):
-    """theta(k), the per-mode Robin coefficient, on a k sample; None for
-    Dirichlet.  It does not depend on lambda, so scans evaluate it once."""
+def _alpha_sample(bc: BoundaryCondition, k: np.ndarray) -> np.ndarray:
+    """theta(k), the per-mode Robin coefficient, on a k sample.  Dirichlet is
+    its infinite-coupling limit, theta = inf: nothing vanishes below the
+    continuum.  It does not depend on lambda, so scans evaluate it once."""
     if bc.kind == "dirichlet":
-        return None
+        return np.full(k.shape, np.inf)
     return np.array([bc.effective_alpha(kv) for kv in k], dtype=float)
 
 
-def _theta_minus_weyl(alpha, lam: float, k: np.ndarray) -> np.ndarray:
-    """theta(k) + sqrt(k^2 - lambda) on a k sample, theta from :func:`_alpha_sample`."""
-    if alpha is None:
-        # Dirichlet is the degenerate realization: no finite boundary operator,
-        # nothing to vanish below the continuum.
-        return np.full_like(k, np.inf)
-    return alpha + np.sqrt(k * k - lam)
+# (lambda x k) values a scan holds at a time: 8 rows of a 2001-sample k
+# interval, which scanned faster than 2^16-value blocks
+_SCAN_VALUES = 1 << 14
 
 
-def _closest_to_zero(vals: np.ndarray):
-    """Index of the finite value of ``vals`` closest to 0 (the first one on
-    ties), or None when no value is finite: the witness of a scan over k."""
-    dist = np.abs(vals)
-    idx = int(dist.argmin())
-    if math.isnan(dist[idx]):
-        # argmin stops at the first NaN: look again among finite values only
-        dist[~np.isfinite(vals)] = np.inf
-        idx = int(dist.argmin())
-    return idx if math.isfinite(vals[idx]) else None
+def _scan_witness(alpha, lam: np.ndarray, k: np.ndarray):
+    """Witness of theta(k) + sqrt(k^2 - lambda) over a k sample, per lambda.
+
+    ``alpha`` is theta on the sample (:func:`_alpha_sample`).  The values
+    are formed on a (lambda-block x k) array of at most about _SCAN_VALUES
+    entries.  Returns three arrays over ``lam``: the finite value closest to
+    0 (the first one on ties; inf when none is finite), its k index (0 when
+    none) and whether the finite values change sign.
+    """
+    value = np.empty(lam.shape)
+    index = np.empty(lam.shape, dtype=int)
+    change = np.empty(lam.shape, dtype=bool)
+    kk = k * k
+    rows = max(1, _SCAN_VALUES // max(k.size, 1))
+    for start in range(0, lam.size, rows):
+        sl = slice(start, start + rows)
+        vals = np.sqrt(kk - lam[sl, None])
+        vals += alpha
+        finite = np.isfinite(vals)
+        dist = np.abs(vals)
+        dist[~finite] = np.inf
+        # a row with no finite value has dist all inf, so argmin gives 0
+        index[sl] = idx = dist.argmin(axis=1)
+        best = np.take_along_axis(vals, idx[:, None], axis=1)[:, 0]
+        value[sl] = np.where(np.isfinite(best), best, np.inf)
+        change[sl] = (((vals < 0.0) & finite).any(axis=1)
+                      & ((vals > 0.0) & finite).any(axis=1))
+    return value, index, change
 
 
 def _k_sample(k_range: Union[float, tuple, Iterable[float]],
@@ -217,23 +231,17 @@ def spectrum_scan(bc: BoundaryCondition, lam_grid,
 
     Returns a list of rows ``(lam, k_ref, theta_minus_weyl_min, verdict)``
     where the third column is the signed value closest to zero over the
-    k sample (the root-finding witness behind each verdict).
+    k sample (the root-finding witness behind each verdict).  The whole
+    grid goes through :func:`_scan_witness`, blocks of lambda rows against
+    the k sample; lambda is in the spectrum when that value is within
+    ``tol`` of 0 or the finite values change sign.
     """
-    rows = []
     ks = _k_sample(k_range, samples)
-    alpha = _alpha_sample(bc, ks)
-    for lam in np.asarray(lam_grid, dtype=float):
-        vals = _theta_minus_weyl(alpha, lam, ks)
-        idx = _closest_to_zero(vals)
-        if idx is None:
-            rows.append((float(lam), float(ks[0]), float("inf"), NOT_IN_SPECTRUM))
-            continue
-        witness = float(vals[idx])
-        finite = vals[np.isfinite(vals)]
-        hit = abs(witness) <= tol or (np.min(finite) < 0.0 < np.max(finite))
-        rows.append((float(lam), float(ks[idx]), witness,
-                     IN_SPECTRUM if hit else NOT_IN_SPECTRUM))
-    return rows
+    lam = np.asarray(lam_grid, dtype=float)
+    value, index, change = _scan_witness(_alpha_sample(bc, ks), lam, ks)
+    hit = (np.abs(value) <= tol) | change
+    return [(float(l), float(ks[i]), float(v), IN_SPECTRUM if h else NOT_IN_SPECTRUM)
+            for l, i, v, h in zip(lam, index, value, hit)]
 
 
 def negative_spectrum_roots(bc: BoundaryCondition, lam_min: float,
@@ -241,35 +249,27 @@ def negative_spectrum_roots(bc: BoundaryCondition, lam_min: float,
                             k_range: Union[float, tuple] = 0.0) -> list:
     """Locate zero crossings of theta(k) + sqrt(k^2 - lambda) in (lam_min, 0).
 
-    Scans with the given step and refines each bracket by bisection; returns
-    the refined negative spectral points (point spectrum below the continuum
-    for single-k problems, band edges for interval k ranges).
+    Evaluates the witness of :func:`_scan_witness` on the whole lambda grid
+    in one call, then refines every sign-change bracket together: 60 joint
+    halvings, each one witness call over all the brackets' midpoints.
+    Returns the refined negative spectral points in increasing order (point
+    spectrum below the continuum for single-k problems, band edges for
+    interval k ranges).
     """
     lam_grid = np.arange(lam_min, 0.0, step)
     ks = _k_sample(k_range, 2001)
     alpha = _alpha_sample(bc, ks)
-
-    def witness(lam):
-        vals = _theta_minus_weyl(alpha, lam, ks)
-        idx = _closest_to_zero(vals)
-        return np.inf if idx is None else vals[idx]
-
-    w = np.array([witness(l) for l in lam_grid])
-    roots = []
-    for i in range(len(lam_grid) - 1):
-        if not (np.isfinite(w[i]) and np.isfinite(w[i + 1])):
-            continue
-        if w[i] == 0.0:
-            roots.append(float(lam_grid[i]))
-        elif w[i] * w[i + 1] < 0:
-            lo, hi = lam_grid[i], lam_grid[i + 1]
-            flo = w[i]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                fm = witness(mid)
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(float(0.5 * (lo + hi)))
-    return roots
+    w = _scan_witness(alpha, lam_grid, ks)[0]
+    pairs = np.flatnonzero(np.isfinite(w[:-1]) & np.isfinite(w[1:]))
+    exact = pairs[w[pairs] == 0.0]
+    bracket = pairs[w[pairs] * w[pairs + 1] < 0]
+    lo, hi, flo = lam_grid[bracket], lam_grid[bracket + 1], w[bracket]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fm = _scan_witness(alpha, mid, ks)[0]
+        left = flo * fm <= 0
+        hi = np.where(left, mid, hi)
+        lo, flo = np.where(left, lo, mid), np.where(left, flo, fm)
+    roots = lam_grid.copy()
+    roots[bracket] = 0.5 * (lo + hi)
+    return [float(r) for r in roots[np.union1d(exact, bracket)]]

@@ -394,6 +394,12 @@ class TestConfigInputs:
         {"source": {"sigma_t": 1e-200}},
         {"source": {"sigma_x": 1e-200}},
         {"source": {"sigma_t": 1e200}},
+        # finite axes and lengths whose window span overflows: the xi grid
+        # is sized from pi/span
+        {"grids": {"t": [1e308, 1e308, 1], "x": [1e308, 1e308, 1],
+                   "y": [1.0, 2.0, 2]}},
+        {"model": {"x_max": 1e308}},
+        {"evolve": {"t_max": 1.79e308}, "model": {"x_max": 1e306}},
     ])
     def test_every_command_validates_every_section(self, tmp_path, capsys,
                                                    command, config):
@@ -429,6 +435,23 @@ class TestConfigInputs:
         captured = capsys.readouterr()
         assert captured.err.startswith("internal error: FloatingPointError:")
         assert "2 non-finite values" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
+    def test_overflow_in_the_numerics_is_one_line(self, tmp_path, capsys):
+        # a valid amplitude whose field overflows: numpy stays silent and the
+        # non-finite backstop reports it, writing nothing
+        cfg = write_config(tmp_path, source={"amplitude": 1e308},
+                           model={"grid": 256})
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--config", str(cfg), "--out", str(out), "evolve"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert [str(w.message) for w in caught] == []
+        assert captured.err.startswith("internal error: FloatingPointError:")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert list(out.iterdir()) == []

@@ -65,6 +65,26 @@ class TestTimePropagatorScalars:
     def test_cos_at_zero(self):
         assert_allclose(cos_propagator(np.array([-4.0, 0.0, 9.0]), 0.0), 1.0)
 
+    def test_no_warning_from_the_branch_not_taken(self):
+        # sinh(sqrt(1600) 20) overflows a double, but lam > 0 reads sin only
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = sin_propagator(1600.0, 20.0)
+            c = cos_propagator(np.array([1600.0, 0.0, -4.0]), 20.0)
+        assert s == np.sin(800.0) / 40.0
+        assert_allclose(c, [np.cos(800.0), 1.0, np.cosh(40.0)], rtol=1e-15)
+
+    def test_kernel_grid_to_late_times_warns_nothing(self):
+        t = np.linspace(0.0, 20.0, 5)
+        x = np.linspace(0.2, 3.0, 4)
+        span = propagator.kernel_span(t, x, x)
+        res = resolve(ROBIN, 0.0, np.linspace(0.0, 30.0, 1024),
+                      nodes=default_nodes(ROBIN, 0.0, 40.0, span))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = build_kernel_grid(res, t, x, x)
+        assert np.all(np.isfinite(grid.values))
+
 
 @pytest.fixture(scope="module")
 def res_dirichlet():

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_equal
 
+from halfwave import triple
 from halfwave.model import BoundaryCondition
 from halfwave.oracle import assemble_fd, fd_spectrum
 from halfwave.quadrature import TruncationWarning, l2_norm, second_derivative
@@ -195,6 +200,150 @@ class TestSpectrumTest:
             sysm = assemble_fd(BoundaryCondition.robin(alpha), 0.0, 1024, 20.0)
             negatives = int(np.sum(fd_spectrum(sysm, 8) < 0))
             assert len(roots) == negatives
+
+
+def reference_alpha(bc, ks):
+    # theta(k) per k sample; None for Dirichlet, whose values are all inf
+    if bc.kind == "dirichlet":
+        return None
+    return np.array([bc.effective_alpha(kv) for kv in ks], dtype=float)
+
+
+def reference_witness(alpha, lam, ks):
+    # the finite value of theta(k) + sqrt(k^2 - lambda) closest to 0 (first
+    # on ties), its k index and the sign change, for one lambda at a time
+    vals = np.full_like(ks, np.inf) if alpha is None else alpha + np.sqrt(ks * ks - lam)
+    finite = np.isfinite(vals)
+    if not finite.any():
+        return float("inf"), 0, False
+    idx = int(np.where(finite, np.abs(vals), np.inf).argmin())
+    return float(vals[idx]), idx, vals[finite].min() < 0.0 < vals[finite].max()
+
+
+def reference_scan(bc, lam_grid, k_range=0.0, samples=2001, tol=1e-9):
+    ks = triple._k_sample(k_range, samples)
+    alpha = reference_alpha(bc, ks)
+    rows = []
+    for lam in np.asarray(lam_grid, dtype=float):
+        witness, idx, change = reference_witness(alpha, lam, ks)
+        hit = abs(witness) <= tol or change
+        rows.append((float(lam), float(ks[idx]), witness,
+                     IN_SPECTRUM if hit else NOT_IN_SPECTRUM))
+    return rows
+
+
+def reference_roots(bc, lam_min, step=1e-3, k_range=0.0):
+    # negative_spectrum_roots with one scalar bisection per bracket
+    lam_grid = np.arange(lam_min, 0.0, step)
+    ks = triple._k_sample(k_range, 2001)
+    alpha = reference_alpha(bc, ks)
+
+    def witness(lam):
+        return reference_witness(alpha, lam, ks)[0]
+
+    w = np.array([witness(lam) for lam in lam_grid])
+    roots = []
+    for i in range(len(lam_grid) - 1):
+        if not (np.isfinite(w[i]) and np.isfinite(w[i + 1])):
+            continue
+        if w[i] == 0.0:
+            roots.append(float(lam_grid[i]))
+        elif w[i] * w[i + 1] < 0:
+            lo, hi, flo = lam_grid[i], lam_grid[i + 1], w[i]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                fm = witness(mid)
+                if flo * fm <= 0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            roots.append(float(0.5 * (lo + hi)))
+    return roots
+
+
+def outcome(fn, *args, **kwargs):
+    # the result, or the type of the error raised (multipliers reject NaN k)
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc)
+
+
+SCAN_CONDITIONS = [
+    BoundaryCondition.robin(-1.0),
+    BoundaryCondition.robin(0.7),
+    BoundaryCondition.dirichlet(),
+    BoundaryCondition.neumann(),
+    BoundaryCondition("wentzell"),
+    BoundaryCondition.multiplier(lambda k: k * k - 1.5),
+    BoundaryCondition.multiplier(lambda k: -2.0 + 0.5 * k),
+]
+CONDITION_IDS = ["robin-1", "robin0.7", "dirichlet", "neumann", "wentzell",
+                 "k2-1.5", "0.5k-2"]
+K_RANGES = [0.0, (0.0, 8.0), [0.0, np.nan, 1.0]]
+
+
+class TestScanWitness:
+    """The blocked array witness reproduces the per-lambda scan exactly."""
+
+    # the default block, and 5000 values: two lambda rows of a 2001-sample
+    # k interval, so many full blocks and a partial last one
+    @pytest.mark.parametrize("block", [1 << 14, 5000])
+    @pytest.mark.parametrize("k_range", K_RANGES, ids=["k0", "interval", "nan"])
+    @pytest.mark.parametrize("bc", SCAN_CONDITIONS, ids=CONDITION_IDS)
+    def test_scan_rows_match_reference(self, monkeypatch, bc, k_range, block):
+        monkeypatch.setattr(triple, "_SCAN_VALUES", block)
+        lam_grid = np.linspace(-3.0, -1e-12, 101)
+        assert_equal(outcome(spectrum_scan, bc, lam_grid, k_range),
+                     outcome(reference_scan, bc, lam_grid, k_range))
+
+    @pytest.mark.parametrize("k_range", K_RANGES, ids=["k0", "interval", "nan"])
+    @pytest.mark.parametrize("bc", SCAN_CONDITIONS, ids=CONDITION_IDS)
+    def test_roots_match_reference(self, monkeypatch, bc, k_range):
+        monkeypatch.setattr(triple, "_SCAN_VALUES", 5000)
+        assert_equal(outcome(negative_spectrum_roots, bc, -3.0, k_range=k_range),
+                     outcome(reference_roots, bc, -3.0, k_range=k_range))
+
+    def test_brackets_bisected_together(self, monkeypatch):
+        # one witness call for the grid and one per halving over all the
+        # brackets' midpoints; on this k sample the witness changes sign in
+        # several brackets of (-3, 0)
+        calls = []
+        witness = triple._scan_witness
+        monkeypatch.setattr(triple, "_scan_witness",
+                            lambda *a: calls.append(a[1].size) or witness(*a))
+        roots = negative_spectrum_roots(BoundaryCondition.robin(-1.5), -3.0,
+                                        k_range=[0.0, 0.5, 1.0])
+        assert len(calls) == 61 and calls[0] == 3000
+        assert len(set(calls[1:])) == 1 and 2 <= calls[1] <= len(roots)
+
+    def test_blocks_stay_below_the_value_budget(self, monkeypatch):
+        sizes = []
+        sqrt = np.sqrt
+        monkeypatch.setattr(triple.np, "sqrt",
+                            lambda a: sizes.append(np.size(a)) or sqrt(a))
+        spectrum_scan(BoundaryCondition.robin(-2.0), np.linspace(-3, -0.1, 600),
+                      (0.0, 8.0))
+        assert sizes and max(sizes) <= triple._SCAN_VALUES
+        assert sum(sizes) == 600 * 2001
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.floats(-4.0, 4.0),
+           lams=st.lists(st.floats(-6.0, -1e-9), min_size=1, max_size=40),
+           ks=st.lists(st.one_of(st.floats(0.0, 6.0), st.just(math.nan),
+                                 st.just(math.inf)), min_size=1, max_size=12),
+           block=st.integers(1, 64))
+    def test_scan_matches_reference_property(self, alpha, lams, ks, block):
+        bc = BoundaryCondition.robin(alpha)
+        saved = triple._SCAN_VALUES
+        triple._SCAN_VALUES = block
+        try:
+            rows = spectrum_scan(bc, lams, ks, tol=1e-3)
+            roots = negative_spectrum_roots(bc, -2.0, step=0.05, k_range=ks)
+        finally:
+            triple._SCAN_VALUES = saved
+        assert_equal(rows, reference_scan(bc, lams, ks, tol=1e-3))
+        assert_equal(roots, reference_roots(bc, -2.0, step=0.05, k_range=ks))
 
 
 class TestLowerBound:
