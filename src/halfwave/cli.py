@@ -5,8 +5,8 @@ Subcommands
 spectrum   scan spectral membership over a lambda window, with an
            FD-oracle comparison column
 kernel     build a causal-kernel grid and write CSV + binary + sidecar
-evolve     drive a source through the retarded propagator (dynamical
-           conditions go through the extended-space applier) and write the
+evolve     drive a source through the retarded propagator (one applier for
+           every condition, the dynamical one included) and write the
            trajectory with a boundary-residual column
 verify     run the verification suite and emit a JSON/text report
 
@@ -89,7 +89,7 @@ def _merge(base: dict, extra: dict) -> dict:
     return out
 
 
-def parse_config(path=None, overrides=None) -> dict:
+def parse_config(path=None) -> dict:
     cfg = default_config()
     if path is not None:
         try:
@@ -105,8 +105,6 @@ def parse_config(path=None, overrides=None) -> dict:
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
         cfg = _merge(cfg, user)
-    if overrides:
-        cfg = _merge(cfg, overrides)
     return cfg
 
 
@@ -236,14 +234,18 @@ def settings(cfg: dict) -> dict:
         raise ConfigError(f"bad model section: {exc}") from None
     run["bc"] = _boundary(_section(cfg, "bc"))
     run["grids"] = tuple(_axis(_section(cfg, "grids"), name) for name in "txy")
-    # spectral.default_nodes divides by each window's span; the applier span
-    # is finite only when 2 x_max is, which bounds verify's 4 + 2 x_max too
+    # the frequency quadrature evaluates e^{i xi span} up to xi = xi_max, so
+    # the largest phase of each window, xi_max * span, must be a double;
+    # verify's windows are its fixed kernel grids and 4 + 2 x_max, within 4
+    # of the applier span
+    xi_max = run["quadrature"]["xi_max"]
     for what, span in (("kernel span max|t| + max|x| + max|y|",
                         propagator.kernel_span(*run["grids"])),
                        ("applier span evolve.t_max + 2 model.x_max",
                         run["evolve"]["t_max"] + 2.0 * run["model"].x_max)):
-        if not math.isfinite(span):
-            raise ConfigError(f"the {what} overflows a double")
+        if not math.isfinite(xi_max * span):
+            raise ConfigError(f"the largest phase, quadrature.xi_max times "
+                              f"the {what}, overflows a double")
     profile = _section(cfg, "source").get("profile")
     if profile != "gaussian":
         raise ConfigError(f"unknown source profile {profile!r}")
@@ -338,10 +340,7 @@ def cmd_evolve(run: dict, outdir: Path) -> int:
     res = _resolution(run, bc, model.k, x, t_max + 2.0 * model.x_max)
     t = np.linspace(0.0, t_max, run["evolve"]["steps"])
     f = _gaussian_source(run["source"], t, x)
-    if bc.is_dynamic:
-        field = propagator.wentzell_apply(res, f, t, support="retarded")
-    else:
-        field = propagator.apply_retarded(res, f, t)
+    field = propagator.apply_retarded(res, f, t)
     _all_finite("the field", field)
     residual = verify.bc_residual(field, t, x, bc, k=model.k)
     formats = run["outputs"]["formats"]
@@ -423,10 +422,7 @@ def _verify_bc(run, tol):
     res = _resolution(run, bc, model.k, model.x(), float(t[-1]) + 2.0 * model.x_max)
     f = _gaussian_source({**run["source"], "t0": 1.6, "sigma_t": 0.25,
                           "x0": 2.5, "sigma_x": 0.4}, t, model.x())
-    if bc.is_dynamic:
-        field = propagator.wentzell_apply(res, f, t)
-    else:
-        field = propagator.apply_retarded(res, f, t)
+    field = propagator.apply_retarded(res, f, t)
     override = run["verify"]["bc_check_alpha_override"]
     check_bc = bc if override is None else BoundaryCondition.robin(override)
     residual = verify.bc_residual(field, t, model.x(), check_bc, k=model.k)
@@ -479,13 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON configuration file")
     parser.add_argument("--out", type=str, default=None,
                         help="output directory (overrides outputs.dir)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="scale factor applied to verify tolerances")
-    parser.add_argument("--nodes", type=int, default=None,
-                        help="quadrature node count (default: sized for "
-                             "each command's window)")
-    parser.add_argument("--xi-max", type=float, default=None,
-                        help="override quadrature truncation")
     parser.add_argument("command", choices=["spectrum", "kernel", "evolve",
                                             "verify"])
     return parser
@@ -497,17 +486,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    overrides = {}
-    if args.nodes is not None:
-        overrides.setdefault("quadrature", {})["nodes"] = args.nodes
-    if args.xi_max is not None:
-        overrides.setdefault("quadrature", {})["xi_max"] = args.xi_max
-    if args.tol is not None:
-        overrides.setdefault("verify", {})["tol_scale"] = args.tol
     handlers = {"spectrum": cmd_spectrum, "kernel": cmd_kernel,
                 "evolve": cmd_evolve, "verify": cmd_verify}
     try:
-        cfg = parse_config(args.config, overrides)
+        cfg = parse_config(args.config)
         # made before validation: a rejected config leaves it empty
         outdir = _outdir(args.out or _outputs(cfg)["dir"])
         # an overflow inside the numerics is reported once, by the

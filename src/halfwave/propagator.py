@@ -35,8 +35,8 @@ Truncating the frequency integral at xi_max leaves an oscillatory tail of
 size O(1/(xi_max * c)), c the distance to the nearest characteristic, far
 too large for pointwise kernel work.  For the k = 0 trigonometric families
 the tail has closed form in sine-integral and exponential-integral
-functions, and ``causal_kernel`` adds it back by default, leaving pure
-quadrature error.  The tail is evaluated once per distinct characteristic
+functions, and ``causal_kernel`` and ``build_kernel_grid`` always add it
+back, leaving pure quadrature error.  The tail is evaluated once per distinct characteristic
 argument |t -+ u|, |t -+ v| and gathered back, so a tensor grid pays about
 nt (nx + ny) complex exp1 evaluations instead of nt nx ny.  The xi weights
 carry the Euler-Maclaurin correction at xi_max
@@ -60,7 +60,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -199,28 +199,16 @@ def kernel_span(t, x, y) -> float:
     return sum(float(np.max(np.abs(a))) if np.size(a) else 0.0 for a in (t, x, y))
 
 
-def _non_separable(res: SpectralResolution, t, x, y, tails: Optional[bool]):
+def _non_separable(res: SpectralResolution, t, x, y):
     """Kernel terms outside the continuum sum, at broadcastable (t, x, y).
 
-    Resolves the ``tails`` default (on whenever the closed-form completion
-    exists: static families at k = 0) and returns ``(terms, tails)``, where
-    ``terms`` is the bound-state term plus, with tails on, the weighted
-    closed-form xi > xi_max completion.  Without a completion the truncation
-    error is of order 1/xi_max, growing near the characteristics; a
-    defaulted ``tails`` says so with a :class:`TruncationWarning`.
+    Returns ``(terms, tails)``: ``terms`` is the bound-state term plus,
+    where the closed-form xi > xi_max completion exists (static families at
+    k = 0, then ``tails`` is True), that completion weighted.  Elsewhere the
+    truncation error is of order 1/xi_max, growing near the characteristics,
+    and a :class:`TruncationWarning` says so.
     """
-    closed_form = res.k == 0.0 and not res.extended
-    if tails is None:
-        tails = closed_form
-        if not closed_form:
-            xi_max = float(res.xi[-1])
-            warnings.warn(
-                f"no closed-form frequency tail for the {res.kind} family at "
-                f"k = {res.k:g}: the kernel keeps a truncation error of order "
-                f"1/xi_max = {1.0 / xi_max:.1e}, growing near the characteristics",
-                TruncationWarning, stacklevel=3)
-    if tails and not closed_form:
-        raise ValueError("tail completion only exists for static families at k = 0")
+    tails = bool(res.k == 0.0 and not res.extended)
     shape = np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(y))
     terms = np.zeros(shape)
     if res.bound is not None:
@@ -229,20 +217,26 @@ def _non_separable(res: SpectralResolution, t, x, y, tails: Optional[bool]):
     if tails:
         terms += res.weight * _kernel_tail(res.kind, res.alpha, t, x, y,
                                            float(res.xi[-1]))
-    return terms, bool(tails)
+    else:
+        warnings.warn(
+            f"no closed-form frequency tail for the {res.kind} family at "
+            f"k = {res.k:g}: the kernel keeps a truncation error of order "
+            f"1/xi_max = {1.0 / float(res.xi[-1]):.1e}, growing near the "
+            "characteristics", TruncationWarning, stacklevel=3)
+    return terms, tails
 
 
-def causal_kernel(res: SpectralResolution, t, x, y, tails: Optional[bool] = None):
+def causal_kernel(res: SpectralResolution, t, x, y):
     """Sample the causal kernel G(t; x, y) at broadcastable points.
 
     Points need not lie on the resolution's x grid: the eigenfamily has a
-    closed form.  ``tails`` controls the analytic completion of the truncated
-    frequency integral; it defaults to on whenever the closed form exists
-    (static families at k = 0) and off otherwise, with a
-    :class:`TruncationWarning`.  For extended resolutions this is the
-    bulk-bulk block of the extended kernel; the boundary channel enters
-    through the source lift in :func:`wentzell_apply`.  Tensor grids go
-    through :func:`build_kernel_grid`, which factors the sum instead.
+    closed form.  The analytic completion of the truncated frequency
+    integral is added wherever it exists (static families at k = 0); without
+    it the kernel warns with a :class:`TruncationWarning`.  For extended
+    resolutions this is the bulk-bulk block of the extended kernel; the
+    boundary channel enters through the source lift the field appliers
+    make.  Tensor grids go through :func:`build_kernel_grid`, which factors
+    the sum instead.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -252,7 +246,7 @@ def causal_kernel(res: SpectralResolution, t, x, y, tails: Optional[bool] = None
     xx = np.broadcast_to(x, shape).ravel()
     yy = np.broadcast_to(y, shape).ravel()
     _check_aliasing(res, kernel_span(tt, xx, yy))
-    terms, _ = _non_separable(res, tt, xx, yy, tails)
+    terms, _ = _non_separable(res, tt, xx, yy)
     out = np.zeros(tt.size)
     w = res.xi_weights()
     for (sl, phi_x, _), (_, phi_y, _) in zip(res.blocks(xx), res.blocks(yy)):
@@ -357,14 +351,13 @@ class KernelGrid:
                    values=values, meta=sidecar.get("meta", {}))
 
 
-def build_kernel_grid(res: SpectralResolution, t, x, y,
-                      tails: Optional[bool] = None) -> KernelGrid:
+def build_kernel_grid(res: SpectralResolution, t, x, y) -> KernelGrid:
     """Evaluate the causal kernel on the tensor grid t (x) x (x) y.
 
     The continuum sum factors over the grid: with phi_x = phi_xi(x),
     phi_y = phi_xi(y) and S[t] = w_xi s(xi^2 + k^2, t), each time slice is
     the matrix product (phi_x * S[t]).T @ phi_y.  The bound-state and tail
-    terms (``tails`` as in :func:`causal_kernel`) are broadcast over the grid.
+    terms (as in :func:`causal_kernel`) are broadcast over the grid.
     Transient memory is O(n_xi (nt + nx + ny) + nt nx ny).
     """
     t = np.asarray(t, dtype=float)
@@ -372,7 +365,7 @@ def build_kernel_grid(res: SpectralResolution, t, x, y,
     y = np.asarray(y, dtype=float)
     _check_aliasing(res, kernel_span(t, x, y))
     terms, tails = _non_separable(res, t[:, None, None], x[None, :, None],
-                                  y[None, None, :], tails)
+                                  y[None, None, :])
     phi_x, _ = res.family_block(slice(None), points=x)
     phi_y, _ = res.family_block(slice(None), points=y)
     S = res.xi_weights() * sin_propagator(res.omega_sq()[None, :], t[:, None])
@@ -392,6 +385,21 @@ def build_kernel_grid(res: SpectralResolution, t, x, y,
 
 # ---------------------------------------------------------------------------
 # space-time appliers
+
+def _on_bulk(res: SpectralResolution, f, act, f_boundary=None):
+    """:meth:`SpectralResolution.transform` of bulk samples ``f`` (grid on
+    the last axis), returned as bulk samples.
+
+    On an extended resolution ``f`` is lifted by pairing it with its own
+    boundary trace, or with ``f_boundary`` when given, and the result is
+    projected back to the bulk; other resolutions have no boundary
+    component.
+    """
+    if f_boundary is None:
+        f_boundary = f[..., 0] if res.extended else 0.0
+    out = res.transform(f, f_boundary, act)
+    return out[0] if res.extended else out
+
 
 def _check_source_window(res, f, t):
     f = np.asarray(f)
@@ -453,9 +461,7 @@ def _apply(res: SpectralResolution, f, t, support: str):
         raise ValueError("source must be sampled on the (t, x) grid of the call")
     _check_source_window(res, f, t)
     _check_aliasing(res, float(t[-1] - t[0]) + 2.0 * float(res.x[-1]))
-    out = res.transform(f, f[:, 0] if res.extended else 0.0,
-                        lambda c, lam: _window(c, t, lam, support))
-    return out[0] if res.extended else out
+    return _on_bulk(res, f, lambda c, lam: _window(c, t, lam, support))
 
 
 def apply_causal(res: SpectralResolution, f, t):
@@ -483,7 +489,9 @@ def wentzell_apply(res: SpectralResolution, f, t, support: str = "retarded"):
     The source is lifted to the extended space by pairing it with its own
     boundary trace, propagated through the extended family, and projected
     back to the bulk.  The output obeys the dynamical boundary condition
-    u'(0) = (d_tt + k^2) u(0) up to discretization error.
+    u'(0) = (d_tt + k^2) u(0) up to discretization error.  It runs the
+    applier ``support`` names (``apply_retarded`` by default), which makes
+    that lift itself, and only accepts extended resolutions.
     """
     if not res.extended:
         raise ValueError("needs an extended (dynamical) resolution")
@@ -501,24 +509,16 @@ def evolve_cauchy(res: SpectralResolution, u0, v0, times):
     lifted compatibly).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if isinstance(u0, ExtendedState):
-        fb0, u0 = u0.v, u0.u
-    else:
-        u0 = np.asarray(u0, dtype=float)
-        fb0 = u0[0] if res.extended else 0.0
-    if isinstance(v0, ExtendedState):
-        fb1, v0 = v0.v, v0.u
-    else:
-        v0 = np.asarray(v0, dtype=float)
-        fb1 = v0[0] if res.extended else 0.0
+    u0, v0 = (d if isinstance(d, ExtendedState) else ExtendedState.from_bulk(d)
+              for d in (u0, v0))
 
     def act(c, lam):
         # c stacks the coefficients of u0 and v0; one row per time out
         s, cos, rate = _harmonics(lam[None, :], times[:, None])
         return cos * c[0] + s / rate * c[1]
 
-    out = res.transform(np.stack([u0, v0]), np.array([fb0, fb1], dtype=float), act)
-    return out[0] if res.extended else out
+    return _on_bulk(res, np.stack([u0.u, v0.u]), act,
+                    np.array([u0.v, v0.v], dtype=float))
 
 
 def kernel_time_derivative_apply(res: SpectralResolution, g):
@@ -527,9 +527,7 @@ def kernel_time_derivative_apply(res: SpectralResolution, g):
     The equal-time derivative is a reproducing (delta-type) kernel, so the
     output should reproduce ``g`` up to quadrature residuals.
     """
-    g = np.asarray(g, dtype=float)
-    out = res.transform(g, g[0] if res.extended else 0.0, lambda c, lam: c)
-    return out[0] if res.extended else out
+    return _on_bulk(res, np.asarray(g, dtype=float), lambda c, lam: c)
 
 
 def conformal_wrap(apply_fn: Callable, profile: WarpedProfile) -> Callable:

@@ -15,7 +15,9 @@ eigenvalue k^2 - alpha^2 below the continuum threshold k^2 (negative when
 k^2 < alpha^2).  A ``SpectralResolution`` samples the family on a truncated
 uniform quadrature grid xi in [0, xi_max] and provides analysis/synthesis
 and ``transform``, their fusion around a per-mode action, which is all
-downstream propagator construction needs.
+downstream propagator construction needs.  The half-line sine transform
+and its inverse are the analysis and synthesis of the Dirichlet
+resolution.
 
 The xi integrals use one weight vector, ``SpectralResolution.xi_weights``:
 trapezoid weights with the Euler-Maclaurin correction at the xi_max end
@@ -62,7 +64,7 @@ class BoundState:
         return np.sqrt(2.0 * self.kappa) * np.exp(-self.kappa * np.asarray(x, dtype=float))
 
 
-def bound_state(alpha: float, k: float, x=None) -> Optional[BoundState]:
+def bound_state(alpha: float, k: float) -> Optional[BoundState]:
     """Bound state of the Robin(alpha) mode problem, if one exists.
 
     Exists iff alpha < 0.  Its L2-normalized profile is sqrt(2 kappa)
@@ -314,7 +316,8 @@ def default_nodes(bc: BoundaryCondition, k: float,
     h > 2 pi/span; pi/span keeps a factor 2 clear of it) and, for Robin
     type conditions with alpha(k) != 0, |alpha|/10 (the family turns from
     0 to cos(xi x) over xi ~ |alpha|).  Returns ceil(xi_max/h) + 1, at
-    least MIN_NODES and at most DEFAULT_NODES.
+    least MIN_NODES and at most DEFAULT_NODES; the ratio is clamped before
+    rounding up, so a huge span or a subnormal alpha gives DEFAULT_NODES.
     """
     h = MAX_STEP
     if span > 0:
@@ -322,7 +325,8 @@ def default_nodes(bc: BoundaryCondition, k: float,
     alpha = None if bc.is_dynamic else bc.effective_alpha(k)
     if alpha:
         h = min(h, abs(alpha) / 10.0)
-    return max(MIN_NODES, min(DEFAULT_NODES, math.ceil(xi_max / h) + 1))
+    steps = xi_max / h if h > 0 else math.inf
+    return max(MIN_NODES, math.ceil(min(steps, DEFAULT_NODES - 1)) + 1)
 
 
 def resolve(bc: BoundaryCondition, k: float, x,
@@ -377,28 +381,3 @@ def completeness_residual(res: SpectralResolution, f, f_boundary: float = 0.0,
         num = integrate((f - rec) ** 2, res.dx)
         den = integrate(f * f, res.dx)
     return float(np.sqrt(max(num, 0.0) / den))
-
-
-def sine_transform(f, x, xi) -> np.ndarray:
-    """Forward half-line sine transform by endpoint-corrected quadrature.
-
-    Coefficients are plain projections int f(x) sin(xi x) dx on the given
-    xi grid, computed as the analysis of the Dirichlet resolution; the
-    Dirichlet realization acts on them as multiplication by xi^2 + k^2.
-    """
-    res = SpectralResolution(kind="dirichlet", alpha=None, k=0.0, x=x, xi=xi)
-    f = np.asarray(f, dtype=float)
-    check_decay(f, res.dx, what="sine transform input")
-    return res.analyze(f)[0]
-
-
-def inverse_sine_transform(coeffs, x, xi) -> np.ndarray:
-    """Inverse of :func:`sine_transform` with Plancherel weight 2/pi.
-
-    The synthesis of the Dirichlet resolution on a uniform xi grid.  Exact
-    inversion only up to the band limit xi_max: input content beyond the
-    truncation is unrecoverable and returns as a residual of order
-    1/(xi_max * distance-to-boundary).
-    """
-    res = SpectralResolution(kind="dirichlet", alpha=None, k=0.0, x=x, xi=xi)
-    return res.synthesize(coeffs)

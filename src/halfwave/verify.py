@@ -21,6 +21,7 @@ Growth of E is certified against exp(b t) with a fitted exponent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -250,17 +251,26 @@ def exact_sequence_residuals(res, fd_sys, g, t) -> tuple:
     return r1, r2, r3, r4
 
 
-def _plain(obj):
-    # numpy scalars as the Python scalars they hold: np.bool_ stays a boolean
+def _strict(obj):
+    # obj as strict JSON data: numpy scalars as the Python scalars they hold
+    # (np.bool_ stays a boolean), and non-finite floats, which JSON has no
+    # token for, as null
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
     if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def emit_report(path, payload: dict) -> None:
     """Write a machine-readable JSON report next to a readable text digest;
-    both are serialized first, so a failure leaves an earlier report intact."""
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_plain)
+    both are serialized first, so a failure leaves an earlier report intact.
+    The JSON is strict: a non-finite measure is written as null."""
+    text = json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False)
     txt = str(path)
     txt = txt[:-5] + ".txt" if txt.endswith(".json") else txt + ".txt"
     for name, body in ((path, text), (txt, render_report(payload))):

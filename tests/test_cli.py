@@ -12,6 +12,10 @@ from halfwave.cli import (EXIT_CHECK_FAILED, EXIT_INTERNAL, EXIT_IO, EXIT_OK,
 from halfwave.quadrature import TruncationWarning
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def write_config(tmp_path, **sections):
     cfg = default_config()
     for key, value in sections.items():
@@ -263,32 +267,44 @@ class TestVerify:
                            verify={"checks": ["greens_identity"]})
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out), "verify"]) == EXIT_CHECK_FAILED
-        report = json.loads((out / "verify.json").read_text())
+        report = json.loads((out / "verify.json").read_text(),
+                            parse_constant=reject_constant)
         assert report["checks"]["greens_identity"]["passed"] is False
+        assert report["checks"]["greens_identity"]["residual"] is None
 
 
-def test_flag_overrides_reach_the_sidecar(tmp_path):
+def test_quadrature_keys_reach_the_sidecar(tmp_path):
     cfg = write_config(tmp_path, model={"grid": 256, "x_max": 12.0},
+                       quadrature={"nodes": 512, "xi_max": 25.0},
                        grids={"t": [0.0, 1.0, 3], "x": [0.3, 2.0, 4],
                               "y": [0.3, 2.0, 4]})
     out = tmp_path / "out"
-    assert main(["--config", str(cfg), "--out", str(out), "--nodes", "512",
-                 "--xi-max", "25.0", "kernel"]) == EXIT_OK
+    assert main(["--config", str(cfg), "--out", str(out), "kernel"]) == EXIT_OK
     sidecar = json.loads((out / "kernel.sidecar.json").read_text())
     assert sidecar["config"]["quadrature"] == {"nodes": 512, "xi_max": 25.0}
     assert sidecar["kernel_meta"]["quadrature"] == {"nodes": 512,
                                                     "xi_max": 25.0}
 
 
-def test_tolerance_scale_flag(tmp_path):
+def test_tolerance_scale_key(tmp_path):
     # a generous scale factor lets the tampered control pass, proving the
-    # flag reaches the checks
+    # key reaches the checks
     cfg = write_config(tmp_path, model={"grid": 512, "x_max": 15.0},
-                       verify={"checks": ["bc_residual"],
+                       verify={"checks": ["bc_residual"], "tol_scale": 1e6,
                                "bc_check_alpha_override": 1.0})
     out = tmp_path / "out"
-    assert main(["--config", str(cfg), "--out", str(out), "--tol", "1e6",
-                 "verify"]) == EXIT_OK
+    assert main(["--config", str(cfg), "--out", str(out), "verify"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("flag,value", [("--tol", "1e6"), ("--nodes", "512"),
+                                        ("--xi-max", "25.0")])
+def test_config_keys_have_no_flags(tmp_path, capsys, flag, value):
+    # verify.tol_scale, quadrature.nodes and quadrature.xi_max are set in
+    # the config only
+    out = tmp_path / "out"
+    assert main(["--out", str(out), flag, value, "kernel"]) == EXIT_USAGE
+    assert "halfwave: error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestEvolveInputs:
@@ -400,6 +416,10 @@ class TestConfigInputs:
                    "y": [1.0, 2.0, 2]}},
         {"model": {"x_max": 1e308}},
         {"evolve": {"t_max": 1.79e308}, "model": {"x_max": 1e306}},
+        # finite spans whose largest phase xi_max * span overflows
+        {"grids": {"t": [1e308, 1e308, 1]}},
+        {"evolve": {"t_max": 1e308}},
+        {"quadrature": {"xi_max": 1e308}},
     ])
     def test_every_command_validates_every_section(self, tmp_path, capsys,
                                                    command, config):
@@ -456,6 +476,18 @@ class TestConfigInputs:
         assert captured.out == ""
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("alpha", [1e-310, 5e-324])
+    def test_subnormal_alpha_takes_the_node_cap(self, tmp_path, alpha):
+        # xi_max / h overflows, or h = |alpha|/10 is 0: the ratio is clamped
+        cfg = write_config(tmp_path, model={"grid": 256, "x_max": 12.0},
+                           bc={"kind": "robin", "alpha": alpha},
+                           grids={"t": [0.5, 1.0, 2], "x": [1.0, 2.0, 2],
+                                  "y": [1.0, 2.0, 2]})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "kernel"]) == EXIT_OK
+        meta = json.loads((out / "kernel.sidecar.json").read_text())["kernel_meta"]
+        assert meta["quadrature"] == {"xi_max": 40.0, "nodes": 4000}
+
     def test_nodes_floor_is_accepted(self, tmp_path):
         cfg = write_config(tmp_path, model={"grid": 256, "x_max": 12.0},
                            quadrature={"nodes": 64},
@@ -470,11 +502,11 @@ class TestQuadratureDefault:
     EVOLVE = {"model": {"grid": 256, "x_max": 30.0},
               "evolve": {"t_max": 6.0, "steps": 120}}
 
-    def _evolve(self, tmp_path, *flags, config=None, name="out"):
-        cfg = config or write_config(tmp_path, **self.EVOLVE)
+    def _evolve(self, tmp_path, nodes=None, config=None, name="out"):
+        cfg = config or write_config(tmp_path, **self.EVOLVE,
+                                     quadrature={"nodes": nodes})
         out = tmp_path / name
-        assert main(["--config", str(cfg), "--out", str(out), *flags,
-                     "evolve"]) == EXIT_OK
+        assert main(["--config", str(cfg), "--out", str(out), "evolve"]) == EXIT_OK
         return out, json.loads((out / "field.sidecar.json").read_text())
 
     def test_default_is_null_and_derived(self, tmp_path):
@@ -484,7 +516,7 @@ class TestQuadratureDefault:
         assert sidecar["quadrature"] == {"xi_max": 40.0, "nodes": 842}
 
     def test_explicit_nodes_honoured(self, tmp_path):
-        _, sidecar = self._evolve(tmp_path, "--nodes", "4000")
+        _, sidecar = self._evolve(tmp_path, nodes=4000)
         assert sidecar["config"]["quadrature"]["nodes"] == 4000
         assert sidecar["quadrature"] == {"xi_max": 40.0, "nodes": 4000}
 
@@ -497,7 +529,7 @@ class TestQuadratureDefault:
 
     def test_aliasing_guard_on_the_evolve_window(self, tmp_path):
         with pytest.warns(TruncationWarning, match="aliases"):
-            self._evolve(tmp_path, "--nodes", "400", name="coarse")
+            self._evolve(tmp_path, nodes=400, name="coarse")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             self._evolve(tmp_path, name="default")

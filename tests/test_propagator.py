@@ -127,11 +127,6 @@ class TestCausalKernel:
         want = images_kernel(t[keep], x[keep], y[keep], DIR)
         assert np.max(np.abs(got - want)) <= 1e-4
 
-    def test_tail_flag_guard(self):
-        res = resolve(ROBIN, 1.0, np.linspace(0, 12, 64))
-        with pytest.raises(ValueError, match="k = 0"):
-            causal_kernel(res, 0.5, 1.0, 1.0, tails=True)
-
 
 STRUCTURAL_CASES = [
     (DIR, 0.0), (NEU, 0.0), (ROBIN, 0.0),
@@ -141,9 +136,9 @@ STRUCTURAL_CASES = [
 ]
 
 
-def assert_grid_matches_pointwise(res, t, x, y, tails=None):
-    grid = build_kernel_grid(res, t, x, y, tails=tails)
-    want = causal_kernel(res, *np.meshgrid(t, x, y, indexing="ij"), tails=tails)
+def assert_grid_matches_pointwise(res, t, x, y):
+    grid = build_kernel_grid(res, t, x, y)
+    want = causal_kernel(res, *np.meshgrid(t, x, y, indexing="ij"))
     assert grid.values.shape == want.shape
     assert np.max(np.abs(grid.values - want)) <= 1e-12
     return grid
@@ -172,12 +167,11 @@ class TestKernelGridInvariants:
                                              np.linspace(0.3, 2.7, 7))
         assert grid.meta["tails"] is (k == 0.0 and not res.extended)
 
-    @pytest.mark.parametrize("tails", [True, False, None])
-    def test_factored_grid_matches_pointwise_at_default_nodes(self, res_robin, tails):
+    def test_factored_grid_matches_pointwise_at_default_nodes(self, res_robin):
         grid = assert_grid_matches_pointwise(res_robin, np.linspace(0.0, 2.0, 6),
                                              np.linspace(0.2, 3.0, 5),
-                                             np.linspace(0.2, 3.0, 5), tails=tails)
-        assert grid.meta["tails"] is (tails is not False)
+                                             np.linspace(0.2, 3.0, 5))
+        assert grid.meta["tails"] is True
 
     def test_factored_grid_single_samples(self, res_robin):
         grid = assert_grid_matches_pointwise(res_robin, np.array([0.0]),
@@ -214,10 +208,6 @@ class TestKernelGridInvariants:
         with pytest.warns(TruncationWarning, match=r"1/xi_max = 2\.5e-02"):
             grid = build_kernel_grid(res, x, x, x)
         assert grid.meta["tails"] is False
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", TruncationWarning)
-            causal_kernel(res, 0.5, 1.0, 1.0, tails=False)
-            build_kernel_grid(res, x, x, x, tails=False)
 
     def test_serialization_round_trips(self, tmp_path, res_dirichlet):
         t = np.linspace(0.0, 1.0, 4)

@@ -114,10 +114,11 @@ def test_settings_accepts_or_rejects_any_value(path, value):
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-# grid endpoints and lengths small enough that every window span
-# (max|t| + max|x| + max|y|, and t_max + 2 x_max) is a double
-SPAN_SAFE = st.floats(min_value=-1e307, max_value=1e307)
-LENGTH = st.floats(min_value=0.0, exclude_min=True, max_value=1e307)
+# grid endpoints, lengths and xi_max small enough that the largest phase
+# of every window, xi_max times its span (max|t| + max|x| + max|y|, and
+# t_max + 2 x_max), is a double
+SPAN_SAFE = st.floats(min_value=-1e150, max_value=1e150)
+LENGTH = st.floats(min_value=0.0, exclude_min=True, max_value=1e150)
 # a Gaussian width w with 2 w^2 a normal double
 WIDTH = st.floats(min_value=1.1e-154, max_value=9e153)
 
@@ -145,7 +146,7 @@ def valid_configs(draw):
         "model": {"n": n, "k": draw(FINITE) if n else 0.0,
                   "x_max": draw(LENGTH), "grid": draw(count(16, 10 ** 6))},
         "bc": draw(BC_SECTIONS),
-        "quadrature": {"xi_max": draw(POSITIVE),
+        "quadrature": {"xi_max": draw(LENGTH),
                        "nodes": draw(st.none() | count(64, 10 ** 6))},
         "grids": {name: draw(axis) for name in "txy"},
         "scan": {"lambda_min": draw(FINITE), "lambda_max": draw(FINITE),

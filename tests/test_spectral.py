@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis.strategies import floats
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -9,11 +11,13 @@ from halfwave.quadrature import (TruncationWarning, boundary_derivative,
                                  l2_norm, second_derivative, trapezoid_weights)
 from halfwave.spectral import (DEFAULT_NODES, MIN_NODES, SpectralResolution,
                                bound_state, completeness_residual,
-                               default_nodes, inverse_sine_transform, resolve,
-                               sine_transform)
+                               default_nodes, resolve)
 
 X = np.linspace(0.0, 30.0, 3000)
-XI = np.linspace(0.0, 40.0, 4000)
+# the half-line sine transform is the Dirichlet resolution: analysis gives
+# int f(x) sin(xi x) dx, synthesis inverts it with weight 2/pi
+SINE = resolve(BoundaryCondition.dirichlet(), 0.0, X)
+XI = SINE.xi
 
 
 def bump(x, center, width):
@@ -82,14 +86,27 @@ class TestBoundState:
         # the state stays, at eigenvalue 0
         assert bound_state(-1.0, 1.0).lam == 0.0
 
-    @pytest.mark.parametrize("alpha,k", [(-1.0, 1.0), (-0.3, 0.5), (-1.0, 2.0)])
-    def test_exists_at_and_above_threshold(self, alpha, k):
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=floats(-2.5, -0.3), k=floats(0.0, 2.0))
+    @example(alpha=-1.0, k=1.0)
+    @example(alpha=-0.3, k=0.5)
+    @example(alpha=-1.0, k=2.0)
+    def test_lowest_fd_eigenvalue_across_the_box(self, alpha, k):
         # e^{alpha x} solves the mode problem for every k, at eigenvalue
-        # k^2 - alpha^2 below the continuum threshold k^2
+        # k^2 - alpha^2 below the continuum threshold k^2; the lowest FD
+        # eigenvalue finds it across the whole box
         st = bound_state(alpha, k)
         assert st.lam == pytest.approx(k * k - alpha * alpha)
         sysm = assemble_fd(BoundaryCondition.robin(alpha), k, 2048, 15.0)
         assert abs(float(fd_spectrum(sysm, 1)[0]) - st.lam) <= 1e-3
+
+    @pytest.mark.parametrize("alpha,k", [(-1.0, 1.0), (-0.3, 0.5), (-1.0, 2.0)])
+    def test_exists_at_and_above_threshold(self, alpha, k):
+        # the state exists at and above the threshold k^2 = alpha^2, and the
+        # resolution carrying it is complete there (its eigenvalue against
+        # FD is the property above)
+        st = bound_state(alpha, k)
+        assert st.lam == pytest.approx(k * k - alpha * alpha)
         res = resolve(BoundaryCondition.robin(alpha), k, X)
         assert completeness_residual(res, bump(X, 2.0, 0.5)) <= 1e-3
 
@@ -110,12 +127,12 @@ class TestBoundState:
 
 class TestSineTransform:
     def test_zero(self):
-        assert_allclose(sine_transform(np.zeros_like(X), X, XI), 0.0)
+        assert_allclose(SINE.analyze(np.zeros_like(X))[0], 0.0)
 
     def test_concentration(self):
         xi0 = 7.0
         f = np.sin(xi0 * X) * bump(X, 12.0, 2.5)
-        coeffs = sine_transform(f, X, XI)
+        coeffs, _ = SINE.analyze(f)
         peak = XI[np.argmax(np.abs(coeffs))]
         assert abs(peak - xi0) <= XI[1] - XI[0] + 1e-12
 
@@ -123,7 +140,7 @@ class TestSineTransform:
         # exact transform of x e^{-x} is 2 xi/(1+xi^2)^2; reconstruction can
         # only miss the content beyond xi_max, which has a closed tail
         f = X * np.exp(-X)
-        recon = inverse_sine_transform(sine_transform(f, X, XI), X, XI)
+        recon = SINE.synthesize(*SINE.analyze(f))
         err = f - recon
         worst_idx = int(np.argmax(np.abs(err)))
         xw = X[worst_idx]
@@ -134,7 +151,7 @@ class TestSineTransform:
 
     def test_roundtrip_on_band_limited_input(self):
         f = bump(X, 8.0, 0.5)
-        recon = inverse_sine_transform(sine_transform(f, X, XI), X, XI)
+        recon = SINE.synthesize(*SINE.analyze(f))
         assert np.max(np.abs(recon - f)) <= 1e-6
 
 
@@ -333,5 +350,5 @@ def test_resolution_json_round_trip():
 
 
 def test_sine_transform_warns_on_undecayed_input():
-    with pytest.warns(TruncationWarning):
-        sine_transform(np.cos(X), X, XI)
+    with pytest.warns(TruncationWarning, match="completeness input"):
+        completeness_residual(SINE, np.cos(X))
