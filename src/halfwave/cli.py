@@ -89,12 +89,17 @@ def _merge(base: dict, extra: dict) -> dict:
     return out
 
 
+def _not_json(token: str):
+    # json.load accepts NaN, Infinity and -Infinity, which JSON has not
+    raise ConfigError(f"config is not valid JSON: {token} is not a JSON number")
+
+
 def parse_config(path=None) -> dict:
     cfg = default_config()
     if path is not None:
         try:
             with open(path) as fh:
-                user = json.load(fh)
+                user = json.load(fh, parse_constant=_not_json)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
@@ -489,9 +494,11 @@ def main(argv=None) -> int:
     handlers = {"spectrum": cmd_spectrum, "kernel": cmd_kernel,
                 "evolve": cmd_evolve, "verify": cmd_verify}
     try:
+        # made before validation, and before parsing when --out names it:
+        # a rejected config leaves it empty
+        outdir = args.out and _outdir(args.out)
         cfg = parse_config(args.config)
-        # made before validation: a rejected config leaves it empty
-        outdir = _outdir(args.out or _outputs(cfg)["dir"])
+        outdir = outdir or _outdir(_outputs(cfg)["dir"])
         # an overflow inside the numerics is reported once, by the
         # non-finite backstop before any write, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):

@@ -33,15 +33,15 @@ is O(nt nx + nt _CHUNK + _CHUNK nx); no nt x n_xi coefficient array exists.
 
 Truncating the frequency integral at xi_max leaves an oscillatory tail of
 size O(1/(xi_max * c)), c the distance to the nearest characteristic, far
-too large for pointwise kernel work.  For the k = 0 trigonometric families
-the tail has closed form in sine-integral and exponential-integral
-functions, and ``causal_kernel`` and ``build_kernel_grid`` always add it
-back, leaving pure quadrature error.  The tail is evaluated once per distinct characteristic
-argument |t -+ u|, |t -+ v| and gathered back, so a tensor grid pays about
-nt (nx + ny) complex exp1 evaluations instead of nt nx ny.  The xi weights
-carry the Euler-Maclaurin correction at xi_max
-(``SpectralResolution.xi_weights``), so that error is fourth order in the
-node spacing: below 1e-7 at 801 nodes on [0, 40], about 3e-11 at 4000.
+too large for pointwise kernel work.  For the static families at k = 0 the
+tail has closed form through the reflection coefficient r(xi) of the
+family sin(xi x + theta(xi)): sine integrals for Dirichlet (r = -1), plus
+one complex exp1 per reflected argument for Robin.  ``causal_kernel`` and
+``build_kernel_grid`` always add it back, once per distinct characteristic
+argument, so a tensor grid pays about nt (nx + ny) exp1 evaluations instead
+of nt nx ny.  The xi weights carry the Euler-Maclaurin correction at xi_max
+(``SpectralResolution.xi_weights``), so the error left is fourth order in
+the node spacing: below 1e-7 at 801 nodes on [0, 40], about 3e-11 at 4000.
 Elsewhere no completion exists and the kernel warns.
 
 The trapezoid rule in xi aliases once the evaluated span, the widest
@@ -72,6 +72,7 @@ from .quadrature import TruncationWarning, check_decay
 from .spectral import ExtendedState, SpectralResolution
 
 _CSV_CHUNK = 4096      # values formatted at a time by write_grid_csv
+_ASYMPTOTIC = 600.0    # |Re z| from which e^z E1(z) is its asymptotic series
 
 
 def _harmonics(lam, t):
@@ -118,70 +119,70 @@ def cos_propagator(lam, t):
 # ---------------------------------------------------------------------------
 # closed-form frequency tails (k = 0 trigonometric families)
 
-def _distinct(c):
-    # the distinct |c| and the indices that gather them back onto c's shape;
-    # scipy's special functions are elementwise, so a tail computed on the
-    # distinct values and gathered is bit-identical to one computed pointwise
-    mags, inverse = np.unique(np.abs(c), return_inverse=True)
-    return mags, inverse.reshape(np.shape(c))
-
-
 def _si_tail(c, xi_max):
-    # int_X^inf sin(xi c)/xi dxi
+    # int_X^inf sin(xi c)/xi dxi, once per distinct |c|; scipy's special
+    # functions are elementwise, so gathering is bit-identical to pointwise
     c = np.asarray(c, dtype=float)
-    mags, back = _distinct(c)
+    mags, back = np.unique(np.abs(c), return_inverse=True)
     s, _ = sici(xi_max * mags)
-    return np.sign(c) * (np.pi / 2 - s)[back]
+    return np.sign(c) * (np.pi / 2 - s)[back.reshape(c.shape)]
 
 
-def _exp1_pair(c, a, xi_max):
-    # int_X^inf e^{i c xi}/(xi -+ i a) dxi for c > 0, a > 0
-    p = -1j * c
-    plus = np.exp(p * (-1j * a)) * exp1(p * (xi_max - 1j * a))
-    minus = np.exp(p * (1j * a)) * exp1(p * (xi_max + 1j * a))
-    return plus, minus
+def _exp_e1(z):
+    # g(z) = e^z E1(z) by its asymptotic series sum_n (-1)^n n!/z^(n+1),
+    # 12 terms: the truncation is below 12!/600^13 relative for |z| >= 600
+    w = 1.0 / z
+    s = 1.0
+    for n in range(12, 0, -1):
+        s = 1.0 - n * w * s
+    return w * s
 
 
-def _frac_tails(c, a, xi_max):
-    # int_X^inf cos(xi c)/(xi^2 + a^2) dxi, even in c, and
-    # int_X^inf sin(xi c) xi/(xi^2 + a^2) dxi, odd in c, from one exp1 pair
+def _reflection_tail(c, alpha, xi_max):
+    """Im F(c), F(c) = int_X^inf e^{i c xi}/(xi + i alpha) dxi, X = xi_max.
+
+    Evaluated once per distinct signed c and gathered back.  For c > 0,
+    F(c) = e^{c alpha} E1(z) with z = c (alpha - i X), written
+    e^{i c X} g(z), g(z) = e^z E1(z), through g's asymptotic series once
+    |Re z| >= _ASYMPTOTIC, where e^{c alpha} or E1 would overflow;
+    F(-c) is the conjugate of F(c) at -alpha, and Im F(0) = -atan2(alpha, X).
+    At alpha = 0 (Neumann) Im F is the sine-integral tail, which sici
+    evaluates more accurately than exp1 on the imaginary axis.
+    """
+    if alpha == 0.0:
+        return _si_tail(c, xi_max)
     c = np.asarray(c, dtype=float)
-    ca, back = _distinct(c)
-    a = abs(a)
-    cos_tail = np.empty(ca.shape)
-    sin_tail = np.zeros(ca.shape)
-    zero = ca == 0
-    cos_tail[zero] = (np.pi / 2 - np.arctan(xi_max / a)) / a
-    nz = ~zero
-    if np.any(nz):
-        plus, minus = _exp1_pair(ca[nz], a, xi_max)
-        cos_tail[nz] = (plus - minus).imag / (2.0 * a)
-        sin_tail[nz] = ((plus + minus) / 2).imag
-    return cos_tail[back], np.sign(c) * sin_tail[back]
+    vals, back = np.unique(c, return_inverse=True)
+    m = np.abs(vals)
+    z = vals * alpha - 1j * (m * xi_max)   # |c| (sign(c) alpha - i X)
+    F = np.zeros(vals.shape, dtype=complex)
+    far = np.abs(z.real) >= _ASYMPTOTIC
+    near = (vals != 0) & ~far
+    F[near] = np.exp(z.real[near]) * exp1(z[near])
+    F[far] = np.exp(1j * m[far] * xi_max) * _exp_e1(z[far])
+    im = np.sign(vals) * F.imag
+    im[vals == 0] = -np.arctan2(alpha, xi_max)
+    return im[back.reshape(c.shape)]
 
 
 def _kernel_tail(kind, alpha, t, x, y, xi_max):
     """Exact xi > xi_max completion of the k = 0 kernel integral.
 
-    Derived from the product decomposition of the family: with u = x - y and
-    v = x + y the Dirichlet product is (cos(xi u) - cos(xi v))/2, and the
-    Robin product adds correction terms with 1/(xi^2 + alpha^2) envelopes.
+    With u = x - y, v = x + y and the family sin(xi x + theta), the product
+    phi(x) phi(y) = (cos(xi u) + Re(r e^{i xi v}))/2 carries the reflection
+    coefficient r = -e^{2 i theta}: -1 for Dirichlet and
+    (xi - i alpha)/(xi + i alpha) for Robin alpha.  Since
+    r/xi = -1/xi + 2/(xi + i alpha), the Robin tail is the Dirichlet tail
+    plus (Im F(v + t) - Im F(v - t))/2 (:func:`_reflection_tail`).
     Returns the raw tail integral (the caller applies the 2/pi weight).
     """
-    u = x - y
-    v = x + y
-    tail = 0.25 * (_si_tail(t + u, xi_max) + _si_tail(t - u, xi_max))
+    u, v = x - y, x + y
+    tail = (0.25 * (_si_tail(t + u, xi_max) + _si_tail(t - u, xi_max))
+            - 0.25 * (_si_tail(t + v, xi_max) + _si_tail(t - v, xi_max)))
     if kind == "dirichlet":
-        return tail - 0.25 * (_si_tail(t + v, xi_max) + _si_tail(t - v, xi_max))
-    if alpha == 0.0:
-        return tail + 0.25 * (_si_tail(t + v, xi_max) + _si_tail(t - v, xi_max))
-    a = alpha
-    tail = tail - 0.25 * (_si_tail(t + v, xi_max) + _si_tail(t - v, xi_max))
-    cos_minus, sin_minus = _frac_tails(t - v, a, xi_max)
-    cos_plus, sin_plus = _frac_tails(t + v, a, xi_max)
-    tail = tail + (a / 2.0) * (cos_minus - cos_plus)
-    tail = tail + 0.5 * (sin_plus + sin_minus)
-    return tail
+        return tail
+    return tail - 0.5 * (_reflection_tail(v - t, alpha, xi_max)
+                         - _reflection_tail(v + t, alpha, xi_max))
 
 
 def _check_aliasing(res: SpectralResolution, span: float) -> None:
@@ -230,13 +231,11 @@ def causal_kernel(res: SpectralResolution, t, x, y):
     """Sample the causal kernel G(t; x, y) at broadcastable points.
 
     Points need not lie on the resolution's x grid: the eigenfamily has a
-    closed form.  The analytic completion of the truncated frequency
-    integral is added wherever it exists (static families at k = 0); without
-    it the kernel warns with a :class:`TruncationWarning`.  For extended
-    resolutions this is the bulk-bulk block of the extended kernel; the
-    boundary channel enters through the source lift the field appliers
-    make.  Tensor grids go through :func:`build_kernel_grid`, which factors
-    the sum instead.
+    closed form.  The tail completion and the bound state enter as in
+    :func:`_non_separable`.  For extended resolutions this is the bulk-bulk
+    block of the extended kernel; the boundary channel enters through the
+    source lift the field appliers make.  Tensor grids go through
+    :func:`build_kernel_grid`, which factors the sum instead.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -260,23 +259,11 @@ def write_grid_csv(path, header: str, axes, values) -> None:
     """Write ``values`` sampled on the tensor grid of ``axes`` as CSV.
 
     Rows are ``(axis values..., value)`` over the tensor product of the axes,
-    last axis innermost, every number printed as ``%.17g`` (round-trip
-    precision).  Axes are formatted once; values go _CSV_CHUNK at a time
-    through ``g17.text``, and each chunk's rows are assembled into one
-    NUL-padded byte matrix whose padding is dropped before the write.
-
-    The bytes are exactly ``'%.17g' % v`` (``g17`` has the derivation):
-
-    * the digits are the integer nearest to y = |v| 10^(16-E), formed as a
-      double-double hi + lo from Dekker's exact product with a double-double
-      table of 10^q, so |hi + lo - y| < 1e-14;
-    * E = floor(log10 |v|) is kept while 10^16 - 0.025 <= y < 10^17 + 0.25,
-      not by exact comparisons (10^q is inexact for q < 0 and q > 22); in
-      those edge bands both exponents give the same 17 digits once 10^17 is
-      carried to 10^16 at E + 1;
-    * values whose fractional part of y lies within 1e-9 of 1/2 (ties and
-      near-ties), zeros, non-finite values and |v| outside [1e-250, 1e250]
-      are formatted by ``%`` itself.
+    last axis innermost, every number printed as exactly ``'%.17g' % v``
+    (round-trip precision; :mod:`halfwave.g17` has the derivation).  Axes
+    are formatted once; values go _CSV_CHUNK at a time through
+    ``g17.text``, and each chunk's rows are assembled into one NUL-padded
+    byte matrix whose padding is dropped before the write.
     """
     axes = [np.asarray(a, dtype=float) for a in axes]
     values = np.asarray(values, dtype=float).reshape([a.size for a in axes])
@@ -442,18 +429,11 @@ def _window(coeffs, t, lam, support: str):
 
 
 def _apply(res: SpectralResolution, f, t, support: str):
-    """Shared machinery behind the causal/retarded/advanced appliers.
-
-    One pass of :meth:`SpectralResolution.transform`: per block of _CHUNK xi
-    nodes the source is projected on the family block, each mode is
-    convolved in time by one window routine, :func:`_window` (two cumulative
-    integrals per mode instead of a dense (t, t') contraction), and the
-    block is summed back against the same family block.  The continuum
-    (including its omega = 0 node) and the bound channel (sinh/cosh while
-    its eigenvalue is negative) go through that routine alike.  Transient
-    memory is O(nt nx + nt _CHUNK + _CHUNK nx); no nt x n_xi array is formed.
-    The xi grid must resolve the span t_max - t_min + 2 x_max; a coarser
-    grid aliases and raises a :class:`TruncationWarning`.
+    """Shared machinery behind the causal/retarded/advanced appliers: one
+    pass of :meth:`SpectralResolution.transform` with :func:`_window` as the
+    per-mode action, the continuum and the bound channel alike (see the
+    module docstring).  The xi grid must resolve the span
+    t_max - t_min + 2 x_max; a coarser grid raises a :class:`TruncationWarning`.
     """
     t = np.asarray(t, dtype=float)
     f = np.asarray(f, dtype=float)

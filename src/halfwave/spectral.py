@@ -1,15 +1,13 @@
 """Spectral resolutions of the half-line realizations, one transverse mode
 at a time.
 
-Each realization diagonalizes through an explicit family of generalized
-eigenfunctions on the half line:
-
-* Dirichlet: sin(xi x)
-* Neumann / Robin(alpha): (xi cos(xi x) + alpha sin(xi x)) / sqrt(xi^2 + alpha^2)
-* dynamical (Wentzell-type): the extended bulk (+) boundary pair
-  (cos(xi x) - xi sin(xi x), 1) / sqrt(1 + xi^2)
-
-all with uniform Plancherel weight 2/pi, plus a single bound state
+Each realization diagonalizes through one family of generalized
+eigenfunctions on the half line, sin(xi x + theta(xi)); the boundary
+condition enters only through the phase theta: 0 for Dirichlet,
+pi/2 - atan2(alpha, xi) for Neumann / Robin(alpha), and pi/2 + atan(xi) for
+the dynamical (Wentzell-type) condition, whose extended bulk (+) boundary
+family has boundary component sin(theta) = 1/sqrt(1 + xi^2).  The family
+has uniform Plancherel weight 2/pi, plus a single bound state
 sqrt(2 kappa) exp(-kappa x) with kappa = -alpha whenever alpha < 0, at
 eigenvalue k^2 - alpha^2 below the continuum threshold k^2 (negative when
 k^2 < alpha^2).  A ``SpectralResolution`` samples the family on a truncated
@@ -50,6 +48,12 @@ MIN_NODES = 64
 MAX_STEP = 0.05     # xi spacing that keeps end-corrected kernels within 1e-7
 
 _CHUNK = 256
+
+# 2 pi = _TWO_PI_HI + _TWO_PI_LO to ~1e-26, the high part with 33 significant
+# bits so that n * _TWO_PI_HI is exact for whole n < 2^20; 2.449...e-16 is
+# 2 pi less the double 2.0 * math.pi
+_TWO_PI_HI = math.ldexp(math.floor(math.ldexp(2.0 * math.pi, 30)), -30)
+_TWO_PI_LO = (2.0 * math.pi - _TWO_PI_HI) + 2.4492935982947064e-16
 
 
 @dataclass(frozen=True)
@@ -169,25 +173,33 @@ class SpectralResolution:
             w[-5:] += self.dxi / 12.0 * _EM_EDGE[::-1]
         return w
 
-    def family_block(self, sl: slice, points=None):
-        """Continuum family sampled at ``points`` for a block of xi nodes.
-
-        Returns ``(phi, v)`` where phi has shape (block, npoints) and v is the
-        per-mode boundary component (None unless extended).
-        """
-        pts = self.x if points is None else np.asarray(points, dtype=float)
-        xi = self.xi[sl][:, None]
-        X = xi * pts[None, :]
+    def phase(self, xi) -> np.ndarray:
+        """Boundary phase theta(xi) of the family sin(xi x + theta(xi)), exact
+        at xi = 0 (Neumann too: atan2(0, 0) = 0); the reflection coefficient
+        is r(xi) = -e^{2 i theta(xi)}, (xi - i alpha)/(xi + i alpha) for Robin."""
         if self.kind == "dirichlet":
-            return np.sin(X), None
+            return np.zeros(np.shape(xi))
         if self.kind == "robin":
-            a = self.alpha
-            if a == 0.0:
-                return np.cos(X), None
-            return (xi * np.cos(X) + a * np.sin(X)) / np.hypot(xi, a), None
-        # extended family
-        nrm = 1.0 / np.sqrt(1.0 + xi * xi)
-        return nrm * (np.cos(X) - xi * np.sin(X)), nrm[:, 0]
+            return np.pi / 2 - np.arctan2(self.alpha, xi)
+        return np.pi / 2 + np.arctan(xi)
+
+    def family_block(self, sl: slice, points=None):
+        """Continuum family sin(xi x + theta) at ``points`` for a block of xi
+        nodes: ``(phi, v)``, phi of shape (block, npoints) and v the boundary
+        component sin(theta) = phi at x = 0 (None unless extended)."""
+        pts = self.x if points is None else np.asarray(points, dtype=float)
+        xi = self.xi[sl]
+        theta = self.phase(xi)
+        phi = np.multiply.outer(xi, pts)
+        if self.kind != "dirichlet":
+            # add theta to xi x reduced mod 2 pi, so the sum rounds at the
+            # scale of 2 pi, not of xi x (as accurate as the expanded forms)
+            n = np.rint(phi / (2.0 * np.pi))
+            phi -= _TWO_PI_HI * n
+            phi -= _TWO_PI_LO * n
+            phi += theta[:, None]
+        np.sin(phi, out=phi)
+        return phi, (np.sin(theta) if self.extended else None)
 
     def blocks(self, points=None):
         """Yield ``(sl, phi, v)`` over consecutive blocks of xi nodes.

@@ -102,6 +102,24 @@ class TestKernel:
         err = np.abs(grid.values - want).ravel()[idx]
         assert err.max() <= 1e-3
 
+    @pytest.mark.parametrize("alpha", [100.0, 300.0, 1000.0, -100.0])
+    def test_large_robin_alpha_matches_images(self, tmp_path, capsys, alpha):
+        # e^{c |alpha|} E1 overflows in the tail once c |alpha| > 709; the
+        # default 20^3 grid at alpha = 100 had 97 non-finite values
+        from halfwave.oracle import images_kernel
+        from halfwave.model import BoundaryCondition
+        from halfwave.propagator import KernelGrid
+        cfg = write_config(tmp_path, bc={"kind": "robin", "alpha": alpha})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "kernel"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        grid = KernelGrid.from_binary(out / "kernel")
+        T, X, Y = np.meshgrid(grid.t, grid.x, grid.y, indexing="ij")
+        keep = (np.abs(T - np.abs(X - Y)) > 0.05) & (np.abs(T - (X + Y)) > 0.05)
+        want = images_kernel(T, X, Y, BoundaryCondition.robin(alpha))[keep]
+        err = np.abs(grid.values[keep] - want) / np.maximum(1.0, np.abs(want))
+        assert err.max() <= 1e-7
+
     def test_zero_time_slice_present(self, tmp_path):
         cfg = write_config(tmp_path, model={"grid": 256, "x_max": 12.0},
                            grids={"t": [0.0, 1.0, 3], "x": [0.3, 2.0, 4],
@@ -420,6 +438,8 @@ class TestConfigInputs:
         {"grids": {"t": [1e308, 1e308, 1]}},
         {"evolve": {"t_max": 1e308}},
         {"quadrature": {"xi_max": 1e308}},
+        # NaN and Infinity tokens, which JSON has not, even in unread keys
+        {"extra": float("nan"), "bc": {"kind": "dirichlet", "alpha": float("inf")}},
     ])
     def test_every_command_validates_every_section(self, tmp_path, capsys,
                                                    command, config):

@@ -260,21 +260,34 @@ def pointwise_tail(kind, alpha, t, x, y, xi_max):
     return tail + 0.5 * (sin_plus + sin_minus)
 
 
-TAIL_CASES = [("dirichlet", None), ("robin", 0.0), ("robin", -1.0), ("robin", 0.7)]
+TAIL_CASES = [("dirichlet", None), ("robin", 0.0), ("robin", -1.0), ("robin", 0.7),
+              ("robin", -0.01), ("robin", 5.0)]
+
+
+def one_point_at_a_time(kind, alpha, t, x, y, xi_max):
+    # the tail evaluated separately at every point, so no argument repeats
+    t, x, y = np.broadcast_arrays(t, x, y)
+    tt, xx, yy = t.ravel(), x.ravel(), y.ravel()
+    return np.array([propagator._kernel_tail(kind, alpha, tt[j:j + 1], xx[j:j + 1],
+                                             yy[j:j + 1], xi_max)[0]
+                     for j in range(tt.size)]).reshape(t.shape)
 
 
 def assert_same_tail(kind, alpha, t, x, y, xi_max=40.0):
     T, X, Y = t[:, None, None], x[None, :, None], y[None, None, :]
     got = propagator._kernel_tail(kind, alpha, T, X, Y, xi_max)
-    want = pointwise_tail(kind, alpha, T, X, Y, xi_max)
+    want = one_point_at_a_time(kind, alpha, T, X, Y, xi_max)
     assert got.shape == (t.size, x.size, y.size)
     assert_allclose(got, want, rtol=0, atol=0)
     assert got.tobytes() == want.tobytes()      # signed zeros included
+    assert_allclose(got, pointwise_tail(kind, alpha, T, X, Y, xi_max),
+                    rtol=0, atol=1e-15)
 
 
 class TestDistinctTail:
-    """The closed-form tail is evaluated once per distinct |argument| and
-    gathered back: bit-identical to evaluating it at every point."""
+    """The closed-form tail is evaluated once per distinct argument and
+    gathered back: bit-identical to evaluating it at every point alone, and
+    within 1e-15 of the expanded per-kind formula in ``pointwise_tail``."""
 
     @pytest.mark.parametrize("kind,alpha", TAIL_CASES)
     def test_matches_pointwise_on_repeated_arguments(self, kind, alpha):
@@ -289,9 +302,11 @@ class TestDistinctTail:
     def test_matches_pointwise_on_causal_kernel_points(self, kind, alpha):
         rng = np.random.default_rng(5)
         t, x, y = (np.round(rng.uniform(lo, 3.0, 40), 1) for lo in (-3.0, 0.0, 0.0))
-        want = pointwise_tail(kind, alpha, t, x, y, 40.0)
-        assert_allclose(propagator._kernel_tail(kind, alpha, t, x, y, 40.0), want,
+        got = propagator._kernel_tail(kind, alpha, t, x, y, 40.0)
+        assert_allclose(got, one_point_at_a_time(kind, alpha, t, x, y, 40.0),
                         rtol=0, atol=0)
+        assert_allclose(got, pointwise_tail(kind, alpha, t, x, y, 40.0),
+                        rtol=0, atol=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(case=st.sampled_from(TAIL_CASES), data=st.data())
@@ -305,23 +320,29 @@ class TestDistinctTail:
                          xi_max=data.draw(st.floats(1.0, 80.0)))
 
     def test_exp1_once_per_distinct_argument(self, monkeypatch):
-        # a shifted 20^3 grid: 8000 points, far fewer distinct |t -+ v|
+        # a shifted 20^3 grid: 8000 points, far fewer distinct v -+ t
         sizes = []
-        real = propagator._exp1_pair
+        real = propagator.exp1
 
-        def counting(c, a, xi_max):
-            sizes.append(c.size)
-            return real(c, a, xi_max)
-        monkeypatch.setattr(propagator, "_exp1_pair", counting)
+        def counting(z):
+            sizes.append(np.size(z))
+            return real(z)
+        monkeypatch.setattr(propagator, "exp1", counting)
         t = np.linspace(0.1, 2.1, 20)
         x = np.linspace(0.25, 3.05, 20)
         y = np.linspace(0.15, 2.95, 20)
         res = resolve(ROBIN, 0.0, np.linspace(0.0, 12.0, 64), nodes=400)
         build_kernel_grid(res, t, x, y)
         T, V = t[:, None, None], x[None, :, None] + y[None, None, :]
-        want = [np.unique(np.abs(c)[c != 0]).size for c in (T - V, T + V)]
-        assert sizes == want
+        want = [np.unique(c[c != 0]).size for c in (V - T, V + T)]
+        assert sizes == want == [758, 541]
         assert max(sizes) <= t.size * (x.size + y.size - 1) < 8000
+
+    def test_asymptotic_series_joins_exp1(self):
+        # both branches of _reflection_tail agree where both are finite
+        for sign in (-1.0, 1.0):
+            z = sign * np.linspace(400.0, 700.0, 31) - 1j * np.linspace(0.0, 4e3, 31)
+            assert_allclose(propagator._exp_e1(z), np.exp(z) * exp1(z), rtol=1e-15)
 
 
 class TestAppliers:

@@ -62,6 +62,69 @@ class TestRobinContinuumMode:
                 assert abs(d0 - alpha * psi[0]) <= 1e-10
 
 
+def expanded_family(kind, alpha, xi, x):
+    # the per-kind closed forms the phase form sin(xi x + theta) replaces
+    xi = xi[:, None]
+    X = xi * x[None, :]
+    if kind == "dirichlet":
+        return np.sin(X), None
+    if kind == "robin":
+        if alpha == 0.0:
+            return np.cos(X), None
+        return (xi * np.cos(X) + alpha * np.sin(X)) / np.hypot(xi, alpha), None
+    nrm = 1.0 / np.sqrt(1.0 + xi * xi)
+    return nrm * (np.cos(X) - xi * np.sin(X)), nrm[:, 0]
+
+
+PHASE_CASES = [("dirichlet", None), ("robin", -1.0), ("robin", 0.0), ("robin", 0.7),
+               ("robin", 5.0), ("robin", -0.01), ("wentzell", None)]
+
+
+class TestPhaseForm:
+    """``family_block`` is sin(xi x + theta(xi)) for every kind."""
+
+    XI = np.linspace(0.0, 40.0, 801)
+    PTS = np.linspace(0.0, 30.0, 1024)
+
+    @pytest.mark.parametrize("kind,alpha", PHASE_CASES)
+    def test_matches_expanded_formulas(self, kind, alpha):
+        phi, v = family(kind, self.XI, self.PTS, alpha=alpha)
+        want, want_v = expanded_family(kind, alpha, self.XI, self.PTS)
+        assert_allclose(phi, want, rtol=0, atol=1e-13)     # xi = 0 row included
+        if kind == "wentzell":
+            assert_allclose(v, want_v, rtol=0, atol=1e-13)
+        else:
+            assert v is None
+
+    def test_dirichlet_is_exactly_sine(self):
+        phi, _ = family("dirichlet", self.XI, self.PTS)
+        assert phi.tobytes() == np.sin(np.multiply.outer(self.XI, self.PTS)).tobytes()
+        assert np.all(phi[:, 0] == 0.0)
+
+    def test_neumann_is_exact_at_zero_frequency(self):
+        phi, _ = family("robin", self.XI, self.PTS, alpha=0.0)
+        assert np.all(phi[0] == 1.0)
+
+    def test_extended_boundary_component_is_the_trace(self):
+        phi, v = family("wentzell", self.XI, np.array([0.0, 1.0]))
+        assert np.array_equal(v, phi[:, 0])
+
+    @pytest.mark.parametrize("kind,alpha", PHASE_CASES)
+    def test_reflection_coefficient(self, kind, alpha):
+        # r = -e^{2 i theta}: -1 for Dirichlet, (xi - i alpha)/(xi + i alpha)
+        # for Robin, and -r_Robin(alpha = 1) for the extended family
+        xi = self.XI[1:]
+        res = SpectralResolution(kind=kind, alpha=alpha, k=0.0, x=X, xi=self.XI)
+        r = -np.exp(2j * res.phase(xi))
+        if kind == "dirichlet":
+            want = -np.ones(xi.size)
+        elif kind == "robin":
+            want = (xi - 1j * alpha) / (xi + 1j * alpha)
+        else:
+            want = -(xi - 1j) / (xi + 1j)
+        assert_allclose(r, want, rtol=0, atol=1e-15)
+
+
 class TestBoundState:
     def test_half_line_state(self):
         st = bound_state(-1.0, 0.0)
