@@ -386,10 +386,10 @@ def _verify_spectrum(run, tol):
 
 
 def _verify_kernel_images(run, tol):
-    # the configured condition when it is static at k = 0, else Dirichlet;
-    # multipliers enter the oracle as the Robin condition they reduce to
+    # the configured condition at k = 0, else Dirichlet; multipliers enter
+    # the oracle as the Robin condition they reduce to
     bc = run["bc"]
-    if bc.is_dynamic or run["model"].k != 0.0:
+    if run["model"].k != 0.0:
         bc = BoundaryCondition.dirichlet()
     rng = np.random.default_rng(11)
     t = rng.uniform(0.05, 2.0, 100)
@@ -410,15 +410,15 @@ def _verify_kernel_images(run, tol):
 
 def _verify_causality(run, tol):
     model, bc, k = run["model"], run["bc"], run["model"].k
-    if bc.is_dynamic or k != 0.0:
+    if k != 0.0:
         bc, k = BoundaryCondition.robin(-1.0), 0.0
     t = np.linspace(0.0, 1.5, 9)
     x = np.linspace(0.3, 3.5, 12)
     res = _resolution(run, bc, k, model.x(), propagator.kernel_span(t, x, x))
     grid = propagator.build_kernel_grid(res, t, x, x)
     report = verify.causality_report(grid, tol=tol)
-    return {"max_acausal": report["max_acausal"], "quadrature": res.quadrature,
-            "tol": tol, "passed": report["passed"]}
+    return {"bc": bc.describe(k), "max_acausal": report["max_acausal"],
+            "quadrature": res.quadrature, "tol": tol, "passed": report["passed"]}
 
 
 def _verify_bc(run, tol):

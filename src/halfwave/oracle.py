@@ -187,11 +187,13 @@ def images_kernel(t, x, y, bc: BoundaryCondition):
     and G is odd in t: half of the sign of t on the direct characteristic
     region, plus the boundary image behind the reflected one.  Neumann is
     alpha = 0 (image +1/2) and Dirichlet the alpha -> inf limit (image -1/2);
-    for alpha < 0 the exponential is the bound state's growth.
+    for alpha < 0 the exponential is the bound state's growth.  The dynamical
+    condition reflects with minus the Robin alpha = 1 coefficient, and its
+    image is minus Robin alpha = 1's: 1/2 - exp(-(t - x - y)).
     """
-    if bc.kind not in ("dirichlet", "neumann", "robin"):
-        raise ValueError("images construction covers Dirichlet, Neumann and "
-                         "Robin conditions only")
+    if bc.kind == "multiplier":
+        raise ValueError("images construction covers Dirichlet, Neumann, "
+                         "Robin and the dynamical condition only")
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -201,9 +203,9 @@ def images_kernel(t, x, y, bc: BoundaryCondition):
     if bc.kind == "dirichlet":
         image = np.where(lag > 0, -0.5, 0.0)
     else:
-        alpha = bc.effective_alpha()
+        alpha = 1.0 if bc.is_dynamic else bc.effective_alpha()
         image = np.where(lag > 0, np.exp(-alpha * np.maximum(lag, 0.0)) - 0.5, 0.0)
-    return np.sign(t) * (direct + image)
+    return np.sign(t) * (direct - image if bc.is_dynamic else direct + image)
 
 
 def free_space_solution(u0_fn, x, t: float):

@@ -33,16 +33,17 @@ is O(nt nx + nt _CHUNK + _CHUNK nx); no nt x n_xi coefficient array exists.
 
 Truncating the frequency integral at xi_max leaves an oscillatory tail of
 size O(1/(xi_max * c)), c the distance to the nearest characteristic, far
-too large for pointwise kernel work.  For the static families at k = 0 the
-tail has closed form through the reflection coefficient r(xi) of the
-family sin(xi x + theta(xi)): sine integrals for Dirichlet (r = -1), plus
-one complex exp1 per reflected argument for Robin.  ``causal_kernel`` and
+too large for pointwise kernel work.  For every family at k = 0 the tail
+has closed form through the reflection coefficient r(xi) of the family
+sin(xi x + theta(xi)): sine integrals for Dirichlet (r = -1), plus one
+complex exp1 per reflected argument for Robin and the dynamical condition
+(r = -r_Robin(alpha = 1)).  ``causal_kernel`` and
 ``build_kernel_grid`` always add it back, once per distinct characteristic
 argument, so a tensor grid pays about nt (nx + ny) exp1 evaluations instead
 of nt nx ny.  The xi weights carry the Euler-Maclaurin correction at xi_max
 (``SpectralResolution.xi_weights``), so the error left is fourth order in
 the node spacing: below 1e-7 at 801 nodes on [0, 40], about 3e-11 at 4000.
-Elsewhere no completion exists and the kernel warns.
+At k != 0 no completion exists and the kernel warns.
 
 The trapezoid rule in xi aliases once the evaluated span, the widest
 |t - t'| + x + y, exceeds 2 pi/dxi; every kernel and applier then raises a
@@ -170,19 +171,22 @@ def _kernel_tail(kind, alpha, t, x, y, xi_max):
 
     With u = x - y, v = x + y and the family sin(xi x + theta), the product
     phi(x) phi(y) = (cos(xi u) + Re(r e^{i xi v}))/2 carries the reflection
-    coefficient r = -e^{2 i theta}: -1 for Dirichlet and
-    (xi - i alpha)/(xi + i alpha) for Robin alpha.  Since
-    r/xi = -1/xi + 2/(xi + i alpha), the Robin tail is the Dirichlet tail
-    plus (Im F(v + t) - Im F(v - t))/2 (:func:`_reflection_tail`).
+    coefficient r = -e^{2 i theta}: -1 for Dirichlet, (xi - i alpha)/(xi +
+    i alpha) for Robin alpha and minus its alpha = 1 value for the dynamical
+    condition.  Since r/xi = -1/xi + 2/(xi + i alpha), the Robin tail is the
+    Dirichlet tail plus (Im F(v + t) - Im F(v - t))/2
+    (:func:`_reflection_tail`); the dynamical tail flips the sign ``s`` of
+    the reflected part of the Robin alpha = 1 tail.
     Returns the raw tail integral (the caller applies the 2/pi weight).
     """
     u, v = x - y, x + y
-    tail = (0.25 * (_si_tail(t + u, xi_max) + _si_tail(t - u, xi_max))
-            - 0.25 * (_si_tail(t + v, xi_max) + _si_tail(t - v, xi_max)))
+    direct = 0.25 * (_si_tail(t + u, xi_max) + _si_tail(t - u, xi_max))
+    image = 0.25 * (_si_tail(t + v, xi_max) + _si_tail(t - v, xi_max))
     if kind == "dirichlet":
-        return tail
-    return tail - 0.5 * (_reflection_tail(v - t, alpha, xi_max)
-                         - _reflection_tail(v + t, alpha, xi_max))
+        return direct - image
+    s, alpha = (1.0, 1.0) if kind == "wentzell" else (-1.0, alpha)
+    return direct + s * image + s * 0.5 * (_reflection_tail(v - t, alpha, xi_max)
+                                           - _reflection_tail(v + t, alpha, xi_max))
 
 
 def _check_aliasing(res: SpectralResolution, span: float) -> None:
@@ -204,12 +208,12 @@ def _non_separable(res: SpectralResolution, t, x, y):
     """Kernel terms outside the continuum sum, at broadcastable (t, x, y).
 
     Returns ``(terms, tails)``: ``terms`` is the bound-state term plus,
-    where the closed-form xi > xi_max completion exists (static families at
+    where the closed-form xi > xi_max completion exists (every family at
     k = 0, then ``tails`` is True), that completion weighted.  Elsewhere the
     truncation error is of order 1/xi_max, growing near the characteristics,
     and a :class:`TruncationWarning` says so.
     """
-    tails = bool(res.k == 0.0 and not res.extended)
+    tails = bool(res.k == 0.0)
     shape = np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(y))
     terms = np.zeros(shape)
     if res.bound is not None:
@@ -248,7 +252,7 @@ def causal_kernel(res: SpectralResolution, t, x, y):
     terms, _ = _non_separable(res, tt, xx, yy)
     out = np.zeros(tt.size)
     w = res.xi_weights()
-    for (sl, phi_x, _), (_, phi_y, _) in zip(res.blocks(xx), res.blocks(yy)):
+    for (sl, phi_x), (_, phi_y) in zip(res.blocks(xx), res.blocks(yy)):
         lam = (res.xi[sl] ** 2 + res.k ** 2)[:, None]
         s = sin_propagator(lam, tt[None, :])
         out += (w[sl][:, None] * s * phi_x * phi_y).sum(axis=0)
@@ -379,12 +383,9 @@ def _on_bulk(res: SpectralResolution, f, act, f_boundary=None):
 
     On an extended resolution ``f`` is lifted by pairing it with its own
     boundary trace, or with ``f_boundary`` when given, and the result is
-    projected back to the bulk; other resolutions have no boundary
-    component.
+    projected back to the bulk; other resolutions ignore the boundary value.
     """
-    if f_boundary is None:
-        f_boundary = f[..., 0] if res.extended else 0.0
-    out = res.transform(f, f_boundary, act)
+    out = res.transform(f, f[..., 0] if f_boundary is None else f_boundary, act)
     return out[0] if res.extended else out
 
 

@@ -5,9 +5,10 @@ Each realization diagonalizes through one family of generalized
 eigenfunctions on the half line, sin(xi x + theta(xi)); the boundary
 condition enters only through the phase theta: 0 for Dirichlet,
 pi/2 - atan2(alpha, xi) for Neumann / Robin(alpha), and pi/2 + atan(xi) for
-the dynamical (Wentzell-type) condition, whose extended bulk (+) boundary
-family has boundary component sin(theta) = 1/sqrt(1 + xi^2).  The family
-has uniform Plancherel weight 2/pi, plus a single bound state
+the dynamical (Wentzell-type) condition.  That condition acts on L2 of
+dx + delta_0: the boundary value is one more x node, x = 0 with weight 1,
+where the family is sin(theta) = 1/sqrt(1 + xi^2).  The family has
+uniform Plancherel weight 2/pi, plus a single bound state
 sqrt(2 kappa) exp(-kappa x) with kappa = -alpha whenever alpha < 0, at
 eigenvalue k^2 - alpha^2 below the continuum threshold k^2 (negative when
 k^2 < alpha^2).  A ``SpectralResolution`` samples the family on a truncated
@@ -40,7 +41,7 @@ import numpy as np
 
 from .model import BoundaryCondition
 from .quadrature import (_EM_EDGE, check_decay, check_uniform_grid,
-                         corrected_weights, integrate, trapezoid_weights)
+                         corrected_weights, trapezoid_weights)
 
 DEFAULT_XI_MAX = 40.0
 DEFAULT_NODES = 4000
@@ -104,29 +105,20 @@ class ExtendedState:
         return abs(float(self.u[0]) - self.v) / scale
 
 
-def _project(fw, f_boundary, phi, v):
-    # coefficients of pre-weighted samples ``fw`` (plus the boundary
-    # component, in the extended case) on one block of the family
-    block = fw @ phi.T
-    if v is not None:
-        block = block + np.multiply.outer(np.asarray(f_boundary, dtype=float), v)
-    return block
-
-
 @dataclass(frozen=True)
 class SpectralResolution:
     """Sampled diagonalization of one self-adjoint realization at mode k.
 
     ``kind`` is 'dirichlet', 'robin' (covering Neumann and multiplier
-    reductions through alpha), or 'wentzell' (extended bulk + boundary
-    space).  The continuum family is sampled on the uniform quadrature grid
+    reductions through alpha), or 'wentzell' (the extended space, L2 of
+    dx + delta_0).  The continuum family is sampled on the uniform quadrature grid
     ``xi`` with Plancherel weight 2/pi; eigenvalues are xi^2 + k^2.  ``bound``
     carries the single Robin bound state when present.
 
     Analysis maps a gridded function (plus a boundary value in the extended
-    case) to continuum and bound coefficients; synthesis inverts.  Both use
-    endpoint-corrected trapezoid quadrature on the x grid.  ``transform``
-    runs analysis, a per-mode action and synthesis block by block.
+    case) to continuum and bound coefficients; synthesis inverts.  Both are
+    quadratures on the x nodes: endpoint-corrected on the x grid, weight 1 at
+    the extended boundary node.  ``transform`` fuses them block by block.
     """
 
     kind: str
@@ -202,34 +194,48 @@ class SpectralResolution:
         return phi, (np.sin(theta) if self.extended else None)
 
     def blocks(self, points=None):
-        """Yield ``(sl, phi, v)`` over consecutive blocks of xi nodes.
+        """Yield ``(sl, phi)`` over consecutive blocks of xi nodes.
 
-        ``(phi, v)`` is :meth:`family_block` on the slice ``sl``; blocking
-        bounds the transient family sample to _CHUNK rows.
+        ``phi`` is :meth:`family_block` on the slice ``sl`` at ``points``,
+        by default the x nodes: the x grid, plus x = 0 on the extended space.
+        Blocking bounds the transient family sample to _CHUNK rows.
         """
+        if points is None:
+            points = np.append(self.x, 0.0) if self.extended else self.x
         for i0 in range(0, self.xi.size, _CHUNK):
             sl = slice(i0, min(i0 + _CHUNK, self.xi.size))
-            yield (sl, *self.family_block(sl, points=points))
+            yield sl, self.family_block(sl, points=points)[0]
+
+    def _weighted(self, f, f_boundary, w=None):
+        # ``f`` times the x weights ``w`` (default: endpoint-corrected) on the
+        # x nodes; on the extended space the boundary node x = 0, of weight 1,
+        # takes ``f_boundary`` in place as the last column
+        if w is None:
+            w = corrected_weights(self.x.size, self.dx)
+        f = np.asarray(f, dtype=float)
+        fw = np.empty(f.shape[:-1] + (self.x.size + self.extended,))
+        np.multiply(f, w, out=fw[..., :self.x.size])
+        if self.extended:
+            fw[..., -1] = f_boundary
+        return fw
 
     def _synthesize(self, coeffs_of, cb):
-        # sum the family against the block coefficients ``coeffs_of(sl, phi,
-        # v)``, one block at a time, then add the bound channel ``cb``
-        out = out_b = None
+        # the family on the x nodes summed against the block coefficients
+        # ``coeffs_of(sl, phi)`` block by block, plus the bound channel ``cb``
+        out = None
         w = self.xi_weights() * self.weight
-        for sl, phi, v in self.blocks():
-            wc = coeffs_of(sl, phi, v) * w[sl]
+        for sl, phi in self.blocks():
+            wc = coeffs_of(sl, phi) * w[sl]
             if out is None:
-                out = np.zeros(wc.shape[:-1] + (self.x.size,))
-                out_b = np.zeros(wc.shape[:-1]) if self.extended else None
+                out = np.zeros(wc.shape[:-1] + (phi.shape[1],))
             out += wc @ phi
-            if v is not None:
-                out_b += wc @ v
         if self.bound is not None and cb is not None:
             out += np.multiply.outer(np.asarray(cb, dtype=float),
                                      self.bound.profile(self.x))
-        if self.extended:
-            return out, out_b
         return out
+
+    def _split(self, out):
+        return (out[..., :-1], out[..., -1]) if self.extended else out
 
     def analyze(self, f, f_boundary: float = 0.0):
         """Project onto the family: returns (continuum coeffs, bound coeff).
@@ -240,12 +246,10 @@ class SpectralResolution:
         Projections are endpoint-corrected quadratures, run as matrix
         products against a folded weight vector.
         """
-        f = np.asarray(f, dtype=float)
-        fw = f * corrected_weights(self.x.size, self.dx)
-        lead = f.shape[:-1]
-        coeffs = np.empty(lead + (self.xi.size,))
-        for sl, phi, v in self.blocks():
-            coeffs[..., sl] = _project(fw, f_boundary, phi, v)
+        fw = self._weighted(f, f_boundary)
+        coeffs = np.empty(fw.shape[:-1] + (self.xi.size,))
+        for sl, phi in self.blocks():
+            coeffs[..., sl] = fw @ phi.T
         cb = None
         if self.bound is not None:
             cb = fw @ self.bound.profile(self.x)
@@ -258,7 +262,7 @@ class SpectralResolution:
         extended resolutions.
         """
         coeffs = np.asarray(coeffs, dtype=float)
-        return self._synthesize(lambda sl, phi, v: coeffs[..., sl], cb)
+        return self._split(self._synthesize(lambda sl, phi: coeffs[..., sl], cb))
 
     def transform(self, f, f_boundary, act):
         """``synthesize`` of ``act`` applied to the ``analyze`` coefficients.
@@ -272,16 +276,14 @@ class SpectralResolution:
         The bound channel is one more call, with ``lam = [bound.lam]``.
         Returns what :meth:`synthesize` returns.
         """
-        f = np.asarray(f, dtype=float)
-        fw = f * corrected_weights(self.x.size, self.dx)
+        fw = self._weighted(f, f_boundary)
         lam = self.omega_sq()
         cb = None
         if self.bound is not None:
             cb = act((fw @ self.bound.profile(self.x))[..., None],
                      np.array([self.bound.lam]))[..., 0]
-        return self._synthesize(
-            lambda sl, phi, v: act(_project(fw, f_boundary, phi, v), lam[sl]),
-            cb)
+        return self._split(self._synthesize(
+            lambda sl, phi: act(fw @ phi.T, lam[sl]), cb))
 
     def apply_operator(self, f, f_boundary: float = 0.0):
         """Apply the realized operator through the resolution.
@@ -375,21 +377,15 @@ def completeness_residual(res: SpectralResolution, f, f_boundary: float = 0.0,
                           include_bound: bool = True) -> float:
     """Relative L2 defect of reconstructing ``f`` through the resolution.
 
+    On the extended space the norm is that of L2(dx + delta_0).
     ``include_bound=False`` deliberately drops the bound-state channel,
     which quantifies how much of the input lives on it.
     """
     f = np.asarray(f, dtype=float)
     check_decay(f, res.dx, what="completeness input")
     c, cb = res.analyze(f, f_boundary)
-    if not include_bound:
-        cb = None
-    rec = res.synthesize(c, cb)
-    if res.extended:
-        rec, rec_b = rec
-        num = (integrate((f - rec) ** 2, res.dx)
-               + (float(f_boundary) - rec_b) ** 2)
-        den = integrate(f * f, res.dx) + float(f_boundary) ** 2
-    else:
-        num = integrate((f - rec) ** 2, res.dx)
-        den = integrate(f * f, res.dx)
-    return float(np.sqrt(max(num, 0.0) / den))
+    fn = res._weighted(f, f_boundary, 1.0)      # f on the x nodes
+    err = fn - res._synthesize(lambda sl, phi: c[..., sl],
+                               cb if include_bound else None)
+    w = res._weighted(1.0, 1.0)                 # the node weights
+    return float(np.sqrt(max((err * err) @ w, 0.0) / ((fn * fn) @ w)))

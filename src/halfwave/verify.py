@@ -108,7 +108,7 @@ def gronwall_check(report: EnergyReport, b_cap: Optional[float] = None,
         return False, float("inf")
     later = t > t[0]
     ratios = np.log(np.maximum(E[later], _FLOOR) / E[0]) / (t[later] - t[0])
-    b_cert = max(0.0, float(np.max(ratios)))
+    b_cert = max(0.0, float(np.max(ratios, initial=0.0)))
     good = E > 0
     slope = np.polyfit(t[good], np.log(E[good]), 1)[0] if np.sum(good) > 1 else 0.0
     b_hat = max(b_cert, float(slope), 0.0)
@@ -128,7 +128,7 @@ def cone_energy_ratio(times, U, Udot, x, support, margin: float = 0.0) -> float:
     x = np.asarray(x, dtype=float)
     dx = float(x[1] - x[0])
     a, b = support
-    peak = max(energy(u, ud, dx) for u, ud in zip(U, Udot))
+    peak = max(max(energy(u, ud, dx) for u, ud in zip(U, Udot)), _FLOOR)
     worst = 0.0
     for tv, u, ud in zip(times, U, Udot):
         outside = (x < a - tv - margin) | (x > b + tv + margin)

@@ -247,6 +247,7 @@ class TestVerify:
         ({"kind": "multiplier", "poly": [-0.5, 0.0, 1.0]}, {},
          {"kind": "multiplier", "alpha_at_k": -0.5}),
         ({"kind": "wentzell"}, {"n": 1, "k": 1.0}, {"kind": "dirichlet"}),
+        ({"kind": "wentzell"}, {}, {"kind": "wentzell"}),
     ])
     def test_kernel_images_uses_static_bc(self, tmp_path, bc, model, recorded):
         cfg = write_config(tmp_path, bc=bc, model={"grid": 256, **model},
@@ -256,6 +257,21 @@ class TestVerify:
         entry = json.loads((out / "verify.json").read_text())["checks"]["kernel_images"]
         assert entry["bc"] == recorded
         assert entry["max_err"] <= 1e-5
+
+    @pytest.mark.parametrize("bc,model,recorded", [
+        ({"kind": "robin", "alpha": 0.7}, {}, {"kind": "robin", "alpha": 0.7}),
+        ({"kind": "wentzell"}, {}, {"kind": "wentzell"}),
+        ({"kind": "wentzell"}, {"n": 1, "k": 1.0},
+         {"kind": "robin", "alpha": -1.0}),
+    ])
+    def test_causality_records_its_bc(self, tmp_path, bc, model, recorded):
+        cfg = write_config(tmp_path, bc=bc, model={"grid": 256, **model},
+                           verify={"checks": ["causality"]})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "verify"]) == EXIT_OK
+        entry = json.loads((out / "verify.json").read_text())["checks"]["causality"]
+        assert entry["bc"] == recorded
+        assert entry["max_acausal"] <= 1e-6
 
     def test_unknown_check_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, verify={"checks": ["no_such_check"]})

@@ -255,11 +255,25 @@ class TestImagesKernel:
         assert images_kernel(t, x, y, BoundaryCondition.robin(1e3)) == \
             pytest.approx(images_kernel(t, x, y, DIR), abs=1e-200)
 
+    def test_dynamical_image_is_minus_robin_one(self):
+        # the dynamical condition reflects with r = -r_Robin(alpha = 1): behind
+        # the reflected characteristic its image is 1/2 - exp(-(t - x - y))
+        rng = np.random.default_rng(5)
+        t = rng.uniform(-2, 2, 200)
+        x = rng.uniform(0.1, 3, 200)
+        y = rng.uniform(0.1, 3, 200)
+        direct = np.sign(t) * 0.5 * (np.abs(x - y) < np.abs(t))
+        dyn = images_kernel(t, x, y, BoundaryCondition.wentzell_laplace())
+        robin = images_kernel(t, x, y, BoundaryCondition.robin(1.0))
+        assert np.any(np.abs(t) > x + y)
+        assert_allclose(dyn - direct, -(robin - direct), rtol=0, atol=1e-15)
+        got = images_kernel(1.5, 0.4, 0.5, BoundaryCondition.wentzell_laplace())
+        assert got == pytest.approx(1.0 - np.exp(-0.6), rel=1e-15)
+
     def test_unsupported_bc(self):
-        for bc in (BoundaryCondition.multiplier(lambda k: k * k),
-                   BoundaryCondition.wentzell_laplace()):
-            with pytest.raises(ValueError):
-                images_kernel(0.5, 1.0, 1.0, bc)
+        with pytest.raises(ValueError):
+            images_kernel(0.5, 1.0, 1.0,
+                          BoundaryCondition.multiplier(lambda k: k * k))
 
 
 def test_fd_spectrum_ordering_on_trivial_system():

@@ -133,6 +133,7 @@ STRUCTURAL_CASES = [
     (BoundaryCondition.robin(0.7), 0.0),
     (BoundaryCondition.multiplier(lambda k: k * k), 1.0),
     (BoundaryCondition.wentzell_laplace(), 1.0),
+    (BoundaryCondition.wentzell_laplace(), 0.0),
 ]
 
 
@@ -165,7 +166,7 @@ class TestKernelGridInvariants:
         grid = assert_grid_matches_pointwise(res, np.linspace(-1.0, 1.0, 9),
                                              np.linspace(0.3, 2.7, 7),
                                              np.linspace(0.3, 2.7, 7))
-        assert grid.meta["tails"] is (k == 0.0 and not res.extended)
+        assert grid.meta["tails"] is (k == 0.0)
 
     def test_factored_grid_matches_pointwise_at_default_nodes(self, res_robin):
         grid = assert_grid_matches_pointwise(res_robin, np.linspace(0.0, 2.0, 6),
@@ -186,9 +187,10 @@ class TestKernelGridInvariants:
                                              np.linspace(0.9, 3.4, 7))
         assert grid.values.shape == (5, 3, 7)
 
-    @pytest.mark.parametrize("alpha", [-1.0, 0.7, 2.0])
-    def test_matches_robin_images_off_characteristics(self, alpha):
-        bc = BoundaryCondition.robin(alpha)
+    @staticmethod
+    def images_error(bc):
+        # largest kernel-grid error against the images oracle at 4000 nodes,
+        # 0.05 off the direct and reflected characteristics
         res = resolve(bc, 0.0, np.linspace(0.0, 12.0, 64))
         t = np.linspace(-2.0, 2.5, 19)
         x = np.linspace(0.2, 3.5, 15)
@@ -197,8 +199,18 @@ class TestKernelGridInvariants:
         T, X, Y = np.meshgrid(t, x, y, indexing="ij")
         keep = ((np.abs(np.abs(T) - np.abs(X - Y)) > 0.05)
                 & (np.abs(np.abs(T) - (X + Y)) > 0.05))
-        err = np.abs(grid.values - images_kernel(T, X, Y, bc))[keep]
-        assert err.max() <= 1e-4
+        return np.abs(grid.values - images_kernel(T, X, Y, bc))[keep].max()
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.7, 2.0])
+    def test_matches_robin_images_off_characteristics(self, alpha):
+        assert self.images_error(BoundaryCondition.robin(alpha)) <= 1e-4
+
+    def test_matches_dynamical_images_off_characteristics(self):
+        # the reflected Robin alpha = 1 tail completes the dynamical family
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = self.images_error(BoundaryCondition.wentzell_laplace())
+        assert err <= 1e-9
 
     def test_truncation_warning_without_tail_completion(self):
         res = resolve(ROBIN, 1.0, np.linspace(0.0, 12.0, 64), nodes=400)
@@ -249,6 +261,9 @@ def pointwise_tail(kind, alpha, t, x, y, xi_max):
     t, x, y = np.broadcast_arrays(t, x, y)
     u, v = x - y, x + y
     tail = 0.25 * (si(t + u) + si(t - u))
+    if kind == "wentzell":
+        # r = -r_Robin(alpha = 1): the direct term less the Robin reflection
+        return 2.0 * tail - pointwise_tail("robin", 1.0, t, x, y, xi_max)
     if kind == "dirichlet":
         return tail - 0.25 * (si(t + v) + si(t - v))
     if alpha == 0.0:
@@ -261,7 +276,7 @@ def pointwise_tail(kind, alpha, t, x, y, xi_max):
 
 
 TAIL_CASES = [("dirichlet", None), ("robin", 0.0), ("robin", -1.0), ("robin", 0.7),
-              ("robin", -0.01), ("robin", 5.0)]
+              ("robin", -0.01), ("robin", 5.0), ("wentzell", None)]
 
 
 def one_point_at_a_time(kind, alpha, t, x, y, xi_max):
@@ -488,8 +503,7 @@ class TestFusedBlockLoop:
     X = np.linspace(0.0, 12.0, 64)
 
     @pytest.mark.parametrize("support", SUPPORTS)
-    @pytest.mark.parametrize(
-        "bc,k", STRUCTURAL_CASES + [(BoundaryCondition.wentzell_laplace(), 0.0)])
+    @pytest.mark.parametrize("bc,k", STRUCTURAL_CASES)
     def test_bit_identical_to_whole_grid_composition(self, bc, k, support):
         # 400 nodes: one full block of _CHUNK and one partial block
         res = resolve(bc, k, self.X, nodes=400)
@@ -591,8 +605,10 @@ class TestDerivedNodeCount:
         ref = apply(resolve(bc, 0.0, self.X, nodes=16000), f, self.T)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("bc", [DIR, NEU, ROBIN, BoundaryCondition.robin(0.7)],
-                             ids=["dirichlet", "neumann", "robin-1", "robin0.7"])
+    @pytest.mark.parametrize("bc", [DIR, NEU, ROBIN, BoundaryCondition.robin(0.7),
+                                    BoundaryCondition.wentzell_laplace()],
+                             ids=["dirichlet", "neumann", "robin-1", "robin0.7",
+                                  "wentzell"])
     def test_kernel_grid_matches_images(self, bc):
         t = np.linspace(0.0, 2.0, 20)
         x = np.linspace(0.2, 3.0, 20)

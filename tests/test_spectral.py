@@ -8,7 +8,8 @@ from scipy.integrate import quad
 from halfwave.model import BoundaryCondition
 from halfwave.oracle import assemble_fd, fd_spectrum
 from halfwave.quadrature import (TruncationWarning, boundary_derivative,
-                                 l2_norm, second_derivative, trapezoid_weights)
+                                 corrected_weights, l2_norm, second_derivative,
+                                 trapezoid_weights)
 from halfwave.spectral import (DEFAULT_NODES, MIN_NODES, SpectralResolution,
                                bound_state, completeness_residual,
                                default_nodes, resolve)
@@ -398,6 +399,47 @@ class TestWentzell:
         assert completeness_residual(res, f, f_boundary=1.0) <= 1e-3
         g = bump(X, 6.0, 0.8)
         assert completeness_residual(res, g, f_boundary=g[0]) <= 1e-3
+
+
+class TestExtendedFold:
+    """The extended space is L2(dx + delta_0): its boundary value is one more
+    x node, at x = 0 with weight 1, so analysis and synthesis equal the
+    two-channel formulas, bulk plus boundary, written out here."""
+
+    # 400 xi nodes: one full block of _CHUNK and one partial block
+    RES = resolve(BoundaryCondition.wentzell_laplace(), 0.0,
+                  np.linspace(0.0, 12.0, 64), nodes=400)
+
+    def data(self, stack):
+        x = self.RES.x
+        f = bump(x, 4.0, 0.6) + 0.5 * np.exp(-x)
+        if stack:
+            f = np.stack([f, bump(x, 6.0, 0.8), -2.0 * f])
+        # boundary values off the trace, so the boundary channel is visible
+        return f, f[..., 0] + 0.25
+
+    @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
+    def test_analyze_matches_two_channel_formula(self, stack):
+        res = self.RES
+        f, fb = self.data(stack)
+        fw = f * corrected_weights(res.x.size, res.dx)
+        phi, v = res.family_block(slice(None))
+        want = fw @ phi.T + np.multiply.outer(fb, v)
+        got, cb = res.analyze(f, fb)
+        assert cb is None and got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("stack", [False, True], ids=["single", "stack"])
+    def test_synthesize_matches_two_channel_formula(self, stack):
+        res = self.RES
+        f, fb = self.data(stack)
+        coeffs, _ = res.analyze(f, fb)
+        phi, v = res.family_block(slice(None))
+        wc = coeffs * (res.xi_weights() * res.weight)
+        bulk, boundary = res.synthesize(coeffs)
+        for got, want in ((bulk, wc @ phi), (boundary, wc @ v)):
+            assert np.shape(got) == np.shape(want)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_resolution_json_round_trip():

@@ -97,6 +97,13 @@ class TestGronwall:
         passed, b = gronwall_check(report, b_cap=2.0)
         assert not passed and b >= 3.0 - 1e-6
 
+    def test_single_sample_certifies_zero(self):
+        # no later sample bounds the exponent, so none is needed
+        report = EnergyReport(times=np.array([0.0]), E=np.array([2.0]),
+                              E_total=np.array([2.0]), drift=0.0)
+        assert gronwall_check(report) == (True, 0.0)
+        assert report.gronwall_b == 0.0
+
 
 def test_cone_energy_stays_put():
     grid, L = 1024, 30.0
@@ -109,6 +116,13 @@ def test_cone_energy_stays_put():
     ratio = cone_energy_ratio(times, U, Udot, x, support=(6.0, 14.0),
                               margin=5 * sysm.dx)
     assert ratio <= 1e-6
+
+
+def test_cone_energy_of_zero_data_is_zero():
+    x = np.linspace(0.0, 20.0, 256)
+    times = np.linspace(0.0, 2.0, 5)
+    zero = np.zeros((times.size, x.size))
+    assert cone_energy_ratio(times, zero, zero, x, support=(8.0, 12.0)) == 0.0
 
 
 class TestCausalityReport:
