@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import check_uniform_grid, first_derivative, second_derivative
+from .quadrature import check_uniform_grid, derivative
 
 
 @dataclass(frozen=True)
@@ -205,9 +205,9 @@ def conformal_laplacian(profile: WarpedProfile, u: np.ndarray) -> np.ndarray:
     if profile.x.size < 6:
         raise ValueError("need at least 6 samples for second differences")
     dx = profile.dx
-    return (-profile.beta * second_derivative(u, dx)
-            - (1.0 - profile.m / 2.0) * first_derivative(profile.beta, dx)
-            * first_derivative(u, dx))
+    return (-profile.beta * derivative(u, dx, 2)
+            - (1.0 - profile.m / 2.0) * derivative(profile.beta, dx, 1)
+            * derivative(u, dx, 1))
 
 
 def assemble_potential(profile: WarpedProfile) -> np.ndarray:
@@ -221,5 +221,5 @@ def assemble_potential(profile: WarpedProfile) -> np.ndarray:
     m = profile.m
     root = np.sqrt(profile.beta)
     lap_root = conformal_laplacian(profile, root)
-    grad_sq = first_derivative(profile.beta, profile.dx) ** 2
+    grad_sq = derivative(profile.beta, profile.dx, 1) ** 2
     return (1.0 - m) / 2.0 / root * lap_root - (1.0 - m) * (m - 3.0) / 4.0 * grad_sq

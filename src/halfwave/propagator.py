@@ -64,7 +64,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.special import exp1, sici
 
 from . import g17
@@ -404,6 +403,13 @@ def _check_source_window(res, f, t):
     check_decay(f, res.dx, what="source spatial support")
 
 
+def _prefix_trapezoid(h, dt):
+    # trapezoid integrals of h over t' <= t along axis 0, zero in the first row
+    out = np.zeros_like(h)
+    np.cumsum(dt * (h[1:] + h[:-1]) / 2.0, axis=0, out=out[1:])
+    return out
+
+
 def _window(coeffs, t, lam, support: str):
     """Time convolution of mode coefficients with s(lam, t - t') over a window.
 
@@ -421,8 +427,7 @@ def _window(coeffs, t, lam, support: str):
         Ic = np.trapezoid(c * coeffs, dx=dt, axis=0)
         Is = np.trapezoid(s * coeffs, dx=dt, axis=0)
     else:
-        Ic = cumulative_trapezoid(c * coeffs, dx=dt, axis=0, initial=0.0)
-        Is = cumulative_trapezoid(s * coeffs, dx=dt, axis=0, initial=0.0)
+        Ic, Is = _prefix_trapezoid(c * coeffs, dt), _prefix_trapezoid(s * coeffs, dt)
         if support == "advanced":
             Ic, Is = Ic[-1] - Ic, Is[-1] - Is
     D = (s * Ic - c * Is) / rate

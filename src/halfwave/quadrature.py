@@ -1,9 +1,11 @@
 """Shared 1-D quadrature and finite-difference stencils.
 
-All gridded functions in this package live on uniform grids.  Inner products
-use trapezoid weights with the Euler-Maclaurin endpoint correction, which
-upgrades the trapezoid rule to fourth order on smooth integrands and is
-what lets oracle-grade residuals reach 1e-8 on grids of a few thousand nodes.
+All gridded functions in this package live on uniform grids.  One table,
+``_STENCILS``, holds every fourth-order derivative stencil, and every x
+integral is a dot with :func:`corrected_weights`: trapezoid weights with the
+Euler-Maclaurin endpoint correction, which upgrades the trapezoid rule to
+fourth order on smooth integrands and is what lets oracle-grade residuals
+reach 1e-8 on grids of a few thousand nodes.
 """
 
 import warnings
@@ -37,17 +39,25 @@ def trapezoid_weights(n, dx):
     return w
 
 
-# one-sided fourth-order first derivative at an end node, times 12 dx; the
-# Euler-Maclaurin edge weights and every end-node derivative share it
-_D1_EDGE = np.array([-25.0, 48.0, -36.0, 16.0, -3.0])
-_EM_EDGE = _D1_EDGE / 12.0
+# fourth-order derivative stencils times 12 dx^order, by order: the centred
+# row on offsets -2..2, then the one-sided rows of the first nodes; the last
+# nodes take these rows reversed, negated for odd order
+_STENCILS = {
+    1: ((1, -8, 0, 8, -1),
+        ((-25, 48, -36, 16, -3), (-3, -10, 18, -6, 1))),
+    2: ((-1, 16, -30, 16, -1),
+        ((45, -154, 214, -156, 61, -10), (10, -15, -4, 14, -6, 1))),
+}
+# the Euler-Maclaurin edge weights are the first order-1 edge row
+_EM_EDGE = np.array(_STENCILS[1][1][0]) / 12.0
 
 
 def corrected_weights(n, dx):
     """Trapezoid weights with the Euler-Maclaurin endpoint correction folded in.
 
-    Dotting samples with these weights equals :func:`integrate`; the vector
-    form lets stacked integrals run as matrix products.
+    Adds dx^2/12 (h'(a) - h'(b)) with the one-sided end slopes of
+    :func:`derivative`, making the rule fourth order (exact on cubics).
+    Fewer than 5 nodes get the plain trapezoid weights.
     """
     w = trapezoid_weights(n, dx)
     if n >= 5:
@@ -56,63 +66,19 @@ def corrected_weights(n, dx):
     return w
 
 
-def _endpoint_slopes(h, dx):
-    # one-sided fourth-order first derivatives at the two ends
-    c = _D1_EDGE / (12 * dx)
-    return h[..., :5] @ c, -(h[..., :-6:-1] @ c)
-
-
-def integrate(h, dx):
-    """Integrate sampled values along the last axis.
-
-    The trapezoid sum gets the Euler-Maclaurin endpoint term
-    dx^2/12 (h'(a) - h'(b)), making the rule fourth order.  Fewer than 5
-    samples get the plain trapezoid sum.
-    """
-    v = np.trapezoid(h, dx=dx, axis=-1)
-    if h.shape[-1] >= 5:
-        d0, d1 = _endpoint_slopes(h, dx)
-        v = v + dx * dx / 12.0 * (d0 - d1)
-    return v
-
-
-def inner_product(f, g, dx):
-    """L2 inner product of two sampled functions on a uniform grid."""
-    return integrate(f * g, dx)
-
-
-def l2_norm(f, dx):
-    return float(np.sqrt(max(inner_product(f, f, dx), 0.0)))
-
-
-def first_derivative(u, dx):
-    """Fourth-order first derivative, one-sided at the ends."""
+def derivative(u, dx, order):
+    """Fourth-order derivative of ``order`` 1 or 2 along the last axis,
+    one-sided at the ends."""
+    centre, edges = _STENCILS[order]
     u = np.asarray(u, dtype=float)
-    d = np.empty_like(u)
-    d[..., 2:-2] = (u[..., :-4] - 8 * u[..., 1:-3]
-                    + 8 * u[..., 3:-1] - u[..., 4:]) / (12 * dx)
-    d[..., 0], d[..., -1] = _endpoint_slopes(u, dx)
-    d[..., 1] = (-3 * u[..., 0] - 10 * u[..., 1] + 18 * u[..., 2]
-                 - 6 * u[..., 3] + u[..., 4]) / (12 * dx)
-    d[..., -2] = (3 * u[..., -1] + 10 * u[..., -2] - 18 * u[..., -3]
-                  + 6 * u[..., -4] - u[..., -5]) / (12 * dx)
-    return d
-
-
-def second_derivative(u, dx):
-    """Fourth-order second derivative, one-sided at the ends."""
-    u = np.asarray(u, dtype=float)
-    d = np.empty_like(u)
-    d[..., 2:-2] = (-u[..., :-4] + 16 * u[..., 1:-3] - 30 * u[..., 2:-2]
-                    + 16 * u[..., 3:-1] - u[..., 4:]) / (12 * dx * dx)
-    d[..., 0] = (45 * u[..., 0] - 154 * u[..., 1] + 214 * u[..., 2]
-                 - 156 * u[..., 3] + 61 * u[..., 4] - 10 * u[..., 5]) / (12 * dx * dx)
-    d[..., 1] = (10 * u[..., 0] - 15 * u[..., 1] - 4 * u[..., 2]
-                 + 14 * u[..., 3] - 6 * u[..., 4] + u[..., 5]) / (12 * dx * dx)
-    d[..., -2] = (10 * u[..., -1] - 15 * u[..., -2] - 4 * u[..., -3]
-                  + 14 * u[..., -4] - 6 * u[..., -5] + u[..., -6]) / (12 * dx * dx)
-    d[..., -1] = (45 * u[..., -1] - 154 * u[..., -2] + 214 * u[..., -3]
-                  - 156 * u[..., -4] + 61 * u[..., -5] - 10 * u[..., -6]) / (12 * dx * dx)
+    d = np.zeros_like(u)
+    for j, c in enumerate(centre):
+        if c:
+            d[..., 2:-2] += c * u[..., j:j + u.shape[-1] - 4]
+    for i, row in enumerate(edges):
+        d[..., i] = u[..., :len(row)] @ row
+        d[..., -1 - i] = (-1) ** order * (u[..., :-len(row) - 1:-1] @ row)
+    d /= 12 * dx ** order
     return d
 
 

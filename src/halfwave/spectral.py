@@ -32,9 +32,8 @@ the one evaluator of the bound state.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -292,31 +291,6 @@ class SpectralResolution:
         coefficient by its eigenvalue before resynthesis.
         """
         return self.transform(f, f_boundary, lambda c, lam: c * lam)
-
-    def to_json(self) -> str:
-        doc = {
-            "kind": self.kind,
-            "alpha": self.alpha,
-            "k": self.k,
-            "x": {"max": float(self.x[-1]), "nodes": int(self.x.size)},
-            "quadrature": self.quadrature,
-            "weight": self.weight,
-            "bound": None if self.bound is None else
-                     {"lam": self.bound.lam, "kappa": self.bound.kappa},
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpectralResolution":
-        doc = json.loads(text)
-        x = np.linspace(0.0, doc["x"]["max"], doc["x"]["nodes"])
-        xi = np.linspace(0.0, doc["quadrature"]["xi_max"], doc["quadrature"]["nodes"])
-        res = cls(kind=doc["kind"], alpha=doc["alpha"], k=doc["k"], x=x, xi=xi)
-        if doc["bound"] is not None:
-            res = replace(res, bound=BoundState(lam=doc["bound"]["lam"],
-                                                kappa=doc["bound"]["kappa"],
-                                                k=doc["k"]))
-        return res
 
 
 def default_nodes(bc: BoundaryCondition, k: float,

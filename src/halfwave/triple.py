@@ -19,8 +19,8 @@ from typing import Iterable, Union
 import numpy as np
 
 from .model import BoundaryCondition
-from .quadrature import (boundary_derivative, check_decay, inner_product,
-                         second_derivative)
+from .quadrature import (boundary_derivative, check_decay, corrected_weights,
+                         derivative)
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,10 @@ def greens_identity_residual(f1, f2, k: float, x) -> float:
     dx = x[1] - x[0]
     check_decay(f1, dx, what="first argument")
     check_decay(f2, dx, what="second argument")
-    a1 = -second_derivative(f1, dx) + k * k * f1
-    a2 = -second_derivative(f2, dx) + k * k * f2
-    lhs = inner_product(a1, f2, dx) - inner_product(f1, a2, dx)
+    a1 = -derivative(f1, dx, 2) + k * k * f1
+    a2 = -derivative(f2, dx, 2) + k * k * f2
+    w = corrected_weights(x.size, dx)
+    lhs = w @ (a1 * f2) - w @ (f1 * a2)
     tr = TraceMaps(dx=dx)
     boundary = tr.gamma1(f1) * tr.gamma0(f2) - tr.gamma0(f1) * tr.gamma1(f2)
     return abs(lhs - boundary)

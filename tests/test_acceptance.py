@@ -16,7 +16,7 @@ from halfwave.propagator import (apply_advanced, apply_causal, apply_retarded,
 from halfwave.spectral import SpectralResolution, resolve
 from halfwave.triple import (greens_identity_residual, lower_bound_estimate,
                              negative_spectrum_roots)
-from halfwave.quadrature import boundary_derivative, second_derivative
+from halfwave.quadrature import boundary_derivative, derivative
 from halfwave.verify import (bc_residual, causality_report, cone_energy_ratio,
                              energy_report, exact_sequence_residuals,
                              gronwall_check, wave_operator)
@@ -192,7 +192,7 @@ def test_criterion_08_dynamical_condition_suite():
     mode_res = 0.0
     for xi, bulk, bulk_loc, v_j in zip(xis, fine, local, v):
         compat = abs(bulk[0] - v_j)
-        eig = np.max(np.abs((-second_derivative(bulk, xfine[1] - xfine[0])
+        eig = np.max(np.abs((-derivative(bulk, xfine[1] - xfine[0], 2)
                              + k * k * bulk
                              - (xi ** 2 + k * k) * bulk)[: 2400]))
         dyn = abs(boundary_derivative(bulk_loc, xloc[1] - xloc[0])

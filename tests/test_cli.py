@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import halfwave
 from halfwave import cli
 from halfwave.cli import (EXIT_CHECK_FAILED, EXIT_INTERNAL, EXIT_IO, EXIT_OK,
                           EXIT_USAGE, default_config, emit_config, main,
@@ -597,3 +601,12 @@ def test_verify_check_order(tmp_path, capsys):
                  "verify"]) == EXIT_OK
     assert capsys.readouterr().out.split() == ["PASS", "kernel_images",
                                                "PASS", "greens_identity"]
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # a fresh interpreter: this test process may have loaded it already
+    src = str(Path(halfwave.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, halfwave.cli; "
+            "assert 'scipy.integrate' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import cumulative_trapezoid
 from scipy.special import exp1, sici
 
 from halfwave import propagator
@@ -475,6 +476,18 @@ class TestWindow:
             direct_window(cb[:, None], self.T, np.array([res.bound.lam]), support)[:, 0])
         got = APPLIERS[support](res, f, self.T)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("support", ["retarded", "advanced"])
+    def test_prefix_integral_is_scipys_cumulative_trapezoid(self, support,
+                                                            monkeypatch):
+        rng = np.random.default_rng(5)
+        t = np.linspace(0.0, 6.0, 480)
+        coeffs = rng.normal(size=(t.size, 256))
+        lam = np.concatenate([[-1.0, 0.0], rng.uniform(0.0, 50.0, 254)])
+        got = _window(coeffs, t, lam, support)
+        monkeypatch.setattr(propagator, "_prefix_trapezoid", lambda h, dt:
+                            cumulative_trapezoid(h, dx=dt, axis=0, initial=0.0))
+        assert np.array_equal(got, _window(coeffs, t, lam, support))
 
 
 def reference_apply(res, f, t, support):

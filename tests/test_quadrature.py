@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from halfwave.quadrature import corrected_weights, first_derivative, integrate
+from halfwave.quadrature import corrected_weights, derivative
 
 
 def edge_slope(u, dx):
@@ -18,17 +20,45 @@ def test_end_nodes_share_one_stencil(n):
     # summation order may differ; bound by the size of the stencil's terms
     tol = 1e-15 * 128 * np.max(np.abs(u)) / (12 * dx)
     if n >= 6:
-        d = first_derivative(u, dx)
+        d = derivative(u, dx, 1)
         assert d[0] == pytest.approx(want0, abs=tol)
         assert d[-1] == pytest.approx(want1, abs=tol)
     trap = np.trapezoid(u, dx=dx)
     want = trap + dx * dx / 12.0 * (want0 - want1)
-    assert integrate(u, dx) == pytest.approx(want, rel=1e-14)
-    assert float(corrected_weights(n, dx) @ u) == pytest.approx(want, rel=1e-13)
+    assert float(corrected_weights(n, dx) @ u) == pytest.approx(want, rel=1e-14)
 
 
 def test_corrected_rule_is_exact_on_cubics():
     x = np.linspace(0.0, 2.0, 41)
     u = np.stack([x ** 3 - x, 2 * x ** 2 + 1.0])
-    assert np.allclose(integrate(u, x[1] - x[0]), [2.0, 16.0 / 3 + 2.0],
-                       rtol=1e-13, atol=0)
+    assert np.allclose(u @ corrected_weights(x.size, x[1] - x[0]),
+                       [2.0, 16.0 / 3 + 2.0], rtol=1e-13, atol=0)
+
+
+ORDERS = st.sampled_from([1, 2])
+NODES = st.integers(6, 200)
+STEPS = st.floats(1e-3, 10.0)
+
+
+# integer coefficients keep every sample normal, where rounding is relative
+@settings(max_examples=100, deadline=None)
+@given(coeffs=st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+       order=ORDERS, n=NODES, dx=STEPS)
+def test_derivative_is_exact_on_quartics(coeffs, order, n, dx):
+    # every row of the table, both edges included, is exact to degree 4
+    x = dx * np.arange(n)
+    p = np.polynomial.Polynomial(coeffs)
+    got = derivative(p(x), dx, order)
+    # rounding in the samples is at most eps times the sum of |terms|,
+    # amplified by the largest row sum, 640 / 12, over dx^order
+    scale = np.max(np.polynomial.Polynomial(np.abs(coeffs))(x)) / dx ** order
+    assert np.max(np.abs(got - p.deriv(order)(x))) <= 1e-13 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=ORDERS, n=NODES, dx=STEPS)
+def test_derivative_mirrors(seed, order, n, dx):
+    u = np.random.default_rng(seed).normal(size=n)
+    mirrored = derivative(u[::-1], dx, order)
+    want = (-1) ** order * derivative(u, dx, order)[::-1]
+    assert np.max(np.abs(mirrored - want)) <= 1e-13 * np.max(np.abs(u)) / dx ** order

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from halfwave.model import BoundaryCondition
 from halfwave.oracle import assemble_fd, leapfrog
 from halfwave.propagator import apply_retarded, build_kernel_grid
+from halfwave.quadrature import derivative
 from halfwave.spectral import resolve
 from halfwave.verify import (EnergyReport, bc_residual, causality_report,
                              cone_energy_ratio, emit_report, energy,
@@ -38,6 +39,14 @@ class TestEnergy:
         ud = bump(self.X, 9.0, 0.9)
         dx = self.X[1] - self.X[0]
         assert energy(2.0 * u, 2.0 * ud, dx) == 4.0 * energy(u, ud, dx)
+
+    def test_stack_matches_each_snapshot(self):
+        rng = np.random.default_rng(4)
+        U, Udot = rng.normal(size=(2, 7, self.X.size))
+        dx = self.X[1] - self.X[0]
+        want = [energy(u, ud, dx, k=0.5, c_infty=0.3) for u, ud in zip(U, Udot)]
+        assert_allclose(energy(U, Udot, dx, k=0.5, c_infty=0.3), want,
+                        rtol=1e-14, atol=0)
 
     def test_dirichlet_conservation(self):
         sysm = assemble_fd(DIR, 0.0, 1024, 20.0)
@@ -97,6 +106,22 @@ class TestGronwall:
         passed, b = gronwall_check(report, b_cap=2.0)
         assert not passed and b >= 3.0 - 1e-6
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_sample_fails(self, bad):
+        E = np.array([1.0, 1.2, bad, 1.5, 2.0])
+        report = EnergyReport(times=np.linspace(0, 1, 5), E=E, E_total=E,
+                              drift=0.0)
+        assert gronwall_check(report) == (False, float("inf"))
+        assert report.gronwall_b == float("inf")
+
+    def test_finite_trajectory_unchanged(self):
+        E = np.array([1.0, 1.2, 1.3, 1.5, 2.0])
+        report = EnergyReport(times=np.linspace(0, 1, 5), E=E, E_total=E,
+                              drift=0.0)
+        passed, b = gronwall_check(report)
+        assert passed and b == pytest.approx(0.7292862271758184, rel=1e-12)
+        assert report.gronwall_b == b
+
     def test_single_sample_certifies_zero(self):
         # no later sample bounds the exponent, so none is needed
         report = EnergyReport(times=np.array([0.0]), E=np.array([2.0]),
@@ -116,6 +141,22 @@ def test_cone_energy_stays_put():
     ratio = cone_energy_ratio(times, U, Udot, x, support=(6.0, 14.0),
                               margin=5 * sysm.dx)
     assert ratio <= 1e-6
+
+
+def test_cone_energy_matches_snapshot_loop():
+    x = np.linspace(0.0, 20.0, 256)
+    dx = x[1] - x[0]
+    times = np.linspace(0.0, 6.0, 7)
+    rng = np.random.default_rng(6)
+    U, Udot = rng.normal(size=(2, times.size, x.size))
+    peak = max(energy(u, ud, dx) for u, ud in zip(U, Udot))
+    want = 0.0
+    for tv, u, ud in zip(times, U, Udot):
+        outside = (x < 8.0 - tv) | (x > 12.0 + tv)
+        dens = 0.5 * (ud ** 2 + derivative(u, dx, 1) ** 2)
+        want = max(want, float(np.sum(dens[outside]) * dx) / peak)
+    got = cone_energy_ratio(times, U, Udot, x, support=(8.0, 12.0))
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_cone_energy_of_zero_data_is_zero():
