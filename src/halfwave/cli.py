@@ -15,6 +15,12 @@ are uniform and nothing draws randomness.  Each output carries a JSON
 sidecar holding the fully resolved configuration, so feeding a sidecar back
 as ``--config`` reproduces the run bit for bit.
 
+Only the commands that call scipy load it, and each loads what it needs at
+its start, before any numeric work (``_COMMANDS``): ``kernel`` imports
+``scipy.special`` (the closed-form kernel tails), ``spectrum``
+``scipy.linalg`` (the FD eigensolve) and ``verify`` both; ``evolve`` and
+importing this module load no scipy at all.
+
 Exit codes: 0 success/pass, 1 check failure, 2 usage or configuration
 error, 3 I/O error, 4 internal error (an unexpected exception, reported as
 one ``internal error:`` line).
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import importlib
 import json
 import math
 import numbers
@@ -282,11 +289,14 @@ def _write_sidecar(path: Path, command: str, run: dict, extra: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _all_finite(what: str, values) -> None:
-    # a backstop after validation: no command writes a non-finite value
-    bad = np.size(values) - np.count_nonzero(np.isfinite(values))
+def _all_finite(what: str, values, inf_ok: bool = False) -> None:
+    # a backstop after validation: no command writes a non-finite value;
+    # ``inf_ok`` admits +-inf, for a column where inf encodes Dirichlet
+    ok = ~np.isnan(values) if inf_ok else np.isfinite(values)
+    bad = np.size(values) - np.count_nonzero(ok)
     if bad:
-        raise FloatingPointError(f"{what} has {bad} non-finite values; nothing written")
+        kind = "NaN" if inf_ok else "non-finite"
+        raise FloatingPointError(f"{what} has {bad} {kind} values; nothing written")
 
 
 def _gaussian_source(src: dict, t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -306,9 +316,13 @@ def cmd_spectrum(run: dict, outdir: Path) -> int:
     lam_grid = np.linspace(scan["lambda_min"], lam_max, scan["steps"])
     k_range = model.k if model.n == 0 else (0.0, scan["k_max"])
     rows = triple.spectrum_scan(bc, lam_grid, k_range=k_range)
+    # theta = inf is Dirichlet, written as inf; a NaN witness is a fault
+    _all_finite("the theta - Weyl column", [row[2] for row in rows], inf_ok=True)
     # FD comparison: count of eigenvalues below each lambda
     sysm = oracle.assemble_fd(bc, model.k, model.grid, model.x_max)
+    _all_finite("the FD diagonals", np.concatenate((sysm.diag, sysm.off)))
     eigs = oracle.fd_spectrum(sysm, min(32, sysm.n_active))
+    _all_finite("the FD eigenvalues", eigs)
     path = outdir / "spectrum.csv"
     with open(path, "w") as fh:
         fh.write("lambda,k,theta_minus_weyl,verdict,fd_eigs_below\n")
@@ -472,6 +486,20 @@ def cmd_verify(run: dict, outdir: Path) -> int:
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 
+# command -> (its handler's name, the scipy modules its numerics call), in
+# help order.  main imports the modules after validation and before the
+# handler runs, so the import and its long-lived allocations come before
+# the command's arrays, not in the middle of its numerics.  The handler is
+# looked up by name when it runs, so a wrapped ``cmd_*`` attribute is the
+# one called.
+_COMMANDS = {
+    "spectrum": ("cmd_spectrum", ("scipy.linalg",)),
+    "kernel": ("cmd_kernel", ("scipy.special",)),
+    "evolve": ("cmd_evolve", ()),
+    "verify": ("cmd_verify", ("scipy.special", "scipy.linalg")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="halfwave",
@@ -480,8 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON configuration file")
     parser.add_argument("--out", type=str, default=None,
                         help="output directory (overrides outputs.dir)")
-    parser.add_argument("command", choices=["spectrum", "kernel", "evolve",
-                                            "verify"])
+    parser.add_argument("command", choices=list(_COMMANDS))
     return parser
 
 
@@ -491,8 +518,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    handlers = {"spectrum": cmd_spectrum, "kernel": cmd_kernel,
-                "evolve": cmd_evolve, "verify": cmd_verify}
+    handler, modules = _COMMANDS[args.command]
     try:
         # made before validation, and before parsing when --out names it:
         # a rejected config leaves it empty
@@ -502,7 +528,10 @@ def main(argv=None) -> int:
         # an overflow inside the numerics is reported once, by the
         # non-finite backstop before any write, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            return handlers[args.command](settings(cfg), outdir)
+            run = settings(cfg)
+            for module in modules:
+                importlib.import_module(module)
+            return globals()[handler](run, outdir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE

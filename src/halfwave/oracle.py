@@ -11,6 +11,10 @@ scheme at the boundary (second-order accurate there and in the interior).
 
 The far end of the window always carries a homogeneous Dirichlet wall; tests
 keep supports away from it.
+
+``scipy.linalg`` is imported inside the two eigensolvers, ``fd_spectrum`` and
+``fd_modes``, so assembly and ``leapfrog`` run without scipy; the CLI imports
+it at the start of the commands that solve.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .model import BoundaryCondition
 
@@ -114,6 +117,7 @@ def assemble_fd(bc: BoundaryCondition, k: float, grid: int,
 
 def fd_spectrum(sys: FdSystem, count: int = None) -> np.ndarray:
     """Lowest ``count`` eigenvalues (all when count is None), ascending."""
+    from scipy.linalg import eigvalsh_tridiagonal
     if count is None or count >= sys.n_active:
         return eigvalsh_tridiagonal(sys.diag, sys.off)
     return eigvalsh_tridiagonal(sys.diag, sys.off, select="i",
@@ -123,6 +127,7 @@ def fd_spectrum(sys: FdSystem, count: int = None) -> np.ndarray:
 def fd_modes(sys: FdSystem, count: int):
     """Lowest eigenpairs; eigenvectors returned on the full grid, normalized
     in the discrete (mass-weighted) inner product."""
+    from scipy.linalg import eigh_tridiagonal
     vals, vecs = eigh_tridiagonal(sys.diag, sys.off, select="i",
                                   select_range=(0, count - 1))
     return vals, sys.from_w(vecs.T)
@@ -161,20 +166,21 @@ def leapfrog(sys: FdSystem, u0, v0, dt: float, T: float,
     acc = -sys.act(w_prev) + forcing(0)
     w = w_prev + dt * wd0 + 0.5 * dt * dt * acc
 
-    times = [0.0]
-    traj_w = [w_prev]
-    vel_w = [wd0]
+    kept = [i for i in range(1, nsteps + 1) if i % sample_stride == 0 or i == nsteps]
+    traj_w = np.empty((len(kept) + 1,) + w.shape)
+    vel_w = np.empty_like(traj_w)
+    traj_w[0], vel_w[0] = w_prev, wd0
+    row = 1
     for i in range(1, nsteps + 1):
         acc = -sys.act(w) + forcing(i)
         w_next = 2.0 * w - w_prev + dt * dt * acc
         if i % sample_stride == 0 or i == nsteps:
-            times.append(i * dt)
-            traj_w.append(w)
-            vel_w.append((w_next - w_prev) / (2.0 * dt))
+            traj_w[row] = w
+            np.divide(w_next - w_prev, 2.0 * dt, out=vel_w[row])
+            row += 1
         w_prev, w = w, w_next
-    U = sys.from_w(np.array(traj_w))
-    Udot = sys.from_w(np.array(vel_w))
-    return np.array(times), U, Udot
+    times = np.array([0.0] + [i * dt for i in kept])
+    return times, sys.from_w(traj_w), sys.from_w(vel_w)
 
 
 def images_kernel(t, x, y, bc: BoundaryCondition):

@@ -43,7 +43,10 @@ argument, so a tensor grid pays about nt (nx + ny) exp1 evaluations instead
 of nt nx ny.  The xi weights carry the Euler-Maclaurin correction at xi_max
 (``SpectralResolution.xi_weights``), so the error left is fourth order in
 the node spacing: below 1e-7 at 801 nodes on [0, 40], about 3e-11 at 4000.
-At k != 0 no completion exists and the kernel warns.
+At k != 0 no completion exists and the kernel warns.  The two tail
+functions import ``scipy.special`` when called, not at module import, so
+importing the package (and running the appliers) never loads scipy; the CLI
+imports it at the start of the commands that build kernels.
 
 The trapezoid rule in xi aliases once the evaluated span, the widest
 |t - t'| + x + y, exceeds 2 pi/dxi; every kernel and applier then raises a
@@ -64,7 +67,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import exp1, sici
 
 from . import g17
 from .model import WarpedProfile, conformal_factors
@@ -122,6 +124,7 @@ def cos_propagator(lam, t):
 def _si_tail(c, xi_max):
     # int_X^inf sin(xi c)/xi dxi, once per distinct |c|; scipy's special
     # functions are elementwise, so gathering is bit-identical to pointwise
+    from scipy.special import sici
     c = np.asarray(c, dtype=float)
     mags, back = np.unique(np.abs(c), return_inverse=True)
     s, _ = sici(xi_max * mags)
@@ -151,6 +154,7 @@ def _reflection_tail(c, alpha, xi_max):
     """
     if alpha == 0.0:
         return _si_tail(c, xi_max)
+    from scipy.special import exp1
     c = np.asarray(c, dtype=float)
     vals, back = np.unique(c, return_inverse=True)
     m = np.abs(vals)

@@ -85,6 +85,53 @@ class TestSpectrum:
         assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == EXIT_OK
         assert len((out / "spectrum.csv").read_text().splitlines()) == 1
 
+    def test_dirichlet_writes_inf(self, tmp_path):
+        # theta = inf is how the Dirichlet condition is encoded, not a fault
+        cfg = write_config(tmp_path, bc={"kind": "dirichlet"},
+                           scan={"steps": 5}, model={"grid": 256})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == EXIT_OK
+        rows = (out / "spectrum.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["inf"] * 5
+
+    def test_overflowing_fd_diagonal_writes_nothing(self, tmp_path, capsys):
+        # a finite alpha whose boundary row overflows in the FD assembly
+        cfg = write_config(tmp_path, bc={"kind": "robin", "alpha": 1e308},
+                           model={"grid": 256})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.err == ("internal error: FloatingPointError: the FD "
+                                "diagonals has 1 non-finite values; nothing written\n")
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("module,target,what", [
+        ("triple", "spectrum_scan", "the theta - Weyl column has 1 NaN"),
+        ("oracle", "fd_spectrum", "the FD eigenvalues has 1 non-finite")])
+    def test_nan_writes_nothing(self, tmp_path, capsys, monkeypatch, module,
+                                target, what):
+        owner = getattr(cli, module)
+        real = getattr(owner, target)
+
+        def poisoned(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if target == "spectrum_scan":
+                lam, k, _, verdict = out[1]
+                out[1] = (lam, k, float("nan"), verdict)
+            else:
+                out[1] = np.nan
+            return out
+        monkeypatch.setattr(owner, target, poisoned)
+        cfg = write_config(tmp_path, scan={"steps": 5}, model={"grid": 256})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == EXIT_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.err.startswith("internal error: FloatingPointError: " + what)
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
+
 
 class TestKernel:
     def test_matches_reflection_construction(self, tmp_path):
@@ -610,3 +657,76 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     code = ("import sys, halfwave.cli; "
             "assert 'scipy.integrate' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def _fresh(code, *args):
+    # a fresh interpreter: this test process has loaded scipy already
+    src = str(Path(halfwave.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+SCIPY_LOADED = "[m for m in sys.modules if m.startswith('scipy')]"
+
+
+@pytest.mark.parametrize("module", ["halfwave", "halfwave.cli"])
+def test_import_loads_no_scipy(module):
+    _fresh(f"import sys, {module}; loaded = {SCIPY_LOADED}; "
+           "assert not loaded, loaded")
+
+
+# a command's exit code and the scipy modules loaded when its handler starts
+# and when main returns
+_RUN_COMMAND = f"""
+import json, sys
+from halfwave import cli
+name = cli._COMMANDS[sys.argv[-1]][0]
+handler, start = getattr(cli, name), []
+
+def wrapped(run, outdir):
+    start.extend({SCIPY_LOADED})
+    return handler(run, outdir)
+setattr(cli, name, wrapped)
+code = cli.main(sys.argv[1:])
+print(json.dumps({{"code": code, "start": start, "end": {SCIPY_LOADED}}}))
+"""
+
+
+@pytest.mark.parametrize("command,loads,leaves", [
+    ("evolve", [], ["scipy"]),
+    ("kernel", ["scipy.special"], ["scipy.linalg"]),
+    ("spectrum", ["scipy.linalg"], ["scipy.special"]),
+    ("verify", ["scipy.special", "scipy.linalg"], [])])
+def test_command_loads_only_its_scipy(tmp_path, command, loads, leaves):
+    # verify's energy check needs the finer grid; evolve takes 8 steps
+    cfg = write_config(tmp_path, model={"grid": 512, "x_max": 15.0},
+                       evolve={"steps": 8}, scan={"steps": 5},
+                       grids={"t": [0.5, 1.0, 3], "x": [1.0, 2.0, 3],
+                              "y": [1.0, 2.0, 3]})
+    done = _fresh(_RUN_COMMAND, "--config", str(cfg), "--out",
+                  str(tmp_path / "out"), command)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["code"] == EXIT_OK, done.stdout + done.stderr
+    # imported before the command's work starts, none during it
+    assert sorted(result["start"]) == sorted(result["end"])
+    loaded = result["end"]
+    assert all(name in loaded for name in loads), loaded
+    assert not [name for name in leaves if name in loaded], loaded
+
+
+def test_command_table_is_the_parser_choices():
+    action = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert action.choices == list(cli._COMMANDS)
+    for handler, modules in cli._COMMANDS.values():
+        assert callable(getattr(cli, handler)) and handler.startswith("cmd_")
+        assert all(module.startswith("scipy.") for module in modules)
+
+
+def test_main_calls_the_module_attribute(tmp_path, monkeypatch):
+    # a wrapped cmd_* attribute (a tracer, a test's stub) is what main runs
+    seen = []
+    monkeypatch.setattr(cli, "cmd_evolve",
+                        lambda run, outdir: seen.append(outdir) or EXIT_CHECK_FAILED)
+    assert main(["--out", str(tmp_path / "out"), "evolve"]) == EXIT_CHECK_FAILED
+    assert seen == [tmp_path / "out"]

@@ -136,6 +136,40 @@ class TestLeapfrog:
         assert_allclose(U2, 2.0 * U1, rtol=1e-12, atol=1e-300)
 
 
+def list_leapfrog(sysm, u0, v0, dt, T, sample_stride, source):
+    # the sample loop with Python lists of rows, stacked at the end
+    nsteps = int(round(T / dt))
+    w_prev, wd0 = sysm.to_w(u0), sysm.to_w(v0)
+    acc = -sysm.act(w_prev) + sysm.to_w(source[0])
+    w = w_prev + dt * wd0 + 0.5 * dt * dt * acc
+    times, traj, vel = [0.0], [w_prev], [wd0]
+    for i in range(1, nsteps + 1):
+        acc = -sysm.act(w) + sysm.to_w(source[i])
+        w_next = 2.0 * w - w_prev + dt * dt * acc
+        if i % sample_stride == 0 or i == nsteps:
+            times.append(i * dt)
+            traj.append(w)
+            vel.append((w_next - w_prev) / (2.0 * dt))
+        w_prev, w = w, w_next
+    return (np.array(times), sysm.from_w(np.array(traj)),
+            sysm.from_w(np.array(vel)))
+
+
+@pytest.mark.parametrize("bc,k", ASSEMBLY_CASES)
+@pytest.mark.parametrize("stride", [1, 3, 8])
+def test_leapfrog_samples_match_the_list_loop(bc, k, stride):
+    # leapfrog writes its samples into preallocated rows: same bits
+    sysm = assemble_fd(bc, k, 96, 8.0)
+    x = np.linspace(0.0, 8.0, 96)
+    dt = 0.4 * sysm.dx
+    f = np.random.default_rng(3).normal(size=(int(round(1.3 / dt)) + 1, 96))
+    u0, v0 = np.exp(-(x - 3.0) ** 2), np.sin(x) * np.exp(-x)
+    got = leapfrog(sysm, u0, v0, dt, 1.3, sample_stride=stride, source=f)
+    want = list_leapfrog(sysm, u0, v0, dt, 1.3, stride, f)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
 def dense_assembly(bc, k, grid, x_max):
     # stiffness and lumped mass as full matrices, scaled and symmetrized
     dx = x_max / (grid - 1)
