@@ -26,8 +26,10 @@ nearest to y = |v| 10^(16-E):
   lies within 1e-14 of 1/2; values with |frac - 1/2| < 1e-9 fall back, which
   covers exact ties and near-ties such as 1000000000000000.25.
 
-Zeros, non-finite values and |v| outside [1e-250, 1e250] (where the table
-or Dekker's split would leave the normal range) fall back as well.
+Zeros take D = 0 at E = 0, which lays out as ``0`` (``-0`` with the sign
+bit), as ``%.17g`` writes them.  Non-finite values and nonzero |v| outside
+[1e-250, 1e250] (where the table or Dekker's split would leave the normal
+range) fall back as well.
 
 The layout follows ``%g``: fixed notation for -4 <= E < 17, else
 ``d.ddd...e+XX`` with three exponent digits when |E| >= 100; trailing zeros
@@ -131,7 +133,9 @@ def text(values) -> np.ndarray:
     a = np.abs(v)
     fast = (a >= _FAST[0]) & (a <= _FAST[1])
     d, e, exact = _digits(np.where(fast, a, 1.0))
-    fast &= exact
+    zero = a == 0.0
+    d[zero] = 0
+    fast = (fast & exact) | zero
     e = e.astype(np.int16)
     digit, zeros = _quads()
     upper, lower = np.divmod(d, 10 ** 8)

@@ -317,7 +317,7 @@ class KernelGrid:
 
     def to_binary(self, path_base) -> None:
         """Raw row-major doubles plus a JSON sidecar describing the axes."""
-        self.values.astype("<f8").tofile(str(path_base) + ".bin")
+        self.values.astype("<f8", copy=False).tofile(str(path_base) + ".bin")
         sidecar = {
             "dtype": "<f8",
             "order": "C",

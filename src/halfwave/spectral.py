@@ -28,6 +28,16 @@ order.  ``default_nodes`` sizes the grid for the window a caller evaluates.
 ``SpectralResolution.family_block`` is the one evaluator of the continuum
 family, at any points and any block of xi nodes; ``BoundState.profile`` is
 the one evaluator of the bound state.
+
+Two rules keep the blocked products off slow floating-point paths, and
+neither changes a result bit.  ``family_block`` evaluates its block in row
+panels of about _PANEL_BYTES (128 KB, an L2-sized piece): the outer product,
+the reduction mod 2 pi, the phase and the sine each pass over one panel in
+cache, with two panel-sized buffers where the one-shot formula made three
+block-sized temporaries.  And the analysis input, the weighted samples that
+``analyze`` and ``transform`` project, has every |value| < DBL_MIN set to 0:
+a subnormal operand sends the matrix products through microcode assists,
+and it can move no sum whose magnitude is above 2^53 DBL_MIN (~2e-292).
 """
 
 from __future__ import annotations
@@ -48,12 +58,19 @@ MIN_NODES = 64
 MAX_STEP = 0.05     # xi spacing that keeps end-corrected kernels within 1e-7
 
 _CHUNK = 256
+_PANEL_BYTES = 1 << 17      # a row panel of doubles that stays in L2 cache
+_TINY = np.finfo(float).tiny    # DBL_MIN, the least normal double
 
 # 2 pi = _TWO_PI_HI + _TWO_PI_LO to ~1e-26, the high part with 33 significant
 # bits so that n * _TWO_PI_HI is exact for whole n < 2^20; 2.449...e-16 is
 # 2 pi less the double 2.0 * math.pi
 _TWO_PI_HI = math.ldexp(math.floor(math.ldexp(2.0 * math.pi, 30)), -30)
 _TWO_PI_LO = (2.0 * math.pi - _TWO_PI_HI) + 2.4492935982947064e-16
+
+
+def _panel_rows(width: int) -> int:
+    """Rows of ``width`` doubles in one panel of about _PANEL_BYTES."""
+    return max(1, _PANEL_BYTES // (8 * max(width, 1)))
 
 
 @dataclass(frozen=True)
@@ -177,19 +194,29 @@ class SpectralResolution:
     def family_block(self, sl: slice, points=None):
         """Continuum family sin(xi x + theta) at ``points`` for a block of xi
         nodes: ``(phi, v)``, phi of shape (block, npoints) and v the boundary
-        component sin(theta) = phi at x = 0 (None unless extended)."""
+        component sin(theta) = phi at x = 0 (None unless extended).  Rows are
+        evaluated in panels of about _PANEL_BYTES, bit for bit the one-shot
+        formula."""
         pts = self.x if points is None else np.asarray(points, dtype=float)
         xi = self.xi[sl]
         theta = self.phase(xi)
-        phi = np.multiply.outer(xi, pts)
-        if self.kind != "dirichlet":
-            # add theta to xi x reduced mod 2 pi, so the sum rounds at the
-            # scale of 2 pi, not of xi x (as accurate as the expanded forms)
-            n = np.rint(phi / (2.0 * np.pi))
-            phi -= _TWO_PI_HI * n
-            phi -= _TWO_PI_LO * n
-            phi += theta[:, None]
-        np.sin(phi, out=phi)
+        phi = np.empty((xi.size, pts.size))
+        step = _panel_rows(pts.size)
+        n = np.empty((min(step, xi.size), pts.size))
+        scaled = np.empty_like(n)
+        for i in range(0, xi.size, step):
+            rows = slice(i, i + step)
+            p = phi[rows]
+            np.multiply.outer(xi[rows], pts, out=p)
+            if self.kind != "dirichlet":
+                # add theta to xi x reduced mod 2 pi, so the sum rounds at the
+                # scale of 2 pi, not of xi x (as accurate as the expanded forms)
+                m, s = n[:len(p)], scaled[:len(p)]
+                np.rint(np.divide(p, 2.0 * np.pi, out=m), out=m)
+                p -= np.multiply(m, _TWO_PI_HI, out=s)
+                p -= np.multiply(m, _TWO_PI_LO, out=s)
+                p += theta[rows, None]
+            np.sin(p, out=p)
         return phi, (np.sin(theta) if self.extended else None)
 
     def blocks(self, points=None):
@@ -216,6 +243,13 @@ class SpectralResolution:
         np.multiply(f, w, out=fw[..., :self.x.size])
         if self.extended:
             fw[..., -1] = f_boundary
+        # |value| < DBL_MIN is flushed to 0 (see the module docstring), one
+        # panel of rows at a time so that no full-size mask is made
+        rows = fw.reshape(-1, fw.shape[-1])
+        step = _panel_rows(rows.shape[1])
+        for i in range(0, len(rows), step):
+            p = rows[i:i + step]
+            p[np.abs(p) < _TINY] = 0.0
         return fw
 
     def _synthesize(self, coeffs_of, cb):
@@ -228,6 +262,7 @@ class SpectralResolution:
             if out is None:
                 out = np.zeros(wc.shape[:-1] + (phi.shape[1],))
             out += wc @ phi
+            del phi     # free the block before the next one is evaluated
         if self.bound is not None and cb is not None:
             out += np.multiply.outer(np.asarray(cb, dtype=float),
                                      self.bound.profile(self.x))
@@ -249,6 +284,7 @@ class SpectralResolution:
         coeffs = np.empty(fw.shape[:-1] + (self.xi.size,))
         for sl, phi in self.blocks():
             coeffs[..., sl] = fw @ phi.T
+            del phi
         cb = None
         if self.bound is not None:
             cb = fw @ self.bound.profile(self.x)

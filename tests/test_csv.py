@@ -127,6 +127,7 @@ def test_powers_of_ten_and_their_neighbours(tmp_path):
     [1e-79, 1e-176],                      # just below 10^E, carried to 1eE
     neighbours([1e-4, 9.9999999999999991e-05, 1e16, 1e17]),   # %g switches
     [5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
+    [0.0, -0.0, 1.0, -0.0, 0.0, 5e-324],  # signed zeros, on the fast path
     neighbours([1e-250, 1e250, 0.5, 0.1, 2.0 ** -25, 2.0 ** 60]),
 ])
 def test_edge_cases(tmp_path, numbers):
@@ -141,9 +142,9 @@ def test_exact_ties_round_half_even(tmp_path):
     assert b"\n1000000000000000.8,-1000000000000000.8\n" in got
 
 
-def test_default_field_falls_back_only_on_exact_zeros(tmp_path, monkeypatch):
+def test_default_field_never_falls_back(tmp_path, monkeypatch):
     # a slide of ordinary values onto the per-value path would keep the bytes
-    # and lose the speed; only the field's (and the axes') exact zeros go there
+    # and lose the speed; the field's exact zeros take the fast path too
     slow = []
     original = g17._fallback
     monkeypatch.setattr(g17, "_fallback", lambda v: slow.append(v) or original(v))
@@ -151,9 +152,11 @@ def test_default_field_falls_back_only_on_exact_zeros(tmp_path, monkeypatch):
     cfg.write_text(json.dumps({"evolve": {"t_max": 6.0, "steps": 120}}))
     assert main(["--config", str(cfg), "--out", str(tmp_path), "evolve"]) == 0
     field = np.fromfile(tmp_path / "field.bin")
-    axes = json.loads((tmp_path / "field.sidecar.json").read_text())["axes"]
-    zeros = np.count_nonzero(field == 0.0) + sum(
-        np.count_nonzero(np.linspace(*axes[a]) == 0.0) for a in ("t", "x"))
     assert np.count_nonzero(field == 0.0) > 0
-    assert all(v == 0.0 for v in slow)
-    assert len(slow) == zeros
+    assert slow == []
+
+
+def test_signed_zeros_take_the_fast_path(monkeypatch):
+    monkeypatch.setattr(g17, "_fallback", None)
+    rows = g17.text([0.0, -0.0, 1.0, -0.0, 0.0])
+    assert [bytes(r[r != 0]) for r in rows] == [b"0", b"-0", b"1", b"-0", b"0"]

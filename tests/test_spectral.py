@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,9 +12,10 @@ from halfwave.oracle import assemble_fd, fd_spectrum
 from halfwave.quadrature import (TruncationWarning, boundary_derivative,
                                  corrected_weights, derivative,
                                  trapezoid_weights)
-from halfwave.spectral import (DEFAULT_NODES, MIN_NODES, SpectralResolution,
-                               bound_state, completeness_residual,
-                               default_nodes, resolve)
+from halfwave import spectral
+from halfwave.spectral import (_CHUNK, _TWO_PI_HI, _TWO_PI_LO, DEFAULT_NODES,
+                               MIN_NODES, SpectralResolution, bound_state,
+                               completeness_residual, default_nodes, resolve)
 
 X = np.linspace(0.0, 30.0, 3000)
 # the half-line sine transform is the Dirichlet resolution: analysis gives
@@ -124,6 +127,64 @@ class TestPhaseForm:
         else:
             want = -(xi - 1j) / (xi + 1j)
         assert_allclose(r, want, rtol=0, atol=1e-15)
+
+
+def one_shot_family(res, sl, points):
+    # family_block as one pass over the whole block, the formula it runs
+    # panel by panel
+    xi = res.xi[sl]
+    theta = res.phase(xi)
+    phi = np.multiply.outer(xi, points)
+    if res.kind != "dirichlet":
+        n = np.rint(phi / (2.0 * np.pi))
+        phi -= _TWO_PI_HI * n
+        phi -= _TWO_PI_LO * n
+        phi += theta[:, None]
+    np.sin(phi, out=phi)
+    return phi
+
+
+PANEL_CASES = [BoundaryCondition.dirichlet(), BoundaryCondition.robin(-1.0),
+               BoundaryCondition.wentzell_laplace()]
+
+
+class TestPanels:
+    """``family_block`` runs in row panels, bit for bit the one-shot formula."""
+
+    @pytest.mark.parametrize("rows", [None, 3], ids=["default", "3rows"])
+    @pytest.mark.parametrize("npoints", [1, 20, 1025, 2049])
+    @pytest.mark.parametrize("bc", PANEL_CASES, ids=lambda bc: bc.kind)
+    def test_bit_identical_to_one_shot(self, monkeypatch, bc, npoints, rows):
+        if rows is not None:
+            # 3-row panels: edges fall inside every block below
+            monkeypatch.setattr(spectral, "_PANEL_BYTES", 8 * npoints * rows + 7)
+        res = resolve(bc, 0.0, X, nodes=700)
+        points = np.linspace(0.0, 37.5, npoints)
+        for sl in (slice(0, _CHUNK), slice(3 * _CHUNK // 2, 700), slice(5, 6)):
+            phi, v = res.family_block(sl, points=points)
+            assert phi.tobytes() == one_shot_family(res, sl, points).tobytes()
+            if bc.is_dynamic:
+                assert v.tobytes() == np.sin(res.phase(res.xi[sl])).tobytes()
+            else:
+                assert v is None
+
+    def test_panel_edges_do_not_divide_the_block(self):
+        for npoints in (1025, 2049):
+            assert _CHUNK % spectral._panel_rows(npoints) != 0
+
+    def test_transient_memory_is_two_panels(self):
+        # the one-shot formula held three more block-sized arrays
+        res = resolve(BoundaryCondition.robin(-1.0), 0.0, X, nodes=700)
+        points = np.linspace(0.0, 30.0, 2049)
+        tracemalloc.start()
+        try:
+            phi, _ = res.family_block(slice(0, _CHUNK), points=points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two panel buffers, plus the ufuncs' own iteration buffers
+        panel = spectral._panel_rows(points.size) * points.size * 8
+        assert peak < phi.nbytes + 2 * panel + 2 ** 18
 
 
 class TestBoundState:
