@@ -33,11 +33,11 @@ Two rules keep the blocked products off slow floating-point paths, and
 neither changes a result bit.  ``family_block`` evaluates its block in row
 panels of about _PANEL_BYTES (128 KB, an L2-sized piece): the outer product,
 the reduction mod 2 pi, the phase and the sine each pass over one panel in
-cache, with two panel-sized buffers where the one-shot formula made three
-block-sized temporaries.  And the analysis input, the weighted samples that
-``analyze`` and ``transform`` project, has every |value| < DBL_MIN set to 0:
-a subnormal operand sends the matrix products through microcode assists,
-and it can move no sum whose magnitude is above 2^53 DBL_MIN (~2e-292).
+cache, and the only temporaries are two panel-sized buffers.  And the
+analysis input, the weighted samples that ``analyze`` and ``transform``
+project, has every |value| < DBL_MIN set to 0: a subnormal operand sends
+the matrix products through microcode assists, and it can move no sum whose
+magnitude is above 2^53 DBL_MIN (~2e-292).
 """
 
 from __future__ import annotations
