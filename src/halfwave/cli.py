@@ -16,10 +16,10 @@ sidecar holding the fully resolved configuration, so feeding a sidecar back
 as ``--config`` reproduces the run bit for bit.
 
 Only the commands that call scipy load it, and each loads what it needs at
-its start, before any numeric work (``_COMMANDS``): ``kernel`` imports
-``scipy.special`` (the closed-form kernel tails), ``spectrum``
-``scipy.linalg`` (the FD eigensolve) and ``verify`` both; ``evolve`` and
-importing this module load no scipy at all.
+its start, before any numeric work (``_COMMANDS``): ``spectrum`` and
+``verify`` import ``scipy.linalg`` (the FD eigensolve); ``kernel``,
+``evolve`` and importing this module load no scipy at all (the closed-form
+kernel tails are numpy).
 
 Exit codes: 0 success/pass, 1 check failure, 2 usage or configuration
 error, 3 I/O error, 4 internal error (an unexpected exception, reported as
@@ -501,16 +501,17 @@ def cmd_verify(run: dict, outdir: Path) -> int:
 
 
 # command -> (its handler's name, the scipy modules its numerics call), in
-# help order.  main imports the modules after validation and before the
-# handler runs, so the import and its long-lived allocations come before
-# the command's arrays, not in the middle of its numerics.  The handler is
-# looked up by name when it runs, so a wrapped ``cmd_*`` attribute is the
-# one called.
+# help order.  Only the FD eigensolve of spectrum and verify calls scipy
+# (scipy.linalg); kernel and evolve are numpy alone.  main imports the
+# modules after validation and before the handler runs, so the import and
+# its long-lived allocations come before the command's arrays, not in the
+# middle of its numerics.  The handler is looked up by name when it runs,
+# so a wrapped ``cmd_*`` attribute is the one called.
 _COMMANDS = {
     "spectrum": ("cmd_spectrum", ("scipy.linalg",)),
-    "kernel": ("cmd_kernel", ("scipy.special",)),
+    "kernel": ("cmd_kernel", ()),
     "evolve": ("cmd_evolve", ()),
-    "verify": ("cmd_verify", ("scipy.special", "scipy.linalg")),
+    "verify": ("cmd_verify", ("scipy.linalg",)),
 }
 
 

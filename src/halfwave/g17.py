@@ -42,7 +42,6 @@ rows drops the NULs.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 import numpy as np
 
@@ -58,13 +57,18 @@ _ZEROS = np.frombuffer(b"0.000", dtype=np.uint8)
 @functools.lru_cache(maxsize=None)
 def _pow10():
     # 10^q for q in [_Q_MIN, _Q_MAX] as hi, split(hi) and lo, with
-    # hi = fl(10^q) and lo = fl(10^q - hi), from exact rationals
+    # hi = fl(10^q) and lo = fl(10^q - hi), in exact integer arithmetic:
+    # Python rounds int -> float and int / int correctly
     hi = np.empty(_Q_MAX - _Q_MIN + 1)
     lo = np.empty_like(hi)
     for i, q in enumerate(range(_Q_MIN, _Q_MAX + 1)):
-        exact = Fraction(10) ** q
-        hi[i] = float(exact)
-        lo[i] = float(exact - Fraction(hi[i]))
+        if q >= 0:
+            hi[i] = float(10 ** q)
+            lo[i] = float(10 ** q - int(hi[i]))
+        else:
+            h = 1 / 10 ** -q
+            m, e = h.as_integer_ratio()     # h = m/e
+            hi[i], lo[i] = h, (e - m * 10 ** -q) / (e * 10 ** -q)
     return (hi,) + _split(hi) + (lo,)
 
 

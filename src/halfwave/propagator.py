@@ -35,18 +35,21 @@ Truncating the frequency integral at xi_max leaves an oscillatory tail of
 size O(1/(xi_max * c)), c the distance to the nearest characteristic, far
 too large for pointwise kernel work.  For every family at k = 0 the tail
 has closed form through the reflection coefficient r(xi) of the family
-sin(xi x + theta(xi)): sine integrals for Dirichlet (r = -1), plus one
-complex exp1 per reflected argument for Robin and the dynamical condition
-(r = -r_Robin(alpha = 1)).  ``causal_kernel`` and
-``build_kernel_grid`` always add it back, once per distinct characteristic
-argument, so a tensor grid pays about nt (nx + ny) exp1 evaluations instead
-of nt nx ny.  The xi weights carry the Euler-Maclaurin correction at xi_max
-(``SpectralResolution.xi_weights``), so the error left is fourth order in
-the node spacing: below 1e-7 at 801 nodes on [0, 40], about 3e-11 at 4000.
-At k != 0 no completion exists and the kernel warns.  The two tail
-functions import ``scipy.special`` when called, not at module import, so
-importing the package (and running the appliers) never loads scipy; the CLI
-imports it at the start of the commands that build kernels.
+sin(xi x + theta(xi)).  Each of its pieces is Im F(c), F(c) = int_X^inf
+e^{i c xi}/(xi + i alpha) dxi at X = xi_max: the sine integrals of the
+direct term and of Dirichlet's image (r = -1) at alpha = 0, plus one
+reflected pair at the Robin alpha, or at 1 for the dynamical condition
+(r = -r_Robin(alpha = 1)).  F(c) = e^{i c X} g(z) with g(z) = e^z E1(z) at
+z = c (alpha - i X), and one numpy evaluator, ``_scaled_exp1``, computes g
+by power series, continued fraction or asymptotic series, each point's
+region and term count set by its own z alone.  ``causal_kernel`` and
+``build_kernel_grid`` always add the tail back, with one call of g over the
+distinct arguments of all six tail integrals, so a tensor grid pays about
+6 nt (nx + ny) evaluations instead of 6 nt nx ny.  The xi weights carry the
+Euler-Maclaurin correction at xi_max (``SpectralResolution.xi_weights``),
+so the error left is fourth order in the node spacing: below 1e-7 at 801
+nodes on [0, 40], about 3e-11 at 4000.  At k != 0 no completion exists and
+the kernel warns.  Nothing in this module uses scipy.
 
 The trapezoid rule in xi aliases once the evaluated span, the widest
 |t - t'| + x + y, exceeds 2 pi/dxi; every kernel and applier then raises a
@@ -62,6 +65,7 @@ evaluations against nt nx ny n_xi for pointwise sampling of every grid point.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -74,7 +78,6 @@ from .quadrature import TruncationWarning, check_decay
 from .spectral import ExtendedState, SpectralResolution
 
 _CSV_CHUNK = 4096      # values formatted at a time by write_grid_csv
-_ASYMPTOTIC = 600.0    # |Re z| from which e^z E1(z) is its asymptotic series
 
 
 def _harmonics(lam, t):
@@ -121,52 +124,123 @@ def cos_propagator(lam, t):
 # ---------------------------------------------------------------------------
 # closed-form frequency tails (k = 0 trigonometric families)
 
-def _si_tail(c, xi_max):
-    # int_X^inf sin(xi c)/xi dxi, once per distinct |c|; scipy's special
-    # functions are elementwise, so gathering is bit-identical to pointwise
-    from scipy.special import sici
-    c = np.asarray(c, dtype=float)
-    mags, back = np.unique(np.abs(c), return_inverse=True)
-    s, _ = sici(xi_max * mags)
-    return np.sign(c) * (np.pi / 2 - s)[back.reshape(c.shape)]
+_EULER = 0.57721566490153286061  # Euler's constant gamma
+_CUT = 2.0          # s = |z| + Re z below which the continued fraction is slow
+_FAR = 40.0         # |z| from which the asymptotic series serves when s < _CUT
+_FAR_TERMS = 41     # its terms, n = 0..40: the first left out, 41!/|z|^41, is < 1e-16
+# 1/(n n!), the power series coefficients of E1, enough for |z| < _FAR
+_SERIES = np.array([0.0] + [1 / (n * math.factorial(n)) for n in range(1, 130)])
 
 
-def _exp_e1(z):
-    # g(z) = e^z E1(z) by its asymptotic series sum_n (-1)^n n!/z^(n+1),
-    # 12 terms: the truncation is below 12!/600^13 relative for |z| >= 600
-    w = 1.0 / z
-    s = 1.0
-    for n in range(12, 0, -1):
-        s = 1.0 - n * w * s
-    return w * s
+def _backward(z, terms, step):
+    """Run step(k, z, acc), which updates acc in place, for k = terms, ...,
+    1 at each point, from acc = 0, and return acc.
 
-
-def _reflection_tail(c, alpha, xi_max):
-    """Im F(c), F(c) = int_X^inf e^{i c xi}/(xi + i alpha) dxi, X = xi_max.
-
-    Evaluated once per distinct signed c and gathered back.  For c > 0,
-    F(c) = e^{c alpha} E1(z) with z = c (alpha - i X), written
-    e^{i c X} g(z), g(z) = e^z E1(z), through g's asymptotic series once
-    |Re z| >= _ASYMPTOTIC, where e^{c alpha} or E1 would overflow;
-    F(-c) is the conjugate of F(c) at -alpha, and Im F(0) = -atan2(alpha, X).
-    At alpha = 0 (Neumann) Im F is the sine-integral tail, which sici
-    evaluates more accurately than exp1 on the imaginary axis.
+    Points run in order of decreasing ``terms``, so step k touches a prefix
+    of them: each point runs exactly its own steps, whatever else is in the
+    batch, and its value is the one it has alone.
     """
-    if alpha == 0.0:
-        return _si_tail(c, xi_max)
-    from scipy.special import exp1
-    c = np.asarray(c, dtype=float)
-    vals, back = np.unique(c, return_inverse=True)
-    m = np.abs(vals)
-    z = vals * alpha - 1j * (m * xi_max)   # |c| (sign(c) alpha - i X)
-    F = np.zeros(vals.shape, dtype=complex)
-    far = np.abs(z.real) >= _ASYMPTOTIC
-    near = (vals != 0) & ~far
-    F[near] = np.exp(z.real[near]) * exp1(z[near])
-    F[far] = np.exp(1j * m[far] * xi_max) * _exp_e1(z[far])
-    im = np.sign(vals) * F.imag
-    im[vals == 0] = -np.arctan2(alpha, xi_max)
-    return im[back.reshape(c.shape)]
+    order = np.argsort(-terms, kind="stable")
+    z = z[order]
+    runs = np.cumsum(np.bincount(terms)[::-1])[::-1]   # points with terms >= k
+    acc = np.zeros(z.shape, dtype=complex)
+    for k in range(int(runs.size) - 1, 0, -1):
+        m = runs[k]
+        step(k, z[:m], acc[:m])
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
+
+
+def _fraction_step(k, z, t):
+    # t <- k^2/(z - t + 2k + 1)
+    np.subtract(z, t, out=t)
+    t += 2 * k + 1
+    np.divide(k * k, t, out=t)
+
+
+def _series_step(k, minus_z, p):
+    # p <- 1/(k k!) - z p; not an in-place complex product, which numpy can
+    # round differently in long arrays than in short ones
+    np.add(minus_z * p, _SERIES[k], out=p)
+
+
+def _asymptotic_step(k, w, h):
+    # h <- 1 - k w h, w = 1/z
+    np.subtract(1.0, (k * w) * h, out=h)
+
+
+def _scaled_exp1(z):
+    """g(z) = e^z E1(z) at nonzero z, elementwise, on the principal branch
+    (the sign of Im z picks the side of the negative real axis).
+
+    Three regions, by r = |z| and s = |z| + Re z, the distance scale from
+    the cut along the negative axis (DLMF 6.6, 6.9, 6.12):
+
+    * s >= _CUT: the continued fraction 1/(z+1 - 1^2/(z+3 - 2^2/(z+5 - ...)))
+      with ceil(220/s) + 4 levels, run backward;
+    * s < _CUT and r < _FAR: the power series E1 = -gamma - log z
+      - sum (-z)^n/(n n!) with ceil(e r) + 20 terms, times e^z; near the
+      cut its terms share one sign, so nothing cancels;
+    * s < _CUT and r >= _FAR: the asymptotic series sum (-1)^n n!/z^(n+1).
+
+    Each point's term count depends on its own z only, so the result is
+    bit-identical to evaluating every point alone.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.empty(z.shape, dtype=complex)
+    r, x = np.abs(z), z.real
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = np.where(x >= 0.0, r + x, z.imag * (z.imag / (r - x)))
+    near = s < _CUT
+    series, far = near & (r < _FAR), near & (r >= _FAR)
+    cf = ~near
+    if cf.any():
+        zc = z[cf]
+        t = _backward(zc, (np.ceil(220.0 / s[cf]) + 4).astype(np.intp), _fraction_step)
+        out[cf] = 1.0 / (zc + 1.0 - t)
+    if series.any():
+        zs = z[series]
+        p = _backward(-zs, (np.ceil(np.e * r[series]) + 20).astype(np.intp),
+                      _series_step)
+        out[series] = np.exp(zs) * (zs * p - _EULER - np.log(zs))
+    if far.any():
+        w = 1.0 / z[far]
+        h = _backward(w, np.full(w.size, _FAR_TERMS), _asymptotic_step)
+        out[far] = w * h
+    return out
+
+
+def _tails(cs, alphas, xi_max):
+    """Im F(c) at every pair (c, alpha) of ``cs`` and ``alphas``, with
+    F(c) = int_X^inf e^{i c xi}/(xi + i alpha) dxi, X = xi_max.
+
+    For c > 0, F(c) = e^{c alpha} E1(z) = e^{i c X} g(z) with z = c (alpha
+    - i X) and g = :func:`_scaled_exp1`; F(-c) is the conjugate of F(c) at
+    -alpha, and Im F(0) = -atan2(alpha, X).  At alpha = 0 this is the
+    sine-integral tail int_X^inf sin(c xi)/xi dxi = sign(c) (pi/2 - Si(|c| X)),
+    since E1(-i y) = -Ci(y) + i (pi/2 - Si(y)).  g is evaluated once per
+    distinct z over all pairs, in one call, and gathered back.
+    """
+    found = [np.unique(np.asarray(c, dtype=float), return_inverse=True) for c in cs]
+    parts = []
+    for (vals, _), alpha in zip(found, alphas):
+        c = vals[vals != 0]
+        z = np.empty(c.size, dtype=complex)
+        z.real = c * alpha + 0.0     # |c| (sign(c) alpha), -0.0 folded into 0.0
+        z.imag = -(np.abs(c) * xi_max)
+        parts.append(z)
+    z, back = np.unique(np.concatenate(parts), return_inverse=True)
+    g = _scaled_exp1(z)
+    im = (g.imag * np.cos(z.imag) - g.real * np.sin(z.imag))[back]   # Im e^{i c X} g
+    out, start = [], 0
+    for c, (vals, inv), alpha, part in zip(cs, found, alphas, parts):
+        tail = np.full(vals.shape, -np.arctan2(alpha, xi_max))
+        nonzero = vals != 0
+        tail[nonzero] = np.sign(vals[nonzero]) * im[start:start + part.size]
+        start += part.size
+        out.append(tail[inv.reshape(np.shape(c))])
+    return out
 
 
 def _kernel_tail(kind, alpha, t, x, y, xi_max):
@@ -177,19 +251,23 @@ def _kernel_tail(kind, alpha, t, x, y, xi_max):
     coefficient r = -e^{2 i theta}: -1 for Dirichlet, (xi - i alpha)/(xi +
     i alpha) for Robin alpha and minus its alpha = 1 value for the dynamical
     condition.  Since r/xi = -1/xi + 2/(xi + i alpha), the Robin tail is the
-    Dirichlet tail plus (Im F(v + t) - Im F(v - t))/2
-    (:func:`_reflection_tail`); the dynamical tail flips the sign ``s`` of
-    the reflected part of the Robin alpha = 1 tail.
+    Dirichlet tail plus (Im F(v + t) - Im F(v - t))/2; the dynamical tail
+    flips the sign ``s`` of the reflected part of the Robin alpha = 1 tail.
+    All six tail integrals, the four sine-integral ones included, go through
+    one call of :func:`_tails`.
     Returns the raw tail integral (the caller applies the 2/pi weight).
     """
     u, v = x - y, x + y
-    direct = 0.25 * (_si_tail(t + u, xi_max) + _si_tail(t - u, xi_max))
-    image = 0.25 * (_si_tail(t + v, xi_max) + _si_tail(t - v, xi_max))
+    args, alphas = [t + u, t - u, t + v, t - v], [0.0] * 4
+    if kind != "dirichlet":
+        s, alpha = (1.0, 1.0) if kind == "wentzell" else (-1.0, alpha)
+        args += [v - t, v + t]
+        alphas += [alpha, alpha]
+    im = _tails(args, alphas, xi_max)
+    direct, image = 0.25 * (im[0] + im[1]), 0.25 * (im[2] + im[3])
     if kind == "dirichlet":
         return direct - image
-    s, alpha = (1.0, 1.0) if kind == "wentzell" else (-1.0, alpha)
-    return direct + s * image + s * 0.5 * (_reflection_tail(v - t, alpha, xi_max)
-                                           - _reflection_tail(v + t, alpha, xi_max))
+    return direct + s * image + s * 0.5 * (im[4] - im[5])
 
 
 def _check_aliasing(res: SpectralResolution, span: float) -> None:
@@ -394,9 +472,11 @@ def _on_bulk(res: SpectralResolution, f, act, f_boundary=None):
 
 def _check_source_window(res, f, t):
     f = np.asarray(f)
-    if f.size == 0 or np.max(np.abs(f)) == 0:
+    if f.size == 0:
         return
-    scale = np.max(np.abs(f))
+    scale = max(f.max(), -f.min())      # max|f| without an |f| temporary
+    if scale == 0:
+        return
     edge = max(np.max(np.abs(f[0])), np.max(np.abs(f[-1])))
     if edge > 1e-8 * scale:
         warnings.warn(
@@ -404,7 +484,7 @@ def _check_source_window(res, f, t):
             f"(edge/peak = {edge / scale:.2e}); one-sided appliers lose "
             "contributions from outside the window",
             TruncationWarning, stacklevel=3)
-    check_decay(f, res.dx, what="source spatial support")
+    check_decay(f, res.dx, what="source spatial support", scale=scale)
 
 
 def _prefix_trapezoid(h, dt):

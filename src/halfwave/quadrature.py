@@ -93,10 +93,14 @@ def boundary_derivative(u, dx):
     return float(np.dot(_D1_EDGE6, head)) / dx
 
 
-def check_decay(f, dx, rel_tol=1e-8, what="input"):
-    """Warn if samples near the far end of the window are not negligible."""
+def check_decay(f, dx, rel_tol=1e-8, what="input", scale=None):
+    """Warn if samples near the far end of the window are not negligible.
+
+    ``scale`` is the peak max|f| when the caller has it already.
+    """
     f = np.asarray(f)
-    scale = np.max(np.abs(f))
+    if scale is None:
+        scale = np.max(np.abs(f))
     if scale == 0:
         return
     tail = np.max(np.abs(f[..., -max(2, f.shape[-1] // 100):]))

@@ -3,6 +3,7 @@
 import itertools
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -160,3 +161,14 @@ def test_signed_zeros_take_the_fast_path(monkeypatch):
     monkeypatch.setattr(g17, "_fallback", None)
     rows = g17.text([0.0, -0.0, 1.0, -0.0, 0.0])
     assert [bytes(r[r != 0]) for r in rows] == [b"0", b"-0", b"1", b"-0", b"0"]
+
+
+def test_power_table_matches_exact_rationals():
+    # hi = fl(10^q) and lo = fl(10^q - hi) from Fractions, signs of lo included
+    q = range(g17._Q_MIN, g17._Q_MAX + 1)
+    hi = np.array([float(Fraction(10) ** p) for p in q])
+    lo = np.array([float(Fraction(10) ** p - Fraction(h)) for p, h in zip(q, hi)])
+    table = g17._pow10()
+    assert table[0].tobytes() == hi.tobytes()
+    assert table[-1].tobytes() == lo.tobytes()
+    assert np.count_nonzero(np.signbit(lo)) > 0 and np.count_nonzero(lo == 0) > 0

@@ -1,16 +1,16 @@
+import functools
 import math
 import tracemalloc
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import cumulative_trapezoid
-from scipy.special import exp1, sici
 
 from halfwave import propagator
 from halfwave.model import BoundaryCondition, WarpedProfile
@@ -242,39 +242,56 @@ class TestKernelGridInvariants:
         assert rel_l2(out, g) <= 1e-2
 
 
-def pointwise_tail(kind, alpha, t, x, y, xi_max):
-    # the closed-form xi > xi_max tail with one sici and one exp1 pair per
-    # point, however often a characteristic argument repeats
-    def si(c):
-        return np.sign(c) * (np.pi / 2 - sici(xi_max * np.abs(c))[0])
+@functools.lru_cache(maxsize=None)
+def mp_si_tail(c, xi_max):
+    # int_X^inf sin(c xi)/xi dxi at the double c, to 30 digits
+    with mpmath.workdps(30):
+        if c == 0:
+            return mpmath.mpf(0)
+        return mpmath.sign(c) * (mpmath.pi / 2 - mpmath.si(abs(mpmath.mpf(c)) * xi_max))
 
-    def frac(c, a):
-        ca, a = np.abs(c), abs(a)
-        cos_tail, sin_tail = np.empty(ca.shape), np.zeros(ca.shape)
-        zero = ca == 0
-        cos_tail[zero] = (np.pi / 2 - np.arctan(xi_max / a)) / a
-        p = -1j * ca[~zero]
-        plus = np.exp(p * (-1j * a)) * exp1(p * (xi_max - 1j * a))
-        minus = np.exp(p * (1j * a)) * exp1(p * (xi_max + 1j * a))
-        cos_tail[~zero] = (plus - minus).imag / (2.0 * a)
-        sin_tail[~zero] = ((plus + minus) / 2).imag
-        return cos_tail, np.sign(c) * sin_tail
 
-    t, x, y = np.broadcast_arrays(t, x, y)
+@functools.lru_cache(maxsize=None)
+def mp_frac_tails(c, a, xi_max):
+    # int_X^inf cos(c xi)/(xi^2 + a^2) dxi and int_X^inf sin(c xi)
+    # xi/(xi^2 + a^2) dxi at the double c, through one E1 pair, to 30 digits
+    with mpmath.workdps(30):
+        ca, a, xi_max = abs(mpmath.mpf(c)), abs(mpmath.mpf(a)), mpmath.mpf(xi_max)
+        if ca == 0:
+            return (mpmath.pi / 2 - mpmath.atan(xi_max / a)) / a, mpmath.mpf(0)
+        p = -1j * ca
+        plus = mpmath.exp(p * (-1j * a)) * mpmath.e1(p * (xi_max - 1j * a))
+        minus = mpmath.exp(p * (1j * a)) * mpmath.e1(p * (xi_max + 1j * a))
+        return ((plus - minus).imag / (2 * a),
+                mpmath.sign(c) * ((plus + minus) / 2).imag)
+
+
+def mp_point_tail(kind, alpha, t, x, y, xi_max):
+    # the expanded per-kind formula at one point; the arguments are rounded
+    # to doubles as the library rounds them, the rest is exact to 30 digits
     u, v = x - y, x + y
-    tail = 0.25 * (si(t + u) + si(t - u))
-    if kind == "wentzell":
-        # r = -r_Robin(alpha = 1): the direct term less the Robin reflection
-        return 2.0 * tail - pointwise_tail("robin", 1.0, t, x, y, xi_max)
-    if kind == "dirichlet":
-        return tail - 0.25 * (si(t + v) + si(t - v))
-    if alpha == 0.0:
-        return tail + 0.25 * (si(t + v) + si(t - v))
-    tail = tail - 0.25 * (si(t + v) + si(t - v))
-    cos_minus, sin_minus = frac(t - v, alpha)
-    cos_plus, sin_plus = frac(t + v, alpha)
-    tail = tail + (alpha / 2.0) * (cos_minus - cos_plus)
-    return tail + 0.5 * (sin_plus + sin_minus)
+    with mpmath.workdps(30):
+        tail = (mp_si_tail(t + u, xi_max) + mp_si_tail(t - u, xi_max)) / 4
+        if kind == "wentzell":
+            # r = -r_Robin(alpha = 1): the direct term less the Robin reflection
+            return 2 * tail - mp_point_tail("robin", 1.0, t, x, y, xi_max)
+        image = (mp_si_tail(t + v, xi_max) + mp_si_tail(t - v, xi_max)) / 4
+        if kind == "dirichlet":
+            return tail - image
+        if alpha == 0.0:
+            return tail + image
+        cos_minus, sin_minus = mp_frac_tails(t - v, alpha, xi_max)
+        cos_plus, sin_plus = mp_frac_tails(t + v, alpha, xi_max)
+        return (tail - image + mpmath.mpf(alpha) / 2 * (cos_minus - cos_plus)
+                + (sin_plus + sin_minus) / 2)
+
+
+def pointwise_tail(kind, alpha, t, x, y, xi_max):
+    # the closed-form xi > xi_max tail by mpmath, point by point, rounded once
+    t, x, y = np.broadcast_arrays(t, x, y)
+    return np.array([float(mp_point_tail(kind, alpha, float(a), float(b), float(c),
+                                         float(xi_max)))
+                     for a, b, c in zip(t.ravel(), x.ravel(), y.ravel())]).reshape(t.shape)
 
 
 TAIL_CASES = [("dirichlet", None), ("robin", 0.0), ("robin", -1.0), ("robin", 0.7),
@@ -304,7 +321,9 @@ def assert_same_tail(kind, alpha, t, x, y, xi_max=40.0):
 class TestDistinctTail:
     """The closed-form tail is evaluated once per distinct argument and
     gathered back: bit-identical to evaluating it at every point alone, and
-    within 1e-15 of the expanded per-kind formula in ``pointwise_tail``."""
+    within 1e-15 of the expanded per-kind formula in ``pointwise_tail``,
+    evaluated by mpmath (scipy's exp1 and sici are off by up to 1.1e-15
+    there)."""
 
     @pytest.mark.parametrize("kind,alpha", TAIL_CASES)
     def test_matches_pointwise_on_repeated_arguments(self, kind, alpha):
@@ -337,29 +356,120 @@ class TestDistinctTail:
                          xi_max=data.draw(st.floats(1.0, 80.0)))
 
     def test_exp1_once_per_distinct_argument(self, monkeypatch):
-        # a shifted 20^3 grid: 8000 points, far fewer distinct v -+ t
-        # the tail imports exp1 when called, so the count goes through scipy
+        # a shifted 20^3 grid: 8000 points in each of the six tail integrals,
+        # far fewer distinct E1 arguments over all six, and one call for them
         sizes = []
+        evaluate = propagator._scaled_exp1
 
         def counting(z):
             sizes.append(np.size(z))
-            return exp1(z)
-        monkeypatch.setattr(scipy.special, "exp1", counting)
+            return evaluate(z)
+        monkeypatch.setattr(propagator, "_scaled_exp1", counting)
         t = np.linspace(0.1, 2.1, 20)
         x = np.linspace(0.25, 3.05, 20)
         y = np.linspace(0.15, 2.95, 20)
         res = resolve(ROBIN, 0.0, np.linspace(0.0, 12.0, 64), nodes=400)
         build_kernel_grid(res, t, x, y)
-        T, V = t[:, None, None], x[None, :, None] + y[None, None, :]
-        want = [np.unique(c[c != 0]).size for c in (V - T, V + T)]
-        assert sizes == want == [758, 541]
-        assert max(sizes) <= t.size * (x.size + y.size - 1) < 8000
+        T, X, Y = t[:, None, None], x[None, :, None], y[None, None, :]
+        U, V, xi_max = X - Y, X + Y, float(res.xi[-1])
+        # z = |c| (sign(c) alpha - i xi_max): alpha = 0 for the sine
+        # integrals, the Robin alpha = -1 for the reflected pair
+        args = [(c, 0.0) for c in (T + U, T - U, T + V, T - V)]
+        args += [(c, res.alpha) for c in (V - T, V + T)]
+        want = {(float(a), float(b)) for c, alpha in args
+                for a, b in zip(c[c != 0] * alpha, -(np.abs(c[c != 0]) * xi_max))}
+        assert sizes == [len(want)] == [3861]
+        assert sizes[0] <= 6 * t.size * (x.size + y.size - 1) < 6 * 8000
 
-    def test_asymptotic_series_joins_exp1(self):
-        # both branches of _reflection_tail agree where both are finite
-        for sign in (-1.0, 1.0):
-            z = sign * np.linspace(400.0, 700.0, 31) - 1j * np.linspace(0.0, 4e3, 31)
-            assert_allclose(propagator._exp_e1(z), np.exp(z) * exp1(z), rtol=1e-15)
+
+def mp_scaled_exp1(z):
+    # e^z E1(z) to 40 digits, rounded once
+    with mpmath.workdps(40):
+        w = mpmath.mpc(z.real, z.imag)
+        return complex(mpmath.exp(w) * mpmath.e1(w))
+
+
+def reflected_part(z, g):
+    # Im F = Im(e^{-i Im z} g(z)), the tail integral the kernels read
+    return g.imag * np.cos(z.imag) - g.real * np.sin(z.imag)
+
+
+@st.composite
+def tail_arguments(draw):
+    """z = c (alpha - i X) as the kernel tails form it, c > 0, drawn over the
+    evaluator's regions, across their boundaries (s = _CUT, |z| = _FAR), on
+    the imaginary axis (alpha = 0), at alpha = +-1000 and at |Re z| in
+    [400, 700]."""
+    X = draw(st.sampled_from([17.5, 40.0]) | st.floats(1.0, 80.0))
+    where = draw(st.sampled_from(["any", "cut", "far", "axis", "re"]))
+    if where == "axis":
+        alpha = 0.0
+    elif where == "re":
+        alpha = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(25.0, 1000.0))
+    else:
+        alpha = draw(st.sampled_from([-1000.0, -100.0, -1.0, -0.01, 0.0, 0.7, 5.0,
+                                      1000.0]) | st.floats(-1000.0, 1000.0))
+    r1 = math.hypot(alpha, X)                              # |z|/c
+    s1 = r1 + alpha if alpha >= 0 else X * X / (r1 - alpha)    # (|z| + Re z)/c
+    jitter = 1.0 + draw(st.floats(-1e-3, 1e-3))
+    if where == "cut":
+        c = propagator._CUT / s1 * jitter
+    elif where == "far":
+        c = propagator._FAR / r1 * jitter
+    elif where == "re":
+        c = draw(st.floats(400.0, 700.0)) / abs(alpha)
+    else:
+        c = 10.0 ** draw(st.floats(-5.0, math.log10(16.0)))
+    return complex(c * alpha + 0.0, -(c * X))
+
+
+def mixed_batch():
+    # every region and boundary of _scaled_exp1, repeats and both signs of
+    # a zero real part, shuffled
+    rng = np.random.default_rng(19)
+    c = np.geomspace(1e-5, 16.0, 60)
+    z = [c * alpha - 1j * (c * X) for alpha in (-1000.0, -1.0, 0.0, 0.7, 1000.0)
+         for X in (17.5, 40.0)]
+    z.append(propagator._CUT * np.exp(-1j * np.linspace(0.0, np.pi - 1e-9, 40)) / 2)
+    theta = np.linspace(np.pi - 0.5, np.pi - 1e-6, 40)
+    z.append(propagator._FAR * np.exp(-1j * theta) * (1.0 + np.linspace(-1e-3, 1e-3, 40)))
+    z.append(np.linspace(-700.0, 700.0, 41) - 1j * np.linspace(0.0, 4e3, 41)[::-1])
+    z.append(np.array([-0.0 - 2.0j, 0.0 - 2.0j, 1.0 - 1.0j, 1.0 - 1.0j]))
+    z = np.concatenate(z)
+    return z[rng.permutation(z.size)]
+
+
+class TestScaledExp1:
+    """g(z) = e^z E1(z), the one evaluator behind every closed-form tail."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(z=st.lists(tail_arguments(), min_size=1, max_size=8))
+    def test_matches_mpmath_at_tail_arguments(self, z):
+        z = np.array(z)
+        got = propagator._scaled_exp1(z)
+        want = np.array([mp_scaled_exp1(v) for v in z])
+        assert_allclose(got, want, rtol=2e-15, atol=0)
+        # the tails' 1e-15, plus one rounding of Im F itself (|Im F| <= pi)
+        assert_allclose(reflected_part(z, got), reflected_part(z, want),
+                        rtol=np.finfo(float).eps, atol=1e-15)
+        alone = np.array([propagator._scaled_exp1(z[j:j + 1])[0] for j in range(z.size)])
+        assert got.tobytes() == alone.tobytes()
+
+    def test_mixed_batch_is_bit_identical_one_at_a_time(self):
+        z = mixed_batch()
+        got = propagator._scaled_exp1(z)
+        alone = np.array([propagator._scaled_exp1(z[j:j + 1])[0] for j in range(z.size)])
+        assert got.tobytes() == alone.tobytes()
+        assert got.tobytes() == propagator._scaled_exp1(z[::-1])[::-1].tobytes()
+        assert_allclose(got, [mp_scaled_exp1(v) for v in z], rtol=2e-15, atol=0)
+
+    def test_sine_integral_on_the_imaginary_axis(self):
+        # E1(-i y) = -Ci(y) + i (pi/2 - Si(y)), so Im F is the sine-integral tail
+        y = np.geomspace(1e-4, 1e3, 50)
+        im = reflected_part(-1j * y, propagator._scaled_exp1(-1j * y))
+        with mpmath.workdps(30):
+            want = [float(mpmath.pi / 2 - mpmath.si(v)) for v in y]
+        assert_allclose(im, want, rtol=0, atol=1e-15)
 
 
 class TestAppliers:
