@@ -12,8 +12,8 @@ oracles plus the verification instruments used to cross-check everything.
 
 from .model import (BoundaryCondition, HalfSpaceModel, WarpedProfile,
                     assemble_potential, conformal_factors)
-from .oracle import (FdSystem, assemble_fd, fd_modes, fd_spectrum,
-                     images_kernel, leapfrog)
+from .oracle import (FdSystem, assemble_fd, fd_count_below, fd_modes,
+                     fd_spectrum, images_kernel, leapfrog)
 from .propagator import (KernelGrid, apply_advanced, apply_causal,
                          apply_retarded, build_kernel_grid, causal_kernel,
                          conformal_wrap, cos_propagator, evolve_cauchy,

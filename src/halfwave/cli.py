@@ -15,11 +15,8 @@ are uniform and nothing draws randomness.  Each output carries a JSON
 sidecar holding the fully resolved configuration, so feeding a sidecar back
 as ``--config`` reproduces the run bit for bit.
 
-Only the commands that call scipy load it, and each loads what it needs at
-its start, before any numeric work (``_COMMANDS``): ``spectrum`` and
-``verify`` import ``scipy.linalg`` (the FD eigensolve); ``kernel``,
-``evolve`` and importing this module load no scipy at all (the closed-form
-kernel tails are numpy).
+No command loads scipy: the closed-form kernel tails and the FD
+eigenvalues (Sturm counts) are numpy and plain Python.
 
 Exit codes: 0 success/pass, 1 check failure, 2 usage or configuration
 error, 3 I/O error, 4 internal error (an unexpected exception, reported as
@@ -43,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import importlib
 import json
 import math
 import numbers
@@ -246,6 +242,9 @@ def settings(cfg: dict) -> dict:
         run["model"] = HalfSpaceModel(**run["model"])
     except ValueError as exc:
         raise ConfigError(f"bad model section: {exc}") from None
+    if run["scan"]["lambda_min"] >= 0:
+        raise ConfigError("scan.lambda_min must be negative: the scan covers "
+                          f"the negative spectrum, got {run['scan']['lambda_min']}")
     run["bc"] = _boundary(_section(cfg, "bc"))
     run["grids"] = tuple(_axis(_section(cfg, "grids"), name) for name in "txy")
     # the frequency quadrature evaluates e^{i xi span} up to xi = xi_max, so
@@ -332,19 +331,21 @@ def cmd_spectrum(run: dict, outdir: Path) -> int:
     rows = triple.spectrum_scan(bc, lam_grid, k_range=k_range)
     # theta = inf is Dirichlet, written as inf; a NaN witness is a fault
     _all_finite("the theta - Weyl column", [row[2] for row in rows], inf_ok=True)
-    # FD comparison: count of eigenvalues below each lambda
+    # FD comparison: the count of eigenvalues below each lambda, read from
+    # those below the grid's top (at least the lowest, for fd_lowest)
     sysm = oracle.assemble_fd(bc, model.k, model.grid, model.x_max)
     _all_finite("the FD diagonals", np.concatenate((sysm.diag, sysm.off)))
-    eigs = oracle.fd_spectrum(sysm, min(32, sysm.n_active))
+    located = max(1, oracle.fd_count_below(sysm, lam_grid.max(initial=-np.inf)))
+    eigs = oracle.fd_spectrum(sysm, located)
     _all_finite("the FD eigenvalues", eigs)
+    below = np.searchsorted(eigs, lam_grid).tolist()
     path = outdir / "spectrum.csv"
     with open(path, "w") as fh:
         fh.write("lambda,k,theta_minus_weyl,verdict,fd_eigs_below\n")
-        for lam, k, value, verdict in rows:
-            below = int(np.sum(eigs < lam))
-            fh.write(f"{lam:.17g},{k:.17g},{value:.17g},{verdict},{below}\n")
+        for (lam, k, value, verdict), count in zip(rows, below):
+            fh.write(f"{lam:.17g},{k:.17g},{value:.17g},{verdict},{count}\n")
     _write_sidecar(outdir / "spectrum.sidecar.json", "spectrum", run,
-                   {"fd_lowest": float(eigs[0]) if len(eigs) else None})
+                   {"fd_lowest": float(eigs[0])})
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -500,18 +501,13 @@ def cmd_verify(run: dict, outdir: Path) -> int:
     return EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
 
 
-# command -> (its handler's name, the scipy modules its numerics call), in
-# help order.  Only the FD eigensolve of spectrum and verify calls scipy
-# (scipy.linalg); kernel and evolve are numpy alone.  main imports the
-# modules after validation and before the handler runs, so the import and
-# its long-lived allocations come before the command's arrays, not in the
-# middle of its numerics.  The handler is looked up by name when it runs,
-# so a wrapped ``cmd_*`` attribute is the one called.
+# command -> its handler's name, in help order.  The handler is looked up
+# by name when it runs, so a wrapped ``cmd_*`` attribute is the one called.
 _COMMANDS = {
-    "spectrum": ("cmd_spectrum", ("scipy.linalg",)),
-    "kernel": ("cmd_kernel", ()),
-    "evolve": ("cmd_evolve", ()),
-    "verify": ("cmd_verify", ("scipy.linalg",)),
+    "spectrum": "cmd_spectrum",
+    "kernel": "cmd_kernel",
+    "evolve": "cmd_evolve",
+    "verify": "cmd_verify",
 }
 
 
@@ -533,7 +529,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    handler, modules = _COMMANDS[args.command]
+    handler = _COMMANDS[args.command]
     try:
         # made before validation, and before parsing when --out names it:
         # a rejected config leaves it empty
@@ -544,8 +540,6 @@ def main(argv=None) -> int:
         # non-finite backstop before any write, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             run = settings(cfg)
-            for module in modules:
-                importlib.import_module(module)
             return globals()[handler](run, outdir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

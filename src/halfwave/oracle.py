@@ -12,18 +12,31 @@ scheme at the boundary (second-order accurate there and in the interior).
 The far end of the window always carries a homogeneous Dirichlet wall; tests
 keep supports away from it.
 
-``scipy.linalg`` is imported inside the two eigensolvers, ``fd_spectrum`` and
-``fd_modes``, so assembly and ``leapfrog`` run without scipy; the CLI imports
-it at the start of the commands that solve.
+Eigenvalues come from Sturm counts, numpy and plain Python, no scipy: the
+number of negative pivots of the LDL^T factorization of S - lam is the
+number of eigenvalues below lam (``fd_count_below``), and ``fd_spectrum``
+finds each requested eigenvalue as the least double at which that count
+passes it, by bisection finished with Newton steps (Barth-Martin-Wilkinson
+bisection, as in LAPACK's dstebz/dlaebz).  The whole spectrum and
+``fd_modes`` use numpy's dense symmetric solver.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import BoundaryCondition
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+# Newton steps start once a bracket holding one eigenvalue is this narrow
+# relative to its larger end; they end within _AIM eps ||S|| of the root,
+# about where rounding in the counts sets in
+_NEAR = 2.0 ** -4
+_AIM = 1.0 / 16
 
 
 @dataclass
@@ -115,22 +128,130 @@ def assemble_fd(bc: BoundaryCondition, k: float, grid: int,
                     meta={"alpha": alpha, "x_max": x_max})
 
 
+def _sturm(sys: FdSystem):
+    """The Sturm recurrence's data as Python floats: the diagonal, the
+    squared off-diagonal led by 0, dlaebz's pivot floor, a Gerschgorin
+    bracket of the spectrum widened as dstebz does (its counts are exactly 0
+    and n) and the Newton end-game tolerance."""
+    d = sys.diag.tolist()
+    e2 = [0.0] + (sys.off * sys.off).tolist()
+    radius = np.zeros(sys.n_active)
+    radius[:-1] = np.abs(sys.off)
+    radius[1:] += np.abs(sys.off)
+    lo = float(np.min(sys.diag - radius))
+    hi = float(np.max(sys.diag + radius))
+    norm = max(-lo, hi)
+    pivmin = _TINY * max(1.0, max(e2))
+    slack = 2.1 * (norm * _EPS * len(d) + 2.0 * pivmin)
+    if not math.isfinite(norm + pivmin + slack):
+        raise FloatingPointError("the FD matrix overflows the Sturm recurrence")
+    return d, e2, pivmin, lo - slack, hi + slack, _AIM * _EPS * norm
+
+
+def _count(d, e2, pivmin, lam):
+    # negative pivots of S - lam; dlaebz's guard: |q| < pivmin becomes
+    # -pivmin, so an exact zero pivot counts and never divides
+    count, q = 0, 1.0
+    for a, b in zip(d, e2):
+        q = a - b / q - lam
+        if q < pivmin:
+            count += 1
+            if q > -pivmin:
+                q = -pivmin
+    return count
+
+
+def _count_slope(d, e2, pivmin, lam):
+    # _count, and sum(q'/q) = d/dlam log|det(S - lam)| for a Newton step
+    count, q, dq, slope = 0, 1.0, 0.0, 0.0
+    for a, b in zip(d, e2):
+        r = b / q
+        dq = r * dq / q - 1.0
+        q = a - r - lam
+        if q < pivmin:
+            count += 1
+            if q > -pivmin:
+                q = -pivmin
+        slope += dq / q
+    return count, slope
+
+
+def _locate(d, e2, pivmin, tol, i, lo, hi, clo, chi):
+    """The least double lam with more than ``i`` eigenvalues at or below it,
+    given clo = count(lo) <= i < chi = count(hi); returns it, with the last
+    lower end and its count (a start for eigenvalue i + 1).
+
+    Every sample lies inside the bracket, so the result is the one plain
+    bisection to adjacent doubles gives.  Bisection narrows the bracket until
+    it holds eigenvalue i alone and is _NEAR-narrow; Newton steps on the
+    determinant then run while each at least halves the last; once a step
+    is below ``tol`` or stops halving, one sample aims past the root,
+    further by 4x each time it falls short, and bisection finishes.
+    """
+    lam = 0.5 * (lo + hi)
+    step = math.inf
+    aim = None                          # (anchor, direction, reach)
+    while True:
+        newton = (aim is None and clo == i and chi == i + 1
+                  and hi - lo <= _NEAR * max(-lo, hi))
+        if newton:
+            count, slope = _count_slope(d, e2, pivmin, lam)
+        else:
+            count = _count(d, e2, pivmin, lam)
+        if count > i:
+            hi, chi = lam, count
+        else:
+            lo, clo = lam, count
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi, lo, clo
+        target = mid
+        if aim is not None:
+            anchor, sign, reach = aim
+            reach = 4.0 * reach if (count > i) != (sign > 0) else math.inf
+            aim = anchor, sign, reach
+            target = anchor + sign * reach
+        elif newton and slope:
+            s = -1.0 / slope
+            if abs(s) <= tol or abs(s) > 0.5 * step:
+                sign = math.copysign(1.0, s)
+                aim = lam, sign, max(abs(s), tol)
+                target = lam + sign * aim[2]
+            elif lo < lam + s < hi:
+                step, target = abs(s), lam + s
+        lam = target if lo < target < hi else mid
+
+
+def fd_count_below(sys: FdSystem, lam: float) -> int:
+    """Number of eigenvalues below ``lam`` (one equal to it, to rounding,
+    counts too): the negative pivots of S - lam, one sweep."""
+    d, e2, pivmin, *_ = _sturm(sys)
+    return _count(d, e2, pivmin, float(lam))
+
+
 def fd_spectrum(sys: FdSystem, count: int = None) -> np.ndarray:
-    """Lowest ``count`` eigenvalues (all when count is None), ascending."""
-    from scipy.linalg import eigvalsh_tridiagonal
+    """Lowest ``count`` eigenvalues (all when count is None), ascending.
+
+    With a count, each is located on Sturm counts (``_locate``): within
+    rounding of order eps ||S|| of the exact eigenvalue of the stored
+    matrix.  The whole spectrum comes from numpy's dense symmetric solver.
+    """
     if count is None or count >= sys.n_active:
-        return eigvalsh_tridiagonal(sys.diag, sys.off)
-    return eigvalsh_tridiagonal(sys.diag, sys.off, select="i",
-                                select_range=(0, count - 1))
+        return np.linalg.eigvalsh(sys.matrix)
+    d, e2, pivmin, lo, hi, tol = _sturm(sys)
+    eigs, clo = [], 0
+    for i in range(count):
+        lam, lo, clo = _locate(d, e2, pivmin, tol, i, lo, hi, clo, len(d))
+        eigs.append(lam)
+    return np.array(eigs)
 
 
 def fd_modes(sys: FdSystem, count: int):
-    """Lowest eigenpairs; eigenvectors returned on the full grid, normalized
-    in the discrete (mass-weighted) inner product."""
-    from scipy.linalg import eigh_tridiagonal
-    vals, vecs = eigh_tridiagonal(sys.diag, sys.off, select="i",
-                                  select_range=(0, count - 1))
-    return vals, sys.from_w(vecs.T)
+    """Lowest eigenpairs, from numpy's dense symmetric solver; eigenvectors
+    returned on the full grid, normalized in the discrete (mass-weighted)
+    inner product."""
+    vals, vecs = np.linalg.eigh(sys.matrix)
+    return vals[:count], sys.from_w(vecs[:, :count].T)
 
 
 def leapfrog(sys: FdSystem, u0, v0, dt: float, T: float,

@@ -78,6 +78,7 @@ from .quadrature import TruncationWarning, check_decay
 from .spectral import ExtendedState, SpectralResolution
 
 _CSV_CHUNK = 4096      # values formatted at a time by write_grid_csv
+_DBL_MIN = float(np.finfo(float).tiny)
 
 
 def _harmonics(lam, t):
@@ -110,7 +111,8 @@ def sin_propagator(lam, t):
     Equals t at lam = 0 and sinh(sqrt(-lam) t)/sqrt(-lam) for lam < 0.  It
     and :func:`cos_propagator` read :func:`_harmonics`, the one evaluator of
     the continued functions behind the kernels, the appliers and
-    :func:`evolve_cauchy`.
+    :func:`evolve_cauchy`; only the kernel's bound term at lam < 0 takes
+    sinh's two exponentials together with its profiles (``_non_separable``).
     """
     s, _, rate = _harmonics(lam, t)
     return s / rate
@@ -220,12 +222,18 @@ def _tails(cs, alphas, xi_max):
     -alpha, and Im F(0) = -atan2(alpha, X).  At alpha = 0 this is the
     sine-integral tail int_X^inf sin(c xi)/xi dxi = sign(c) (pi/2 - Si(|c| X)),
     since E1(-i y) = -Ci(y) + i (pi/2 - Si(y)).  g is evaluated once per
-    distinct z over all pairs, in one call, and gathered back.
+    distinct z over all pairs, in one call, and gathered back.  Where
+    0 < |z| < DBL_MIN the rounded parts of z lose its direction, and Im F(c)
+    is its c -> 0+- limit, sign(c) atan2(X, sign(c) alpha), to within 1e-300.
     """
-    found = [np.unique(np.asarray(c, dtype=float), return_inverse=True) for c in cs]
+    found = []
+    for c, alpha in zip(cs, alphas):
+        vals, inv = np.unique(np.asarray(c, dtype=float), return_inverse=True)
+        big = np.abs(vals) * math.hypot(alpha, xi_max) >= _DBL_MIN
+        found.append((vals, inv, big))
     parts = []
-    for (vals, _), alpha in zip(found, alphas):
-        c = vals[vals != 0]
+    for (vals, _, big), alpha in zip(found, alphas):
+        c = vals[big]
         z = np.empty(c.size, dtype=complex)
         z.real = c * alpha + 0.0     # |c| (sign(c) alpha), -0.0 folded into 0.0
         z.imag = -(np.abs(c) * xi_max)
@@ -234,10 +242,11 @@ def _tails(cs, alphas, xi_max):
     g = _scaled_exp1(z)
     im = (g.imag * np.cos(z.imag) - g.real * np.sin(z.imag))[back]   # Im e^{i c X} g
     out, start = [], 0
-    for c, (vals, inv), alpha, part in zip(cs, found, alphas, parts):
-        tail = np.full(vals.shape, -np.arctan2(alpha, xi_max))
-        nonzero = vals != 0
-        tail[nonzero] = np.sign(vals[nonzero]) * im[start:start + part.size]
+    for c, (vals, inv, big), alpha, part in zip(cs, found, alphas, parts):
+        side = np.sign(vals)
+        tail = np.where(side == 0, -np.arctan2(alpha, xi_max),
+                        side * np.arctan2(xi_max, side * alpha))
+        tail[big] = side[big] * im[start:start + part.size]
         start += part.size
         out.append(tail[inv.reshape(np.shape(c))])
     return out
@@ -297,8 +306,15 @@ def _non_separable(res: SpectralResolution, t, x, y):
     tails = bool(res.k == 0.0)
     shape = np.broadcast_shapes(np.shape(t), np.shape(x), np.shape(y))
     terms = np.zeros(shape)
-    if res.bound is not None:
-        b = res.bound
+    b = res.bound
+    if b is not None and b.lam < 0:
+        # s(lam, t) 2 kappa e^{-kappa (x + y)} with each exponential of sinh
+        # taken with the profiles' decay, so it overflows only where the
+        # kernel itself exceeds a double
+        r, z = math.sqrt(-b.lam), -b.kappa * (x + y)
+        rt = r * np.abs(t)
+        terms += np.sign(t) * (b.kappa / r) * (np.exp(rt + z) - np.exp(z - rt))
+    elif b is not None:
         terms += sin_propagator(b.lam, t) * b.profile(x) * b.profile(y)
     if tails:
         terms += res.weight * _kernel_tail(res.kind, res.alpha, t, x, y,

@@ -4,8 +4,9 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from halfwave.model import BoundaryCondition
-from halfwave.oracle import (assemble_fd, fd_modes, fd_spectrum,
-                             free_space_solution, images_kernel, leapfrog)
+from halfwave.oracle import (assemble_fd, fd_count_below, fd_modes,
+                             fd_spectrum, free_space_solution, images_kernel,
+                             leapfrog)
 
 DIR = BoundaryCondition.dirichlet()
 
@@ -317,3 +318,112 @@ def test_fd_spectrum_ordering_on_trivial_system():
                     dx=1.0, k=0.0, kind="dirichlet", offset=1, n=4)
     assert_allclose(fd_spectrum(sysm), [1.0, 2.0], rtol=0, atol=0)
     assert_allclose(fd_spectrum(sysm, 1), [1.0], rtol=0, atol=0)
+
+
+def bisection_reference(sysm, count):
+    # the plain bisection to adjacent doubles on the same counts, which the
+    # Newton finish must reproduce exactly
+    from halfwave import oracle
+    d, e2, pivmin, lo, hi, _ = oracle._sturm(sysm)
+    eigs = []
+    for i in range(count):
+        a, b = lo, hi
+        while a < 0.5 * (a + b) < b:
+            mid = 0.5 * (a + b)
+            if oracle._count(d, e2, pivmin, mid) > i:
+                b = mid
+            else:
+                a = mid
+        eigs.append(b)
+    return np.array(eigs)
+
+
+def exact_count(sysm, lam) -> int:
+    # the count of eigenvalues below lam of the stored double matrix, from
+    # its Sturm sequence in 40-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(lam)
+        count, q = 0, mpmath.mpf(1)
+        for a, b in zip(sysm.diag.tolist(), [0.0] + sysm.off.tolist()):
+            q = mpmath.mpf(a) - mpmath.mpf(b) ** 2 / q - lam
+            count += q < 0
+    return count
+
+
+# the systems of the spectrum command at grid 2048 and of the verify
+# spectrum check, then the other kinds at grid 2048
+CLI_SYSTEMS = [
+    (BoundaryCondition.robin(-1.0), 0.0, 2048, 30.0),
+    (BoundaryCondition.robin(-1.0), 0.0, 1024, 20.0),
+    (DIR, 0.0, 2048, 30.0),
+    (BoundaryCondition.neumann(), 0.0, 2048, 30.0),
+    (BoundaryCondition.wentzell_laplace(), 0.0, 2048, 30.0),
+]
+
+
+class TestSturm:
+    def test_zero_pivot_counts(self):
+        # the Dirichlet rows at lam = diag/2 give an exact zero pivot at every
+        # third row; without dlaebz's guard the count reads 0
+        sysm = assemble_fd(DIR, 0.0, 2048, 30.0)
+        lam = sysm.diag[0] / 2.0
+        q1 = sysm.diag[1] - sysm.off[0] ** 2 / (sysm.diag[0] - lam) - lam
+        assert q1 == 0.0
+        dense = int(np.sum(np.linalg.eigvalsh(sysm.matrix) < lam))
+        assert dense == 682
+        assert fd_count_below(sysm, lam) == dense
+
+    @pytest.mark.parametrize("bc,k", ASSEMBLY_CASES)
+    def test_counts_match_dense_at_diagonal_shifts(self, bc, k):
+        # lam = diag[0] makes the first pivot exactly 0, and diag[1]/2 the
+        # second one on Dirichlet rows.  Neumann's diag[0], 2/dx^2, is also
+        # the band's centre eigenvalue, whose count rounding decides
+        sysm = assemble_fd(bc, k, 128, 10.0)
+        dense = np.linalg.eigvalsh(sysm.matrix)
+        shifts = [sysm.diag[1] / 2.0] + ([] if bc.kind == "neumann" else [sysm.diag[0]])
+        for lam in shifts:
+            assert np.min(np.abs(dense - lam)) > 1e-6
+            assert fd_count_below(sysm, lam) == int(np.sum(dense < lam))
+
+    def test_counts_at_the_trivial_system_eigenvalues(self):
+        from halfwave.oracle import FdSystem
+        sysm = FdSystem(diag=np.array([2.0, 1.0]), off=np.zeros(1),
+                        mass=np.ones(2), dx=1.0, k=0.0, kind="dirichlet",
+                        offset=1, n=4)
+        # an eigenvalue equal to lam counts
+        assert [fd_count_below(sysm, lam) for lam in (0.5, 1.0, 1.5, 2.0)] == [0, 1, 1, 2]
+
+    @pytest.mark.parametrize("bc,k,grid,x_max", CLI_SYSTEMS)
+    def test_within_eps_norm_of_the_exact_eigenvalues(self, bc, k, grid, x_max):
+        sysm = assemble_fd(bc, k, grid, x_max)
+        radius = np.abs(np.concatenate(([0.0], sysm.off))) + \
+            np.abs(np.concatenate((sysm.off, [0.0])))
+        tol = np.finfo(float).eps * np.max(np.abs(sysm.diag) + radius)
+        for i, lam in enumerate(fd_spectrum(sysm, 2)):
+            assert exact_count(sysm, lam - tol) <= i < exact_count(sysm, lam + tol)
+
+    @pytest.mark.parametrize("bc,k,grid,x_max", CLI_SYSTEMS + [
+        (BoundaryCondition.robin(-5.0), 1.0, 2048, 30.0),
+        (BoundaryCondition.robin(2.0), 1.5, 128, 10.0)])
+    def test_newton_finish_is_the_bisection(self, bc, k, grid, x_max):
+        sysm = assemble_fd(bc, k, grid, x_max)
+        assert np.array_equal(fd_spectrum(sysm, 3), bisection_reference(sysm, 3))
+
+    def test_newton_steps_run_on_the_spectrum_command_system(self, monkeypatch):
+        from halfwave import oracle
+        calls = []
+        real = oracle._count_slope
+
+        def counted(*args):
+            calls.append(args[-1])
+            return real(*args)
+        monkeypatch.setattr(oracle, "_count_slope", counted)
+        fd_spectrum(assemble_fd(BoundaryCondition.robin(-1.0), 0.0, 2048, 30.0), 1)
+        assert 1 <= len(calls) <= 8
+
+    def test_overflowing_matrix_is_refused(self):
+        # finite entries whose squares overflow
+        sysm = assemble_fd(DIR, 0.0, 64, 1e-80)
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+            fd_spectrum(sysm, 1)

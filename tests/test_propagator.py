@@ -344,6 +344,15 @@ class TestDistinctTail:
         assert_allclose(got, pointwise_tail(kind, alpha, t, x, y, 40.0),
                         rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("kind,alpha", TAIL_CASES)
+    def test_matches_pointwise_at_subnormal_arguments(self, kind, alpha):
+        # t - x - y of a few subnormal units: z = c (alpha - i X) would round
+        # to a few units too, losing its direction
+        t = np.array([-1e-323, -5e-324, 5e-324, 1e-323, 2.5e-322, 3e-308])
+        x = np.array([0.0, 5e-324, 1e-320])
+        assert_same_tail(kind, alpha, t, x, x[::-1], xi_max=1.0)
+        assert_same_tail(kind, alpha, t, x, x)
+
     @settings(max_examples=60, deadline=None)
     @given(case=st.sampled_from(TAIL_CASES), data=st.data())
     def test_matches_pointwise_on_random_tensor_grids(self, case, data):

@@ -43,6 +43,8 @@ def test_robin_fd_spectrum_matches_dense(alpha, k, grid):
     sysm = assemble_fd(BoundaryCondition.robin(alpha), k, grid, 10.0)
     dense = scipy.linalg.eigvalsh(sysm.matrix)
     assert np.max(np.abs(fd_spectrum(sysm) - dense)) <= 1e-13
+    # a count locates each eigenvalue on Sturm counts instead
+    assert np.max(np.abs(fd_spectrum(sysm, 3) - dense[:3])) <= 1e-13
 
 
 # Robin alpha in [-2, 2] or the dynamical condition, at a transverse k
@@ -113,6 +115,7 @@ def test_settings_accepts_or_rejects_any_value(path, value):
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NEGATIVE = st.floats(max_value=0.0, exclude_max=True, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # grid endpoints, lengths and xi_max small enough that the largest phase
 # of every window, xi_max times its span (max|t| + max|x| + max|y|, and
@@ -149,7 +152,7 @@ def valid_configs(draw):
         "quadrature": {"xi_max": draw(LENGTH),
                        "nodes": draw(st.none() | count(64, 10 ** 6))},
         "grids": {name: draw(axis) for name in "txy"},
-        "scan": {"lambda_min": draw(FINITE), "lambda_max": draw(FINITE),
+        "scan": {"lambda_min": draw(NEGATIVE), "lambda_max": draw(FINITE),
                  "steps": draw(count(0, 10 ** 6)), "k_max": draw(POSITIVE)},
         "source": {"profile": "gaussian", "amplitude": draw(FINITE),
                    "t0": draw(FINITE), "sigma_t": draw(WIDTH),
