@@ -407,11 +407,14 @@ def _verify_greens(run, tol):
 
 
 def _verify_spectrum(run, tol):
-    roots = triple.negative_spectrum_roots(BoundaryCondition.robin(-1.0), -3.0)
-    sysm = oracle.assemble_fd(BoundaryCondition.robin(-1.0), 0.0, 1024, 20.0)
+    # Robin -1 at k = 0 whatever the config, recorded as such
+    bc = BoundaryCondition.robin(-1.0)
+    roots = triple.negative_spectrum_roots(bc, -3.0)
+    sysm = oracle.assemble_fd(bc, 0.0, 1024, 20.0)
     low = float(oracle.fd_spectrum(sysm, 1)[0])
     ok = len(roots) == 1 and abs(roots[0] + 1.0) <= 1e-3 and abs(low + 1.0) <= tol
-    return {"roots": roots, "fd_lowest": low, "tol": tol, "passed": bool(ok)}
+    return {"bc": bc.describe(0.0), "roots": roots, "fd_lowest": low, "tol": tol,
+            "passed": bool(ok)}
 
 
 def _verify_kernel_images(run, tol):

@@ -29,7 +29,9 @@ Every applier on the x grid (the three above, ``wentzell_apply``,
 ``SpectralResolution.transform``: one loop over blocks of _CHUNK xi nodes
 that evaluates each family block once, projects the source on it, acts on
 the block's modes and sums the block back into the field.  Transient memory
-is O(nt nx + nt _CHUNK + _CHUNK nx); no nt x n_xi coefficient array exists.
+is O(nt _CHUNK + _CHUNK nx) plus one 2 MB panel besides the source and the
+field: no nt x n_xi coefficient array exists, and no other array of the
+field's size.
 
 Truncating the frequency integral at xi_max leaves an oscillatory tail of
 size O(1/(xi_max * c)), c the distance to the nearest characteristic, far
@@ -504,9 +506,22 @@ def _check_source_window(res, f, t):
 
 
 def _prefix_trapezoid(h, dt):
-    # trapezoid integrals of h over t' <= t along axis 0, zero in the first row
-    out = np.zeros_like(h)
-    np.cumsum(dt * (h[1:] + h[:-1]) / 2.0, axis=0, out=out[1:])
+    # trapezoid integrals of h over t' <= t along axis 0, zero in the first
+    # row: one new array, the sums and the prefix sum formed in place
+    out = np.empty_like(h)
+    out[0] = 0.0
+    steps = np.add(h[1:], h[:-1], out=out[1:])
+    steps *= dt
+    steps /= 2.0
+    np.cumsum(steps, axis=0, out=steps)
+    return out
+
+
+def _one_sided(h, dt, support):
+    # the prefix integrals of h, or for 'advanced' the suffix ones, t' >= t
+    out = _prefix_trapezoid(h, dt)
+    if support == "advanced":
+        np.subtract(out[-1].copy(), out, out=out)
     return out
 
 
@@ -519,19 +534,26 @@ def _window(coeffs, t, lam, support: str):
     of c(t') coeffs and s(t') coeffs over the window ``support`` selects:
     all t' for 'causal', the prefix t' <= t for 'retarded' and the suffix
     t' >= t for 'advanced', whose result is negated so that
-    retarded - advanced = causal.
+    retarded - advanced = causal.  One buffer holds c coeffs and then
+    s coeffs, and the result is formed in place in I_c, so the one-sided
+    windows hold four (nt, nlam) arrays at most besides ``coeffs``.
     """
     s, c, rate = _harmonics(lam[None, :], t[:, None])
     dt = float(t[1] - t[0])
+    h = np.multiply(c, coeffs)
     if support == "causal":
-        Ic = np.trapezoid(c * coeffs, dx=dt, axis=0)
-        Is = np.trapezoid(s * coeffs, dx=dt, axis=0)
+        D = s * np.trapezoid(h, dx=dt, axis=0)
+        np.multiply(s, coeffs, out=h)
+        c *= np.trapezoid(h, dx=dt, axis=0)
     else:
-        Ic, Is = _prefix_trapezoid(c * coeffs, dt), _prefix_trapezoid(s * coeffs, dt)
-        if support == "advanced":
-            Ic, Is = Ic[-1] - Ic, Is[-1] - Is
-    D = (s * Ic - c * Is) / rate
-    return -D if support == "advanced" else D
+        D = _one_sided(h, dt, support)
+        D *= s
+        np.multiply(s, coeffs, out=h)
+        del s
+        c *= _one_sided(h, dt, support)
+    D -= c      # s I_c - c I_s
+    D /= rate
+    return np.negative(D, out=D) if support == "advanced" else D
 
 
 def _apply(res: SpectralResolution, f, t, support: str):

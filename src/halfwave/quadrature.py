@@ -72,9 +72,11 @@ def derivative(u, dx, order):
     centre, edges = _STENCILS[order]
     u = np.asarray(u, dtype=float)
     d = np.zeros_like(u)
+    inner = d[..., 2:-2]
+    term = np.empty_like(inner)     # one buffer for every stencil term
     for j, c in enumerate(centre):
         if c:
-            d[..., 2:-2] += c * u[..., j:j + u.shape[-1] - 4]
+            inner += np.multiply(u[..., j:j + u.shape[-1] - 4], c, out=term)
     for i, row in enumerate(edges):
         d[..., i] = u[..., :len(row)] @ row
         d[..., -1 - i] = (-1) ** order * (u[..., :-len(row) - 1:-1] @ row)

@@ -34,10 +34,18 @@ neither changes a result bit.  ``family_block`` evaluates its block in row
 panels of about _PANEL_BYTES (128 KB, an L2-sized piece): the outer product,
 the reduction mod 2 pi, the phase and the sine each pass over one panel in
 cache, and the only temporaries are two panel-sized buffers.  And the
-analysis input, the weighted samples that ``analyze`` and ``transform``
-project, has every |value| < DBL_MIN set to 0: a subnormal operand sends
-the matrix products through microcode assists, and it can move no sum whose
-magnitude is above 2^53 DBL_MIN (~2e-292).
+analysis input, the samples that ``analyze`` and ``transform`` project, has
+every |value| < DBL_MIN set to 0: a subnormal operand sends the matrix
+products through microcode assists, and it can move no sum whose magnitude
+is above 2^53 DBL_MIN (~2e-292).
+
+No array of the input's size is made besides the output.  ``analyze`` and
+``transform`` share one projector, which folds the x weights into the
+family block rather than into the samples, and ``_synthesize`` sums each
+block into its output.  Both products run one row panel of about
+_PRODUCT_PANEL_BYTES (2 MB) at a time: smaller panels cost a few per cent
+of the applier's time at nx = 2048, and the weighted family and the
+partial sums never take more than one panel each.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ MAX_STEP = 0.05     # xi spacing that keeps end-corrected kernels within 1e-7
 
 _CHUNK = 256
 _PANEL_BYTES = 1 << 17      # a row panel of doubles that stays in L2 cache
+_PRODUCT_PANEL_BYTES = 1 << 21    # a row panel of the analysis and synthesis products
 _TINY = np.finfo(float).tiny    # DBL_MIN, the least normal double
 
 # 2 pi = _TWO_PI_HI + _TWO_PI_LO to ~1e-26, the high part with 33 significant
@@ -68,9 +77,38 @@ _TWO_PI_HI = math.ldexp(math.floor(math.ldexp(2.0 * math.pi, 30)), -30)
 _TWO_PI_LO = (2.0 * math.pi - _TWO_PI_HI) + 2.4492935982947064e-16
 
 
-def _panel_rows(width: int) -> int:
-    """Rows of ``width`` doubles in one panel of about _PANEL_BYTES."""
-    return max(1, _PANEL_BYTES // (8 * max(width, 1)))
+def _panel_rows(width: int, nbytes: Optional[int] = None) -> int:
+    """Rows of ``width`` doubles in one panel of about ``nbytes``, by default
+    _PANEL_BYTES."""
+    nbytes = _PANEL_BYTES if nbytes is None else nbytes
+    return max(1, nbytes // (8 * max(width, 1)))
+
+
+def _flushed(a: np.ndarray) -> np.ndarray:
+    """``a`` with every |value| < DBL_MIN set to 0 (see the module docstring).
+
+    ``a`` is scanned one row panel at a time, so no full-size mask is made,
+    and it is returned as it is unless some value changes; only then is it
+    copied.
+    """
+    rows = a.reshape(-1, a.shape[-1] if a.ndim else 1)
+    step = _panel_rows(rows.shape[1])
+    panels = [slice(i, i + step) for i in range(0, len(rows), step)]
+    if not any(np.any(rows[p][np.abs(rows[p]) < _TINY]) for p in panels):
+        return a
+    rows = rows.copy()
+    for p in panels:
+        rows[p][np.abs(rows[p]) < _TINY] = 0.0
+    return rows.reshape(a.shape)
+
+
+def _accumulate(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    # out += a @ b one row panel of about _PRODUCT_PANEL_BYTES at a time, so
+    # no product of out's size is made; out must be contiguous
+    rows, acc = a.reshape(-1, a.shape[-1]), out.reshape(-1, out.shape[-1])
+    step = _panel_rows(acc.shape[1], _PRODUCT_PANEL_BYTES)
+    for i in range(0, len(acc), step):
+        acc[i:i + step] += rows[i:i + step] @ b
 
 
 @dataclass(frozen=True)
@@ -232,25 +270,32 @@ class SpectralResolution:
             sl = slice(i0, min(i0 + _CHUNK, self.xi.size))
             yield sl, self.family_block(sl, points=points)[0]
 
-    def _weighted(self, f, f_boundary, w=None):
-        # ``f`` times the x weights ``w`` (default: endpoint-corrected) on the
-        # x nodes; on the extended space the boundary node x = 0, of weight 1,
-        # takes ``f_boundary`` in place as the last column
-        if w is None:
-            w = corrected_weights(self.x.size, self.dx)
-        f = np.asarray(f, dtype=float)
-        fw = np.empty(f.shape[:-1] + (self.x.size + self.extended,))
-        np.multiply(f, w, out=fw[..., :self.x.size])
-        if self.extended:
-            fw[..., -1] = f_boundary
-        # |value| < DBL_MIN is flushed to 0 (see the module docstring), one
-        # panel of rows at a time so that no full-size mask is made
-        rows = fw.reshape(-1, fw.shape[-1])
-        step = _panel_rows(rows.shape[1])
-        for i in range(0, len(rows), step):
-            p = rows[i:i + step]
-            p[np.abs(p) < _TINY] = 0.0
-        return fw
+    def _projector(self, f, f_boundary):
+        """The analysis of ``f`` as a function of a family block.
+
+        ``project(phi)`` is the endpoint-corrected quadrature of ``f``
+        (flushed, see the module docstring) against each row of ``phi``:
+        one column per row, the grid axis of ``f`` replaced.  ``phi`` holds
+        the rows on the x nodes, then, on the extended space, at x = 0,
+        whose weight 1 takes ``f_boundary``.  The x weights are folded into
+        the block one row panel at a time, ``phi * w``, so no weighted copy
+        of ``f`` is made.
+        """
+        f = _flushed(np.asarray(f, dtype=float))
+        w = corrected_weights(self.x.size, self.dx)
+        nx = self.x.size
+        fb = _flushed(np.asarray(f_boundary, dtype=float)) if self.extended else None
+        step = _panel_rows(nx, _PRODUCT_PANEL_BYTES)
+
+        def project(phi):
+            c = np.empty(f.shape[:-1] + (len(phi),))
+            for i in range(0, len(phi), step):
+                c[..., i:i + step] = f @ (phi[i:i + step, :nx] * w).T
+            if fb is not None:
+                c += np.multiply.outer(fb, phi[:, nx])
+            return c
+
+        return project
 
     def _synthesize(self, coeffs_of, cb):
         # the family on the x nodes summed against the block coefficients
@@ -261,11 +306,11 @@ class SpectralResolution:
             wc = coeffs_of(sl, phi) * w[sl]
             if out is None:
                 out = np.zeros(wc.shape[:-1] + (phi.shape[1],))
-            out += wc @ phi
-            del phi     # free the block before the next one is evaluated
+            _accumulate(out, wc, phi)
+            del phi, wc     # free the block before the next one is evaluated
         if self.bound is not None and cb is not None:
-            out += np.multiply.outer(np.asarray(cb, dtype=float),
-                                     self.bound.profile(self.x))
+            _accumulate(out, np.asarray(cb, dtype=float)[..., None],
+                        self.bound.profile(self.x)[None, :])
         return out
 
     def _split(self, out):
@@ -277,17 +322,18 @@ class SpectralResolution:
         ``f`` may be a single gridded function or a stack with the grid on the
         last axis; ``f_boundary`` (scalar or matching stack) is the boundary
         component of an extended-space vector and is ignored otherwise.
-        Projections are endpoint-corrected quadratures, run as matrix
-        products against a folded weight vector.
+        Projections are endpoint-corrected quadratures, run block by block as
+        matrix products against the family with the x weights folded in (the
+        projector :meth:`transform` uses too).
         """
-        fw = self._weighted(f, f_boundary)
-        coeffs = np.empty(fw.shape[:-1] + (self.xi.size,))
+        project = self._projector(f, f_boundary)
+        coeffs = np.empty(np.shape(f)[:-1] + (self.xi.size,))
         for sl, phi in self.blocks():
-            coeffs[..., sl] = fw @ phi.T
+            coeffs[..., sl] = project(phi)
             del phi
         cb = None
         if self.bound is not None:
-            cb = fw @ self.bound.profile(self.x)
+            cb = project(self.bound.profile(self.x)[None, :])[..., 0]
         return coeffs, cb
 
     def synthesize(self, coeffs, cb=None):
@@ -307,18 +353,20 @@ class SpectralResolution:
         coefficients; it must act on each mode independently, and may change
         the leading axes.  The continuum runs through it one block of _CHUNK
         xi nodes at a time: the family block is evaluated once, projected on,
-        acted on and summed against, so no full coefficient array is formed.
-        The bound channel is one more call, with ``lam = [bound.lam]``.
+        acted on and summed against, so no full coefficient array is formed,
+        and no array of ``f``'s size besides the output (see the module
+        docstring).  The bound channel is one more call, with
+        ``lam = [bound.lam]``.
         Returns what :meth:`synthesize` returns.
         """
-        fw = self._weighted(f, f_boundary)
+        project = self._projector(f, f_boundary)
         lam = self.omega_sq()
         cb = None
         if self.bound is not None:
-            cb = act((fw @ self.bound.profile(self.x))[..., None],
+            cb = act(project(self.bound.profile(self.x)[None, :]),
                      np.array([self.bound.lam]))[..., 0]
         return self._split(self._synthesize(
-            lambda sl, phi: act(fw @ phi.T, lam[sl]), cb))
+            lambda sl, phi: act(project(phi), lam[sl]), cb))
 
     def apply_operator(self, f, f_boundary: float = 0.0):
         """Apply the realized operator through the resolution.
@@ -394,8 +442,9 @@ def completeness_residual(res: SpectralResolution, f, f_boundary: float = 0.0,
     f = np.asarray(f, dtype=float)
     check_decay(f, res.dx, what="completeness input")
     c, cb = res.analyze(f, f_boundary)
-    fn = res._weighted(f, f_boundary, 1.0)      # f on the x nodes
+    fn, w = f, corrected_weights(res.x.size, res.dx)    # f on the x nodes
+    if res.extended:
+        fn, w = np.append(f, f_boundary), np.append(w, 1.0)
     err = fn - res._synthesize(lambda sl, phi: c[..., sl],
                                cb if include_bound else None)
-    w = res._weighted(1.0, 1.0)                 # the node weights
     return float(np.sqrt(max((err * err) @ w, 0.0) / ((fn * fn) @ w)))

@@ -330,6 +330,16 @@ class TestVerify:
         assert entry["bc"] == recorded
         assert entry["max_acausal"] <= 1e-6
 
+    @pytest.mark.parametrize("bc", [{"kind": "dirichlet"}, {"kind": "wentzell"}])
+    def test_spectrum_records_its_bc(self, tmp_path, bc):
+        # the check tests Robin -1 at k = 0 whatever the configured condition
+        cfg = write_config(tmp_path, bc=bc, model={"grid": 256},
+                           verify={"checks": ["spectrum"]})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "verify"]) == EXIT_OK
+        entry = json.loads((out / "verify.json").read_text())["checks"]["spectrum"]
+        assert entry["bc"] == {"kind": "robin", "alpha": -1.0}
+
     def test_unknown_check_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, verify={"checks": ["no_such_check"]})
         assert main(["--config", str(cfg), "verify",

@@ -1,6 +1,7 @@
 """No subnormal value reaches the retarded applier's arithmetic: the CLI's
-Gaussian source writes 0 where exp would underflow, and the analysis input
-is flushed to 0 below DBL_MIN, both without changing a result bit."""
+Gaussian source writes 0 where exp would underflow, and the projector of
+``analyze`` and ``transform`` flushes its input to 0 below DBL_MIN, both
+without changing a result bit."""
 
 import warnings
 
@@ -8,7 +9,6 @@ import numpy as np
 import pytest
 
 from halfwave import cli, propagator, spectral
-from halfwave.quadrature import corrected_weights
 
 TINY = np.finfo(float).tiny
 
@@ -25,7 +25,7 @@ def evolve_case():
     t = np.linspace(0.0, run["evolve"]["t_max"], run["evolve"]["steps"])
     res = cli._resolution(run, run["bc"], model.k, x,
                           run["evolve"]["t_max"] + 2.0 * model.x_max)
-    return res, cli._gaussian_source(run["source"], t, x), t
+    return res, run["source"], t
 
 
 def verify_bc_case():
@@ -36,9 +36,10 @@ def verify_bc_case():
     t = np.linspace(0.0, 4.0, 320)
     res = cli._resolution(run, run["bc"], model.k, x, 4.0 + 2.0 * model.x_max)
     src = {**run["source"], "t0": 1.6, "sigma_t": 0.25, "x0": 2.5, "sigma_x": 0.4}
-    return res, cli._gaussian_source(src, t, x), t
+    return res, src, t
 
 
+# each returns (resolution, source parameters, t)
 CASES = {"evolve": evolve_case, "verify_bc": verify_bc_case}
 
 
@@ -82,16 +83,36 @@ class TestGaussianSource:
 
 
 class TestAnalysisFlush:
+    # the sources as a plain exp writes them, subnormals and all, so that the
+    # projector has values to flush
+
+    def case(self, name):
+        res, src, t = CASES[name]()
+        f = old_source(src, t, res.x)
+        assert subnormals(f) > 0
+        return res, f, t
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_input_has_no_subnormal(self, monkeypatch, case):
-        res, f, _ = CASES[case]()
-        assert subnormals(res._weighted(f, f[:, 0])) == 0
+        res, f, t = self.case(case)
+        seen = []
+        flushed = spectral._flushed
+
+        def spy(a):
+            seen.append(flushed(a))
+            return seen[-1]
+
+        monkeypatch.setattr(spectral, "_flushed", spy)
+        propagator.apply_retarded(res, f, t)
+        assert seen and all(subnormals(a) == 0 for a in seen)
+        seen.clear()
         monkeypatch.setattr(spectral, "_TINY", 0.0)     # no flush
-        assert subnormals(res._weighted(f, f[:, 0])) > 0
+        propagator.apply_retarded(res, f, t)
+        assert any(subnormals(a) > 0 for a in seen)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_bit_identical_without_flush(self, monkeypatch, case):
-        res, f, t = CASES[case]()
+        res, f, t = self.case(case)
         flushed = res.analyze(f)
         field = propagator.apply_retarded(res, f, t)
         monkeypatch.setattr(spectral, "_TINY", 0.0)
@@ -101,12 +122,14 @@ class TestAnalysisFlush:
         assert propagator.apply_retarded(res, f, t).tobytes() == field.tobytes()
 
     def test_flush_keeps_normal_values(self):
-        res, _, _ = evolve_case()
-        f = np.zeros((3, res.x.size))
+        f = np.zeros((3, 1024))
         f[0, 1:6] = [TINY, -TINY, TINY / 2, -5e-324, 1.0]
         f[2, -1] = -TINY / 4
-        fw = res._weighted(f, 0.0)
-        plain = f * corrected_weights(res.x.size, res.dx)
-        keep = np.abs(plain) >= TINY
-        assert fw[keep].tobytes() == plain[keep].tobytes()
-        assert np.all(fw[~keep] == 0.0)
+        before = f.copy()
+        got = spectral._flushed(f)
+        assert f.tobytes() == before.tobytes()      # the input is untouched
+        keep = np.abs(f) >= TINY
+        assert got[keep].tobytes() == f[keep].tobytes()
+        assert np.all(got[~keep] == 0.0)
+        # nothing to flush: the input itself, no copy
+        assert spectral._flushed(got) is got
