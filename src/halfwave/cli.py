@@ -246,6 +246,9 @@ def settings(cfg: dict) -> dict:
         raise ConfigError("scan.lambda_min must be negative: the scan covers "
                           f"the negative spectrum, got {run['scan']['lambda_min']}")
     run["bc"] = _boundary(_section(cfg, "bc"))
+    if run["bc"].is_dynamic and run["evolve"]["steps"] < 3:    # the bc check's d_tt
+        raise ConfigError("evolve.steps must be >= 3 for the dynamical condition, "
+                          f"got {run['evolve']['steps']}")
     run["grids"] = tuple(_axis(_section(cfg, "grids"), name) for name in "txy")
     # the frequency quadrature evaluates e^{i xi span} up to xi = xi_max, so
     # the largest phase of each window, xi_max * span, must be a double;
@@ -286,8 +289,9 @@ def _outdir(path) -> Path:
 
 
 def _write_sidecar(path: Path, command: str, run: dict, extra: dict) -> None:
-    doc = {"command": command, "config": run["config"], **extra}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    # strict JSON, as verify.json: a non-finite value is written as null
+    doc = verify._strict({"command": command, "config": run["config"], **extra})
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _all_finite(what: str, values, inf_ok: bool = False) -> None:

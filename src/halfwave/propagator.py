@@ -76,7 +76,7 @@ import numpy as np
 
 from . import g17
 from .model import WarpedProfile, conformal_factors
-from .quadrature import TruncationWarning, check_decay
+from .quadrature import TruncationWarning, check_decay, max_abs
 from .spectral import ExtendedState, SpectralResolution
 
 _CSV_CHUNK = 4096      # values formatted at a time by write_grid_csv
@@ -492,10 +492,10 @@ def _check_source_window(res, f, t):
     f = np.asarray(f)
     if f.size == 0:
         return
-    scale = max(f.max(), -f.min())      # max|f| without an |f| temporary
+    scale = max_abs(f)
     if scale == 0:
         return
-    edge = max(np.max(np.abs(f[0])), np.max(np.abs(f[-1])))
+    edge = max(max_abs(f[0]), max_abs(f[-1]))
     if edge > 1e-8 * scale:
         warnings.warn(
             f"source support touches the time window edge "

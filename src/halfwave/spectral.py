@@ -30,9 +30,9 @@ family, at any points and any block of xi nodes; ``BoundState.profile`` is
 the one evaluator of the bound state.
 
 Two rules keep the blocked products off slow floating-point paths, and
-neither changes a result bit.  ``family_block`` evaluates its block in row
-panels of about _PANEL_BYTES (128 KB, an L2-sized piece): the outer product,
-the reduction mod 2 pi, the phase and the sine each pass over one panel in
+neither changes a result bit.  ``family_block`` evaluates its block in the
+128 KB row panels of ``quadrature.row_panels``: the outer product, the
+reduction mod 2 pi, the phase and the sine each pass over one panel in
 cache, and the only temporaries are two panel-sized buffers.  And the
 analysis input, the samples that ``analyze`` and ``transform`` project, has
 every |value| < DBL_MIN set to 0: a subnormal operand sends the matrix
@@ -58,7 +58,7 @@ import numpy as np
 
 from .model import BoundaryCondition
 from .quadrature import (_EM_EDGE, check_decay, check_uniform_grid,
-                         corrected_weights, trapezoid_weights)
+                         corrected_weights, row_panels, trapezoid_weights)
 
 DEFAULT_XI_MAX = 40.0
 DEFAULT_NODES = 4000
@@ -66,7 +66,6 @@ MIN_NODES = 64
 MAX_STEP = 0.05     # xi spacing that keeps end-corrected kernels within 1e-7
 
 _CHUNK = 256
-_PANEL_BYTES = 1 << 17      # a row panel of doubles that stays in L2 cache
 _PRODUCT_PANEL_BYTES = 1 << 21    # a row panel of the analysis and synthesis products
 _TINY = np.finfo(float).tiny    # DBL_MIN, the least normal double
 
@@ -77,13 +76,6 @@ _TWO_PI_HI = math.ldexp(math.floor(math.ldexp(2.0 * math.pi, 30)), -30)
 _TWO_PI_LO = (2.0 * math.pi - _TWO_PI_HI) + 2.4492935982947064e-16
 
 
-def _panel_rows(width: int, nbytes: Optional[int] = None) -> int:
-    """Rows of ``width`` doubles in one panel of about ``nbytes``, by default
-    _PANEL_BYTES."""
-    nbytes = _PANEL_BYTES if nbytes is None else nbytes
-    return max(1, nbytes // (8 * max(width, 1)))
-
-
 def _flushed(a: np.ndarray) -> np.ndarray:
     """``a`` with every |value| < DBL_MIN set to 0 (see the module docstring).
 
@@ -92,8 +84,7 @@ def _flushed(a: np.ndarray) -> np.ndarray:
     copied.
     """
     rows = a.reshape(-1, a.shape[-1] if a.ndim else 1)
-    step = _panel_rows(rows.shape[1])
-    panels = [slice(i, i + step) for i in range(0, len(rows), step)]
+    panels = row_panels(len(rows), rows.shape[1])
     if not any(np.any(rows[p][np.abs(rows[p]) < _TINY]) for p in panels):
         return a
     rows = rows.copy()
@@ -106,9 +97,8 @@ def _accumulate(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     # out += a @ b one row panel of about _PRODUCT_PANEL_BYTES at a time, so
     # no product of out's size is made; out must be contiguous
     rows, acc = a.reshape(-1, a.shape[-1]), out.reshape(-1, out.shape[-1])
-    step = _panel_rows(acc.shape[1], _PRODUCT_PANEL_BYTES)
-    for i in range(0, len(acc), step):
-        acc[i:i + step] += rows[i:i + step] @ b
+    for p in row_panels(len(acc), acc.shape[1], _PRODUCT_PANEL_BYTES):
+        acc[p] += rows[p] @ b
 
 
 @dataclass(frozen=True)
@@ -233,17 +223,16 @@ class SpectralResolution:
         """Continuum family sin(xi x + theta) at ``points`` for a block of xi
         nodes: ``(phi, v)``, phi of shape (block, npoints) and v the boundary
         component sin(theta) = phi at x = 0 (None unless extended).  Rows are
-        evaluated in panels of about _PANEL_BYTES, bit for bit the one-shot
+        evaluated in the default ``row_panels``, bit for bit the one-shot
         formula."""
         pts = self.x if points is None else np.asarray(points, dtype=float)
         xi = self.xi[sl]
         theta = self.phase(xi)
         phi = np.empty((xi.size, pts.size))
-        step = _panel_rows(pts.size)
-        n = np.empty((min(step, xi.size), pts.size))
+        panels = row_panels(xi.size, pts.size)
+        n = np.empty_like(phi[panels[0]] if panels else phi)
         scaled = np.empty_like(n)
-        for i in range(0, xi.size, step):
-            rows = slice(i, i + step)
+        for rows in panels:
             p = phi[rows]
             np.multiply.outer(xi[rows], pts, out=p)
             if self.kind != "dirichlet":
@@ -285,12 +274,11 @@ class SpectralResolution:
         w = corrected_weights(self.x.size, self.dx)
         nx = self.x.size
         fb = _flushed(np.asarray(f_boundary, dtype=float)) if self.extended else None
-        step = _panel_rows(nx, _PRODUCT_PANEL_BYTES)
 
         def project(phi):
             c = np.empty(f.shape[:-1] + (len(phi),))
-            for i in range(0, len(phi), step):
-                c[..., i:i + step] = f @ (phi[i:i + step, :nx] * w).T
+            for rows in row_panels(len(phi), nx, _PRODUCT_PANEL_BYTES):
+                c[..., rows] = f @ (phi[rows, :nx] * w).T
             if fb is not None:
                 c += np.multiply.outer(fb, phi[:, nx])
             return c

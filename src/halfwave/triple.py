@@ -20,7 +20,7 @@ import numpy as np
 
 from .model import BoundaryCondition
 from .quadrature import (boundary_derivative, check_decay, corrected_weights,
-                         derivative)
+                         derivative, row_panels)
 
 
 @dataclass(frozen=True)
@@ -162,17 +162,13 @@ def _alpha_sample(bc: BoundaryCondition, k: np.ndarray) -> np.ndarray:
     return np.array([bc.effective_alpha(kv) for kv in k], dtype=float)
 
 
-# (lambda x k) values a scan holds at a time: 8 rows of a 2001-sample k
-# interval, which scanned faster than 2^16-value blocks
-_SCAN_VALUES = 1 << 14
-
-
 def _scan_witness(alpha, lam: np.ndarray, k: np.ndarray):
     """Witness of theta(k) + sqrt(k^2 - lambda) over a k sample, per lambda.
 
     ``alpha`` is theta on the sample (:func:`_alpha_sample`).  The values
-    are formed on a (lambda-block x k) array of at most about _SCAN_VALUES
-    entries.  Returns three arrays over ``lam``: the finite value closest to
+    are formed on one ``row_panels`` block of (lambda x k) values at a time:
+    8 rows of a 2001-sample k interval, which scanned faster than 2^16-value
+    blocks.  Returns three arrays over ``lam``: the finite value closest to
     0 (the first one on ties; inf when none is finite), its k index (0 when
     none) and whether the finite values change sign.
     """
@@ -180,9 +176,7 @@ def _scan_witness(alpha, lam: np.ndarray, k: np.ndarray):
     index = np.empty(lam.shape, dtype=int)
     change = np.empty(lam.shape, dtype=bool)
     kk = k * k
-    rows = max(1, _SCAN_VALUES // max(k.size, 1))
-    for start in range(0, lam.size, rows):
-        sl = slice(start, start + rows)
+    for sl in row_panels(lam.size, k.size):
         vals = np.sqrt(kk - lam[sl, None])
         vals += alpha
         finite = np.isfinite(vals)

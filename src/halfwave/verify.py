@@ -29,15 +29,9 @@ import numpy as np
 
 from .model import BoundaryCondition
 from .propagator import KernelGrid
-from .quadrature import corrected_weights, derivative
+from .quadrature import corrected_weights, derivative, max_abs, row_panels
 
 _FLOOR = 1e-300
-_PANEL_BYTES = 1 << 20      # the row panel of a field bc_residual differentiates
-
-
-def _max_abs(a):
-    # max|a| without an |a| temporary; NaN if a holds one
-    return max(a.max(), -a.min())
 
 
 @dataclass
@@ -68,9 +62,9 @@ def _density(u, udot, dx, k, c_infty):
 
 def energy(u, udot, dx, k: float = 0.0, c_infty: float = 0.0):
     """Bulk energy (positive functional) of one snapshot, or of each
-    snapshot of a stack along the first axis."""
+    snapshot of a stack along the first axis by one dot each, as if alone."""
     dens = _density(u, udot, dx, k, c_infty)
-    return dens @ corrected_weights(dens.shape[-1], dx)
+    return np.vecdot(dens, corrected_weights(dens.shape[-1], dx))
 
 
 def boundary_energy(bc: BoundaryCondition, u, udot, k: float = 0.0) -> float:
@@ -93,7 +87,7 @@ def energy_report(times, U, Udot, dx, bc: BoundaryCondition,
     Eb = np.array([boundary_energy(bc, u, ud, k=k) for u, ud in zip(U, Udot)])
     E_total = E + Eb
     scale = max(abs(E_total[0]), float(np.max(E)), _FLOOR)
-    drift = float(_max_abs(E_total - E_total[0]) / scale)
+    drift = float(max_abs(E_total - E_total[0]) / scale)
     return EnergyReport(times=times, E=E, E_total=E_total, drift=drift)
 
 
@@ -178,21 +172,16 @@ def bc_residual(field, t, x, bc: BoundaryCondition, k: float = 0.0) -> float:
     dx = float(x[1] - x[0])
     g0 = U[:, 0]
     if bc.kind == "dirichlet":
-        scale = max(float(_max_abs(U)), _FLOOR)
+        scale = max(float(max_abs(U)), _FLOOR)
         return float(np.max(np.abs(g0))) / scale
     # the inward derivative trace g1 (fourth-order one-sided) and the peak
     # gradient, one row panel of the field's derivative at a time
-    # (no panel is a lone row, whose edge stencils would run through a dot
-    # product, not a matrix product, and round differently)
     g1 = np.empty(len(U))
     peaks = []
-    step = max(2, _PANEL_BYTES // (8 * U.shape[1]))
-    start = 0
-    for end in [*range(step, len(U) - 1, step), len(U)]:
-        dU = derivative(U[start:end], dx, 1)
-        g1[start:end] = dU[:, 0]
-        peaks.append(_max_abs(dU))
-        start = end
+    for rows in row_panels(len(U), U.shape[1]):
+        dU = derivative(U[rows], dx, 1)
+        g1[rows] = dU[:, 0]
+        peaks.append(max_abs(dU))
     if bc.is_dynamic:
         # centered second time differences exist on interior slices only
         dt = float(t[1] - t[0])

@@ -422,6 +422,8 @@ class TestEvolveInputs:
         {"evolve": {"t_max": 0.0}},
         {"evolve": {"steps": "many"}},
         {"source": {"amplitude": "loud"}},
+        # the dynamical condition's bc check takes second time differences
+        {"bc": {"kind": "wentzell"}, "evolve": {"steps": 2}},
     ])
     def test_rejected_before_any_work(self, tmp_path, capsys, sections):
         cfg = write_config(tmp_path, model={"grid": 256, "x_max": 12.0},
@@ -440,6 +442,26 @@ class TestEvolveInputs:
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out), "evolve"]) == EXIT_OK
         assert len((out / "field.csv").read_text().splitlines()) == 1 + 2 * 256
+
+    @pytest.mark.filterwarnings("ignore::halfwave.quadrature.TruncationWarning")
+    def test_dynamical_condition_takes_three_steps(self, tmp_path):
+        cfg = write_config(tmp_path, model={"grid": 256, "x_max": 12.0},
+                           bc={"kind": "wentzell"}, evolve={"t_max": 2.0, "steps": 3})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "evolve"]) == EXIT_OK
+
+    @pytest.mark.filterwarnings("ignore::halfwave.quadrature.TruncationWarning")
+    def test_non_finite_sidecar_value_is_null_and_replays(self, tmp_path):
+        # dt^2 underflows to 0, so the dynamical bc residual is NaN
+        cfg = write_config(tmp_path, model={"grid": 256, "x_max": 12.0},
+                           bc={"kind": "wentzell"}, evolve={"t_max": 1e-160})
+        out, replay = tmp_path / "out", tmp_path / "replay"
+        assert main(["--config", str(cfg), "--out", str(out), "evolve"]) == EXIT_OK
+        sidecar = out / "field.sidecar.json"
+        doc = json.loads(sidecar.read_text(), parse_constant=reject_constant)
+        assert doc["bc_residual"] is None
+        assert main(["--config", str(sidecar), "--out", str(replay), "evolve"]) == EXIT_OK
+        assert (out / "field.bin").read_bytes() == (replay / "field.bin").read_bytes()
 
 
 class TestConfigInputs:

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfwave.quadrature import corrected_weights, derivative
+from halfwave.quadrature import (PANEL_BYTES, corrected_weights, derivative,
+                                 row_panels)
+from halfwave.verify import energy
 
 
 def edge_slope(u, dx):
@@ -62,3 +64,43 @@ def test_derivative_mirrors(seed, order, n, dx):
     mirrored = derivative(u[::-1], dx, order)
     want = (-1) ** order * derivative(u, dx, order)[::-1]
     assert np.max(np.abs(mirrored - want)) <= 1e-13 * np.max(np.abs(u)) / dx ** order
+
+
+class TestStackIndependence:
+    """Each row of a stack rounds as it does alone, so a pass in row panels
+    gives the bits of the whole-array pass."""
+
+    U, V = np.random.default_rng(7).normal(size=(2, 301, 1024))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_derivative(self, order):
+        stack = derivative(self.U, 0.01, order)
+        for i, u in enumerate(self.U):
+            assert derivative(u, 0.01, order).tobytes() == stack[i].tobytes()
+
+    def test_energy(self):
+        stack = energy(self.U, self.V, 0.01)
+        for i, (u, v) in enumerate(zip(self.U, self.V)):
+            assert energy(u, v, 0.01).tobytes() == stack[i].tobytes()
+
+
+class TestRowPanels:
+    def test_no_rows_no_panel(self):
+        assert row_panels(0, 1024) == []
+
+    @pytest.mark.parametrize("width", [PANEL_BYTES // 8 + 1, 10 ** 6])
+    def test_wide_rows_get_one_row_panels(self, width):
+        assert row_panels(3, width) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(0, 500), width=st.integers(0, 300),
+           nbytes=st.one_of(st.none(), st.integers(1, 20000)))
+    def test_panels_tile_the_rows(self, rows, width, nbytes):
+        panels = row_panels(rows, width, nbytes)
+        covered = [i for p in panels for i in range(rows)[p]]
+        assert covered == list(range(rows))
+        sizes = [p.stop - p.start for p in panels]
+        assert all(size == sizes[0] for size in sizes[:-1])
+        assert all(0 < size <= sizes[0] for size in sizes)
+        budget = PANEL_BYTES if nbytes is None else nbytes
+        assert all(size == 1 or 8 * size * width <= budget for size in sizes)

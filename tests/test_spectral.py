@@ -12,7 +12,7 @@ from halfwave.oracle import assemble_fd, fd_spectrum
 from halfwave.quadrature import (TruncationWarning, boundary_derivative,
                                  corrected_weights, derivative,
                                  trapezoid_weights)
-from halfwave import spectral
+from halfwave import quadrature, spectral
 from halfwave.spectral import (_CHUNK, _TWO_PI_HI, _TWO_PI_LO, DEFAULT_NODES,
                                MIN_NODES, SpectralResolution, bound_state,
                                completeness_residual, default_nodes, resolve)
@@ -144,6 +144,12 @@ def one_shot_family(res, sl, points):
     return phi
 
 
+def panel_rows(npoints):
+    # rows of npoints doubles in one default panel
+    first = quadrature.row_panels(_CHUNK, npoints)[0]
+    return first.stop - first.start
+
+
 PANEL_CASES = [BoundaryCondition.dirichlet(), BoundaryCondition.robin(-1.0),
                BoundaryCondition.wentzell_laplace()]
 
@@ -157,7 +163,7 @@ class TestPanels:
     def test_bit_identical_to_one_shot(self, monkeypatch, bc, npoints, rows):
         if rows is not None:
             # 3-row panels: edges fall inside every block below
-            monkeypatch.setattr(spectral, "_PANEL_BYTES", 8 * npoints * rows + 7)
+            monkeypatch.setattr(quadrature, "PANEL_BYTES", 8 * npoints * rows + 7)
         res = resolve(bc, 0.0, X, nodes=700)
         points = np.linspace(0.0, 37.5, npoints)
         for sl in (slice(0, _CHUNK), slice(3 * _CHUNK // 2, 700), slice(5, 6)):
@@ -170,7 +176,7 @@ class TestPanels:
 
     def test_panel_edges_do_not_divide_the_block(self):
         for npoints in (1025, 2049):
-            assert _CHUNK % spectral._panel_rows(npoints) != 0
+            assert _CHUNK % panel_rows(npoints) != 0
 
     def test_transient_memory_is_two_panels(self):
         # the one-shot formula held three more block-sized arrays
@@ -183,7 +189,7 @@ class TestPanels:
         finally:
             tracemalloc.stop()
         # two panel buffers, plus the ufuncs' own iteration buffers
-        panel = spectral._panel_rows(points.size) * points.size * 8
+        panel = panel_rows(points.size) * points.size * 8
         assert peak < phi.nbytes + 2 * panel + 2 ** 18
 
 

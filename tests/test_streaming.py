@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from halfwave import cli, propagator, spectral, verify
+from halfwave import cli, propagator, quadrature, spectral, verify
 from halfwave.model import BoundaryCondition
 from halfwave.propagator import _harmonics, _window
 from halfwave.quadrature import _STENCILS, derivative
@@ -82,8 +82,8 @@ def whole_array_derivative(u, dx, order):
         if c:
             d[..., 2:-2] += c * u[..., j:j + u.shape[-1] - 4]
     for i, row in enumerate(edges):
-        d[..., i] = u[..., :len(row)] @ row
-        d[..., -1 - i] = (-1) ** order * (u[..., :-len(row) - 1:-1] @ row)
+        d[..., i] = (u[..., :len(row)] * row).sum(axis=-1)
+        d[..., -1 - i] = (-1) ** order * (u[..., :-len(row) - 1:-1] * row).sum(axis=-1)
     d /= 12 * dx ** order
     return d
 
@@ -145,18 +145,33 @@ class TestBitIdentical:
     T = np.linspace(0.0, 5.0, 301)      # not a multiple of any panel below
     X = np.linspace(0.0, 12.0, 1024)
 
-    @pytest.mark.parametrize("panel_bytes", [verify._PANEL_BYTES, 8 * 1024 * 6])
-    @pytest.mark.parametrize("bc,k", BC_CASES)
-    def test_bc_residual_of_an_applied_field(self, monkeypatch, bc, k, panel_bytes):
+    def applied_field(self, bc, k):
         res = resolve(bc, k, self.X, nodes=600)
         f = cli._gaussian_source({"amplitude": 1.0, "t0": 2.0, "sigma_t": 0.3,
                                   "x0": 3.0, "sigma_x": 0.4}, self.T, self.X)
-        U = propagator.apply_retarded(res, f, self.T)
-        monkeypatch.setattr(verify, "_PANEL_BYTES", panel_bytes)
+        return propagator.apply_retarded(res, f, self.T)
+
+    # 128 and 6 rows: 301 is 2 x 128 + 45 and 50 x 6 + a lone row
+    @pytest.mark.parametrize("panel_bytes", [1 << 20, 8 * 1024 * 6])
+    @pytest.mark.parametrize("bc,k", BC_CASES)
+    def test_bc_residual_of_an_applied_field(self, monkeypatch, bc, k, panel_bytes):
+        U = self.applied_field(bc, k)
+        monkeypatch.setattr(quadrature, "PANEL_BYTES", panel_bytes)
         assert self.T.size % (panel_bytes // (8 * self.X.size)) != 0
         for check in (bc, BoundaryCondition.robin(1.0)):
             got = verify.bc_residual(U, self.T, self.X, check, k=k)
             assert same_bits(got, whole_array_bc_residual(U, self.T, self.X, check, k))
+
+    @pytest.mark.parametrize("bc,k", BC_CASES)
+    def test_bc_residual_is_the_same_in_any_panels(self, monkeypatch, bc, k):
+        # one row, three rows (301 = 100 x 3 + a lone row) and the default
+        U = self.applied_field(bc, k)
+        want = verify.bc_residual(U, self.T, self.X, bc, k=k)
+        for rows in (1, 3):
+            monkeypatch.setattr(quadrature, "PANEL_BYTES", 8 * self.X.size * rows)
+            panels = quadrature.row_panels(self.T.size, self.X.size)
+            assert len(panels) == -(-self.T.size // rows)
+            assert same_bits(verify.bc_residual(U, self.T, self.X, bc, k=k), want)
 
     @pytest.mark.parametrize("bc,k", BC_CASES)
     @pytest.mark.parametrize("bad", [None, np.nan, np.inf])
@@ -166,7 +181,7 @@ class TestBitIdentical:
         if bad is not None:
             U[150, 40] = bad
         x = self.X[:64]
-        monkeypatch.setattr(verify, "_PANEL_BYTES", 8 * 64 * 9)
+        monkeypatch.setattr(quadrature, "PANEL_BYTES", 8 * 64 * 9)
         got = verify.bc_residual(U, self.T, x, bc, k=k)
         assert same_bits(got, whole_array_bc_residual(U, self.T, x, bc, k))
 

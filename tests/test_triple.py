@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_equal
 
-from halfwave import triple
+from halfwave import quadrature, triple
 from halfwave.model import BoundaryCondition
 from halfwave.oracle import assemble_fd, fd_spectrum
 from halfwave.quadrature import TruncationWarning, corrected_weights, derivative
@@ -287,13 +287,13 @@ K_RANGES = [0.0, (0.0, 8.0), [0.0, np.nan, 1.0]]
 class TestScanWitness:
     """The blocked array witness reproduces the per-lambda scan exactly."""
 
-    # the default block, and 5000 values: two lambda rows of a 2001-sample
-    # k interval, so many full blocks and a partial last one
+    # the values of the default panel, and 5000 values: two lambda rows of a
+    # 2001-sample k interval, so many full blocks and a partial last one
     @pytest.mark.parametrize("block", [1 << 14, 5000])
     @pytest.mark.parametrize("k_range", K_RANGES, ids=["k0", "interval", "nan"])
     @pytest.mark.parametrize("bc", SCAN_CONDITIONS, ids=CONDITION_IDS)
     def test_scan_rows_match_reference(self, monkeypatch, bc, k_range, block):
-        monkeypatch.setattr(triple, "_SCAN_VALUES", block)
+        monkeypatch.setattr(quadrature, "PANEL_BYTES", 8 * block)
         lam_grid = np.linspace(-3.0, -1e-12, 101)
         assert_equal(outcome(spectrum_scan, bc, lam_grid, k_range),
                      outcome(reference_scan, bc, lam_grid, k_range))
@@ -301,7 +301,7 @@ class TestScanWitness:
     @pytest.mark.parametrize("k_range", K_RANGES, ids=["k0", "interval", "nan"])
     @pytest.mark.parametrize("bc", SCAN_CONDITIONS, ids=CONDITION_IDS)
     def test_roots_match_reference(self, monkeypatch, bc, k_range):
-        monkeypatch.setattr(triple, "_SCAN_VALUES", 5000)
+        monkeypatch.setattr(quadrature, "PANEL_BYTES", 8 * 5000)
         assert_equal(outcome(negative_spectrum_roots, bc, -3.0, k_range=k_range),
                      outcome(reference_roots, bc, -3.0, k_range=k_range))
 
@@ -325,7 +325,7 @@ class TestScanWitness:
                             lambda a: sizes.append(np.size(a)) or sqrt(a))
         spectrum_scan(BoundaryCondition.robin(-2.0), np.linspace(-3, -0.1, 600),
                       (0.0, 8.0))
-        assert sizes and max(sizes) <= triple._SCAN_VALUES
+        assert sizes and max(sizes) <= quadrature.PANEL_BYTES // 8
         assert sum(sizes) == 600 * 2001
 
     @settings(max_examples=60, deadline=None)
@@ -336,13 +336,13 @@ class TestScanWitness:
            block=st.integers(1, 64))
     def test_scan_matches_reference_property(self, alpha, lams, ks, block):
         bc = BoundaryCondition.robin(alpha)
-        saved = triple._SCAN_VALUES
-        triple._SCAN_VALUES = block
+        saved = quadrature.PANEL_BYTES
+        quadrature.PANEL_BYTES = 8 * block
         try:
             rows = spectrum_scan(bc, lams, ks, tol=1e-3)
             roots = negative_spectrum_roots(bc, -2.0, step=0.05, k_range=ks)
         finally:
-            triple._SCAN_VALUES = saved
+            quadrature.PANEL_BYTES = saved
         assert_equal(rows, reference_scan(bc, lams, ks, tol=1e-3))
         assert_equal(roots, reference_roots(bc, -2.0, step=0.05, k_range=ks))
 
