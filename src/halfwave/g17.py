@@ -36,7 +36,12 @@ The layout follows ``%g``: fixed notation for -4 <= E < 17, else
 and a bare point are stripped, and ``-`` comes from the sign bit.  Every
 character has a fixed column, NUL where a value has none, so the whole
 layout is a few masked array operations along the values; a reader of the
-rows drops the NULs.
+rows drops the NULs.  The 16 digits after the leading one are four groups
+of four: each group is looked up as one 4-character word, a uint32 from a
+cached table of 0000..9999 whose bytes are in text order, and one
+transposed copy spreads the words over the 16 digit columns.  The five
+exponent columns are one take from a cached table over E, NUL for the E
+that are written in fixed notation.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ import numpy as np
 WIDTH = 29        # sign, 0.000 prefix, 17 digits and a point, e+XXX
 _FAST = (1e-250, 1e250)
 _Q_MIN, _Q_MAX = -236, 268    # 16 - E for E across the fast range, +-1
+_E_MIN, _E_MAX = 16 - _Q_MAX, 16 - _Q_MIN
 _SPLIT = 134217729.0          # 2^27 + 1, Dekker's splitter
 _TIE_GUARD = 1e-9
 _COLS = np.arange(18, dtype=np.int8)
@@ -56,7 +62,7 @@ _ZEROS = np.frombuffer(b"0.000", dtype=np.uint8)
 
 @functools.lru_cache(maxsize=None)
 def _pow10():
-    # 10^q for q in [_Q_MIN, _Q_MAX] as hi, split(hi) and lo, with
+    # 10^q for q in [_Q_MIN, _Q_MAX] as the rows hi, split(hi) and lo, with
     # hi = fl(10^q) and lo = fl(10^q - hi), in exact integer arithmetic:
     # Python rounds int -> float and int / int correctly
     hi = np.empty(_Q_MAX - _Q_MIN + 1)
@@ -69,17 +75,33 @@ def _pow10():
             h = 1 / 10 ** -q
             m, e = h.as_integer_ratio()     # h = m/e
             hi[i], lo[i] = h, (e - m * 10 ** -q) / (e * 10 ** -q)
-    return (hi,) + _split(hi) + (lo,)
+    return np.array((hi,) + _split(hi) + (lo,))
 
 
 @functools.lru_cache(maxsize=None)
 def _quads():
-    # the four digit characters of 0..9999, one column each, and their
-    # number of trailing zeros (4 for 0)
+    # the four digit characters of 0..9999 as one uint32 word each, bytes in
+    # text order whatever the byte order, and their number of trailing
+    # zeros (4 for 0)
     i = np.arange(10000)
-    chars = i // np.array([[1000], [100], [10], [1]]) % 10 + ord("0")
+    chars = i[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
     zeros = sum((i % 10 ** j == 0).astype(np.int8) for j in range(1, 5))
-    return chars.astype(np.uint8), zeros
+    return chars.astype(np.uint8).view(np.uint32).ravel(), zeros
+
+
+@functools.lru_cache(maxsize=None)
+def _exponents():
+    # the five columns ``e+XXX`` for every E of the fast range, one column
+    # per E, NUL for the E that %g writes in fixed notation
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    ae = np.abs(e)
+    sci = (e < -4) | (e >= 17)
+    cols = np.array([np.full_like(e, ord("e")),
+                     np.where(e < 0, ord("-"), ord("+")),
+                     np.where(ae >= 100, ae // 100 + ord("0"), 0),
+                     ae // 10 % 10 + ord("0"),
+                     ae % 10 + ord("0")])
+    return (cols * sci).astype(np.uint8)
 
 
 def _split(a):
@@ -90,7 +112,7 @@ def _split(a):
 
 def _scaled(a, q):
     """hi + lo = a 10^q to about 1e-31 relative (hi the rounded sum)."""
-    p_hi, p_hi_hi, p_hi_lo, p_lo = (part[q - _Q_MIN] for part in _pow10())
+    p_hi, p_hi_hi, p_hi_lo, p_lo = np.take(_pow10(), q - _Q_MIN, axis=1)
     p = a * p_hi
     a_hi, a_lo = _split(a)
     err = ((a_hi * p_hi_hi - p) + a_hi * p_hi_lo + a_lo * p_hi_hi) + a_lo * p_hi_lo
@@ -142,23 +164,24 @@ def text(values) -> np.ndarray:
     fast = (fast & exact) | zero
     e = e.astype(np.int16)
     digit, zeros = _quads()
-    upper, lower = np.divmod(d, 10 ** 8)
-    groups = np.empty((4, v.size), dtype=np.int32)
-    groups[0], groups[1] = np.divmod(upper % 10 ** 8, 10 ** 4)
-    groups[2], groups[3] = np.divmod(lower, 10 ** 4)
-    trailing = zeros[groups[3]]
-    for k in (2, 1, 0):
-        more = trailing == 4 * (3 - k)
-        trailing[more] += zeros[groups[k, more]]
+    # D = lead 10^16 + four groups of four digits, split by // and a product
+    # back: numpy's divmod and % are several times slower than //
+    upper = d // 10 ** 8
+    lead = upper // 10 ** 8
+    eights = np.array([upper - lead * 10 ** 8, d - upper * 10 ** 8], dtype=np.int32)
+    fours = eights // 10 ** 4
+    groups = np.stack([fours, eights - fours * 10 ** 4], axis=1).reshape(4, v.size)
+    z = np.take(zeros, groups)
+    trailing = z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0]))
     size = 17 - trailing
 
     # columns are rows here: every operation runs along the n values
     fixed = (e >= -4) & (e < 17)
     point = np.where(fixed, np.maximum(e + 1, 0), 1).astype(np.int8)
     digits = np.empty((17, v.size), dtype=np.uint8)
-    digits[0] = upper // 10 ** 8 + ord("0")
-    for k, j in np.ndindex(4, 4):
-        np.take(digit[j], groups[k], out=digits[1 + 4 * k + j])
+    digits[0] = lead + ord("0")
+    words = np.take(digit, groups).view(np.uint8).reshape(4, v.size, 4)
+    digits[1:].reshape(4, 4, v.size)[...] = words.transpose(0, 2, 1)
     digits *= _COLS[:17, None] < np.maximum(size, point)
 
     out = np.zeros((WIDTH, v.size), dtype=np.uint8)
@@ -170,13 +193,7 @@ def text(values) -> np.ndarray:
     np.copyto(body[:17], digits, where=_COLS[:17, None] < point)
     dot = ((size > point) & (point > 0)) * np.uint8(ord("."))
     np.copyto(body, dot, where=_COLS[:, None] == point)
-    sci = ~fixed
-    ae = np.abs(e)
-    out[24] = sci * ord("e")
-    out[25] = sci * np.where(e < 0, ord("-"), ord("+"))
-    out[26] = (sci & (ae >= 100)) * (ae // 100 + ord("0"))
-    out[27] = sci * (ae // 10 % 10 + ord("0"))
-    out[28] = sci * (ae % 10 + ord("0"))
+    np.take(_exponents(), e - _E_MIN, axis=1, out=out[24:])
     for i in np.flatnonzero(~fast):
         s = _fallback(float(v[i]))
         out[:, i] = 0

@@ -79,7 +79,7 @@ from .model import WarpedProfile, conformal_factors
 from .quadrature import TruncationWarning, check_decay, max_abs
 from .spectral import ExtendedState, SpectralResolution
 
-_CSV_CHUNK = 4096      # values formatted at a time by write_grid_csv
+_CSV_CHUNK = 4096      # rows per write_grid_csv block, values per g17.text call
 _DBL_MIN = float(np.finfo(float).tiny)
 
 
@@ -363,38 +363,69 @@ def write_grid_csv(path, header: str, axes, values) -> None:
 
     Rows are ``(axis values..., value)`` over the tensor product of the axes,
     last axis innermost, every number printed as exactly ``'%.17g' % v``
-    (round-trip precision; :mod:`halfwave.g17` has the derivation).  Axes
-    are formatted once; values go _CSV_CHUNK at a time through
-    ``g17.text``, and each chunk's rows are assembled into one NUL-padded
-    byte matrix whose padding is dropped before the write.
+    (round-trip precision; :mod:`halfwave.g17` has the derivation).
+
+    The rows are assembled in one NUL-padded byte block, allocated once per
+    call and reused: a band of columns per axis, then the value's
+    ``g17.text`` columns and a newline.  The block holds whole runs of the
+    last axis, about _CSV_CHUNK rows; a run longer than _CSV_CHUNK is split
+    into equal pieces, one per block, so the block's size does not grow with
+    the grid.  An axis's cells are its values' text and comma, packed left.
+    The last axis's cells are formatted and laid into the block once (once
+    per piece when runs are split), each outer axis is formatted once and
+    its cell broadcast once per run, and each block's values take one
+    ``g17.text`` call.  The block's NULs are dropped before the write.
     """
     axes = [np.asarray(a, dtype=float) for a in axes]
     values = np.asarray(values, dtype=float).reshape([a.size for a in axes])
-    flat = values.ravel()
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        if flat.size == 0:
+        if values.size == 0:
             return
-        # each axis value's text and comma as one fixed-width void item,
-        # less the columns that are NUL for every value of the axis
-        cells = []
-        for a in axes:
-            c = np.hstack([g17.text(a), np.full((a.size, 1), ord(","), np.uint8)])
-            c = np.ascontiguousarray(c[:, c.any(axis=0)])
-            cells.append(c.view(f"V{c.shape[1]}").ravel())
-        strides = np.cumprod([1] + [a.size for a in axes[:0:-1]])[::-1]
-        for start in range(0, flat.size, _CSV_CHUNK):
-            fh.write(_csv_rows(cells, strides, flat, start))
+        *outer, last = axes
+        n = last.size
+        runs = values.size // n
+        pieces = -(-n // _CSV_CHUNK)
+        span = -(-n // pieces)                  # rows of a run per block
+        per = min(runs, _CSV_CHUNK // span)     # runs per block
+        cells = [_csv_cells(a) for a in outer]
+        bands = np.cumsum([0] + [c.shape[1] for c in cells])
+        at_last = bands[-1]                     # the last axis's band
+        last_cells = _csv_cells(last) if pieces == 1 else None
+        at_value = at_last + (last_cells.shape[1] if pieces == 1 else g17.WIDTH + 1)
+        block = np.zeros((per * span, at_value + g17.WIDTH + 1), dtype=np.uint8)
+        block[:, -1] = ord("\n")
+        by_run = block.reshape(per, span, -1)
+        if last_cells is not None:
+            by_run[:, :, at_last:at_value] = last_cells
+        keep = np.empty(block.shape, dtype=bool)
+        flat = values.reshape(runs, n)
+        outer_shape = values.shape[:-1] or (1,)     # a 1-D grid is one run
+        for r in range(0, runs, per):
+            k = min(per, runs - r)
+            index = np.unravel_index(np.arange(r, r + k), outer_shape)
+            for c, i, lo in zip(cells, index, bands):
+                by_run[:k, :, lo:lo + c.shape[1]] = c[i, None]
+            for s in range(0, n, span):
+                rows = block[:k * min(span, n - s)]
+                if last_cells is None:
+                    c = _csv_cells(last[s:s + span])
+                    rows[:, at_last:at_last + c.shape[1]] = c
+                    rows[:, at_last + c.shape[1]:at_value] = 0
+                rows[:, at_value:-1] = g17.text(flat[r:r + k, s:s + span])
+                mask = keep[:rows.shape[0]]
+                np.not_equal(rows, 0, out=mask)
+                fh.write(rows[mask])
 
 
-def _csv_rows(cells, strides, flat, start):
-    # the rows of flat[start:start + _CSV_CHUNK] as one byte array; a call
-    # of its own, so one chunk's buffers are freed before the next is built
-    i = np.arange(start, min(start + _CSV_CHUNK, flat.size))
-    block = np.hstack([c[i // s % c.size].view(np.uint8).reshape(i.size, -1)
-                       for c, s in zip(cells, strides)]
-                      + [g17.text(flat[i]), np.full((i.size, 1), ord("\n"), np.uint8)])
-    return block[block != 0]
+def _csv_cells(a):
+    # each axis value's text and comma with its NULs moved to the end (one
+    # run for the NUL drop to copy instead of up to three), less the
+    # columns that are NUL for every value of the axis
+    c = np.full((a.size, g17.WIDTH + 1), ord(","), dtype=np.uint8)
+    c[:, :-1] = g17.text(a)
+    c = np.take_along_axis(c, np.argsort(c == 0, axis=1, kind="stable"), axis=1)
+    return c[:, :np.count_nonzero(c.any(axis=0))]
 
 
 @dataclass

@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import math
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -56,6 +58,35 @@ def test_special_values_on_the_axes(tmp_path):
     assert b"-0,-3.3000000000000245e-310,-0\n" in got
 
 
+@pytest.mark.parametrize("shape", [(2 * propagator._CSV_CHUNK + 5,),
+                                   (2, 3 * propagator._CSV_CHUNK + 7)])
+def test_runs_longer_than_a_block(tmp_path, shape):
+    # each run of the last axis is split across blocks
+    rng = np.random.default_rng(len(shape))
+    axes = [np.sort(rng.uniform(-3.0, 3.0, n)) for n in shape]
+    axes[-1][:len(SPECIAL)] = SPECIAL
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
+    values.ravel()[::97] = special_values(values.size)[::97]
+    got = written(tmp_path / "grid.csv", "h", axes, values)
+    assert got == reference_csv("h", axes, values)
+
+
+def test_peak_memory_does_not_grow_with_the_last_axis(tmp_path):
+    # the block holds at most _CSV_CHUNK rows and a split run's axis cells
+    # are formatted one piece at a time; formatting the whole 200 000-value
+    # axis at once would take about 25 MB
+    axes = [np.array([0.25, -1.5]), np.linspace(0.0, 3.0, 200_000)]
+    values = np.sin(np.arange(400_000, dtype=float)).reshape(2, 200_000)
+    write_grid_csv(tmp_path / "warm.csv", "t,x,value", axes[:1], values[:, 0])
+    tracemalloc.start()
+    try:
+        write_grid_csv(tmp_path / "grid.csv", "t,x,value", axes, values)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 3_000_000
+
+
 def test_empty_axis_writes_header_only(tmp_path):
     axes = [np.linspace(0.0, 1.0, 3), np.array([])]
     got = written(tmp_path / "grid.csv", "t,x,value", axes, np.zeros((3, 0)))
@@ -101,17 +132,23 @@ def neighbours(x):
 
 @settings(max_examples=25, deadline=None)
 @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64),
-       cols=st.integers(1, 700), extra=st.integers(1, 2000))
-def test_raw_bit_patterns_across_chunks(bits, cols, extra):
+       cols=st.one_of(st.integers(1, 700),
+                      st.integers(propagator._CSV_CHUNK + 1, 3 * propagator._CSV_CHUNK)),
+       mid=st.one_of(st.none(), st.integers(1, 3)), extra=st.integers(1, 2000))
+def test_raw_bit_patterns_across_chunks(bits, cols, mid, extra):
     # NaN payloads, subnormals, +-0 and +-inf included; the grid is longer
-    # than one chunk, so most chunk boundaries fall inside a row
+    # than one block, so blocks end between runs of the last axis, and a
+    # last axis longer than _CSV_CHUNK splits its runs across blocks
     pool = np.array(bits, dtype=np.uint64).view(np.float64)
-    rows = -(-(propagator._CSV_CHUNK + extra) // cols)
-    values = np.resize(pool, (rows, cols))
-    axes = [np.resize(pool[::-1], rows), np.resize(np.roll(pool, 1), cols)]
+    inner = (cols,) if mid is None else (mid, cols)
+    rows = -(-(propagator._CSV_CHUNK + extra) // math.prod(inner))
+    values = np.resize(pool, (rows,) + inner)
+    axes = [np.resize(pool[::-1], rows)] + [np.resize(np.roll(pool, j), n)
+                                            for j, n in enumerate(inner, 1)]
+    header = "t,x,value" if mid is None else "t,x,y,value"
     with tempfile.TemporaryDirectory() as tmp:
-        got = written(Path(tmp) / "grid.csv", "t,x,value", axes, values)
-    assert got == reference_csv("t,x,value", axes, values)
+        got = written(Path(tmp) / "grid.csv", header, axes, values)
+    assert got == reference_csv(header, axes, values)
 
 
 def test_powers_of_ten_and_their_neighbours(tmp_path):
@@ -141,6 +178,20 @@ def test_exact_ties_round_half_even(tmp_path):
     assert got == want
     assert b"\n1000000000000000.2,-1000000000000000.2\n" in got
     assert b"\n1000000000000000.8,-1000000000000000.8\n" in got
+
+
+@pytest.mark.parametrize("command, stem, sidecar, header", [
+    ("evolve", "field", "field.sidecar.json", "t,x,value"),
+    ("kernel", "kernel", "kernel.json", "t,x,y,value")])
+def test_default_outputs_match_per_value_loop(tmp_path, command, stem, sidecar, header):
+    # the whole file at the command's defaults, 480 x 1024 rows for evolve,
+    # against the .bin payload on the axes its sidecar records
+    assert main(["--out", str(tmp_path), command]) == 0
+    recorded = json.loads((tmp_path / sidecar).read_text())["axes"]
+    axes = [np.linspace(*recorded[name][:2], recorded[name][2])
+            for name in header.split(",")[:-1]]
+    values = np.fromfile(tmp_path / f"{stem}.bin").reshape([a.size for a in axes])
+    assert (tmp_path / f"{stem}.csv").read_bytes() == reference_csv(header, axes, values)
 
 
 def test_default_field_never_falls_back(tmp_path, monkeypatch):
