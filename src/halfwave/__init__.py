@@ -10,19 +10,16 @@ ships the independent finite-difference, time-stepping and reflection
 oracles plus the verification instruments used to cross-check everything.
 """
 
-from .model import (BoundaryCondition, HalfSpaceModel, WarpedProfile,
-                    assemble_potential, conformal_factors)
-from .oracle import (FdSystem, assemble_fd, fd_count_below, fd_modes,
-                     fd_spectrum, images_kernel, leapfrog)
+from .model import BoundaryCondition, HalfSpaceModel
+from .oracle import (FdSystem, assemble_fd, fd_count_below, fd_spectrum,
+                     images_kernel, leapfrog)
 from .propagator import (KernelGrid, apply_advanced, apply_causal,
                          apply_retarded, build_kernel_grid, causal_kernel,
-                         conformal_wrap, cos_propagator, evolve_cauchy,
-                         sin_propagator, wentzell_apply)
+                         evolve_cauchy, sin_propagator, wentzell_apply)
 from .quadrature import TruncationWarning
 from .spectral import (BoundState, ExtendedState, SpectralResolution,
                        bound_state, completeness_residual, resolve)
 from .triple import (IN_SPECTRUM, NOT_IN_SPECTRUM, TraceMaps, WeylValue,
-                     cayley_unitary, deficiency_decay, extension_membership,
                      greens_identity_residual, lower_bound_estimate,
                      negative_spectrum_roots, spectrum_scan, spectrum_test,
                      weyl_function)

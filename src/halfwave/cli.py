@@ -118,11 +118,6 @@ def parse_config(path=None) -> dict:
     return cfg
 
 
-def emit_config(cfg: dict) -> str:
-    """Canonical serialization; parse(emit(cfg)) == cfg."""
-    return json.dumps(cfg, indent=2, sort_keys=True)
-
-
 # What each scalar field accepts: "real" is a finite number, "positive" a
 # finite number > 0, "width" a positive Gaussian width w whose 2 w^2 is a
 # normal double, and an int is the least value of a whole count.  A pair
@@ -187,7 +182,8 @@ def _names(value, known, what: str) -> list:
     return list(value)
 
 
-def _boundary(section: dict) -> BoundaryCondition:
+def _boundary(section: dict, k_bound: float) -> BoundaryCondition:
+    # ``k_bound`` is the widest |k| at which any command evaluates p(k)
     kind = section.get("kind")
     if kind == "robin":
         return BoundaryCondition.robin(_finite(section.get("alpha"), "bc.alpha"))
@@ -196,6 +192,15 @@ def _boundary(section: dict) -> BoundaryCondition:
         if not coeffs or not isinstance(coeffs, (list, tuple)):
             raise ConfigError(f"bc.poly must list coefficients, got {coeffs!r}")
         coeffs = tuple(_finite(c, "bc.poly coefficient") for c in coeffs)
+        # sum |c_j| K^j bounds |p(k)| for every |k| <= K; formed term by
+        # term, as the symbol is, so 0 times an overflowing K^j counts too
+        try:
+            bound = sum(abs(cj) * k_bound ** j for j, cj in enumerate(coeffs))
+        except OverflowError:
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise ConfigError(f"bc.poly overflows a double: sum |c_j| K^j is not "
+                              f"finite at K = max(|model.k|, scan.k_max) = {k_bound:g}")
         return BoundaryCondition.multiplier(
             lambda k, c=coeffs: sum(cj * k ** j for j, cj in enumerate(c)))
     if kind in ("dirichlet", "neumann", "wentzell"):
@@ -245,7 +250,10 @@ def settings(cfg: dict) -> dict:
     if run["scan"]["lambda_min"] >= 0:
         raise ConfigError("scan.lambda_min must be negative: the scan covers "
                           f"the negative spectrum, got {run['scan']['lambda_min']}")
-    run["bc"] = _boundary(_section(cfg, "bc"))
+    k = run["model"].k
+    if not math.isfinite(k * k):
+        raise ConfigError(f"model.k must have a finite square k^2, got {k!r}")
+    run["bc"] = _boundary(_section(cfg, "bc"), max(abs(k), run["scan"]["k_max"]))
     if run["bc"].is_dynamic and run["evolve"]["steps"] < 3:    # the bc check's d_tt
         raise ConfigError("evolve.steps must be >= 3 for the dynamical condition, "
                           f"got {run['evolve']['steps']}")

@@ -1,28 +1,18 @@
-"""Geometry, boundary conditions, and the conformal reduction to d_tt + A.
+"""Geometry and boundary conditions of the half-line model.
 
 The computational domain is the half line x >= 0 (truncated at ``x_max``)
 crossed with flat transverse directions.  Transverse directions never appear
 as grids: each transverse wavenumber ``k`` yields an independent 1-D problem
 for the operator -d^2/dx^2 + k^2, and the boundary condition at x = 0 selects
 its self-adjoint realization.
-
-A warped time metric enters only through pointwise multipliers and a
-zeroth-order potential: ``conformal_factors`` gives the pre/post multipliers
-that wrap a flat-model Green operator into the physical one, and
-``assemble_potential`` gives the potential picked up by the reduction.
-Both differentiate the sampled profile with the fourth-order stencils of
-:mod:`halfwave.quadrature`.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-
-from .quadrature import check_uniform_grid, derivative
 
 
 @dataclass(frozen=True)
@@ -137,89 +127,3 @@ class BoundaryCondition:
         elif self.kind == "multiplier":
             d["alpha_at_k"] = self.effective_alpha(k)
         return d
-
-
-@dataclass(frozen=True)
-class WarpedProfile:
-    """Sampled warp factor beta > 0 on a uniform grid, with spatial dimension m."""
-
-    x: np.ndarray
-    beta: np.ndarray
-    m: int = 1
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        b = np.asarray(self.beta, dtype=float)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "beta", b)
-        if x.ndim != 1 or b.shape != x.shape:
-            raise ValueError("x and beta must be matching 1-D arrays")
-        if x.size >= 2:
-            check_uniform_grid(x)
-        if np.any(b <= 0):
-            raise ValueError("beta must be strictly positive")
-        if self.m < 1:
-            raise ValueError("spatial dimension m must be >= 1")
-
-    @property
-    def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
-
-    @classmethod
-    def from_csv(cls, path, m: int = 1) -> "WarpedProfile":
-        """Read a two-column CSV of (x, beta) samples."""
-        xs, bs = [], []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].strip().startswith("#"):
-                    continue
-                xs.append(float(row[0]))
-                bs.append(float(row[1]))
-        return cls(np.array(xs), np.array(bs), m=m)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for xv, bv in zip(self.x, self.beta):
-                writer.writerow([f"{xv:.17g}", f"{bv:.17g}"])
-
-
-def conformal_factors(profile: WarpedProfile):
-    """Pointwise multipliers wrapping reduced Green operators into physical ones.
-
-    Returns ``(pre, post)`` with pre = beta^((1-m)/4) and
-    post = beta^((3+m)/4).  The exponents sum to one, so pre * post = beta.
-    """
-    m = profile.m
-    pre = profile.beta ** ((1.0 - m) / 4.0)
-    post = profile.beta ** ((3.0 + m) / 4.0)
-    return pre, post
-
-
-def conformal_laplacian(profile: WarpedProfile, u: np.ndarray) -> np.ndarray:
-    """Apply the Laplacian of the conformally scaled metric beta^(-1) g.
-
-    On a 1-D profile this is -beta u'' - (1 - m/2) beta' u', discretized with
-    fourth-order stencils (one-sided at the endpoints).
-    """
-    if profile.x.size < 6:
-        raise ValueError("need at least 6 samples for second differences")
-    dx = profile.dx
-    return (-profile.beta * derivative(u, dx, 2)
-            - (1.0 - profile.m / 2.0) * derivative(profile.beta, dx, 1)
-            * derivative(u, dx, 1))
-
-
-def assemble_potential(profile: WarpedProfile) -> np.ndarray:
-    """Zeroth-order coefficient C = A - Delta picked up by the reduction.
-
-    C = (1-m)/2 * beta^(-1/2) * Delta_conf(beta^(1/2))
-        - (1-m)(m-3)/4 * (beta')^2,
-
-    sampled on the profile grid.  Identically zero for constant beta.
-    """
-    m = profile.m
-    root = np.sqrt(profile.beta)
-    lap_root = conformal_laplacian(profile, root)
-    grad_sq = derivative(profile.beta, profile.dx, 1) ** 2
-    return (1.0 - m) / 2.0 / root * lap_root - (1.0 - m) * (m - 3.0) / 4.0 * grad_sq

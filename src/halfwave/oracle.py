@@ -17,8 +17,8 @@ number of negative pivots of the LDL^T factorization of S - lam is the
 number of eigenvalues below lam (``fd_count_below``), and ``fd_spectrum``
 finds each requested eigenvalue as the least double at which that count
 passes it, by bisection finished with Newton steps (Barth-Martin-Wilkinson
-bisection, as in LAPACK's dstebz/dlaebz).  The whole spectrum and
-``fd_modes`` use numpy's dense symmetric solver.
+bisection, as in LAPACK's dstebz/dlaebz).  The whole spectrum comes from
+numpy's dense symmetric solver.
 """
 
 from __future__ import annotations
@@ -188,7 +188,8 @@ def _locate(d, e2, pivmin, tol, i, lo, hi, clo, chi):
     is below ``tol`` or stops halving, one sample aims past the root,
     further by 4x each time it falls short, and bisection finishes.
     """
-    lam = 0.5 * (lo + hi)
+    # halves first: lo + hi overflows when both ends are near DBL_MAX
+    lam = 0.5 * lo + 0.5 * hi
     step = math.inf
     aim = None                          # (anchor, direction, reach)
     while True:
@@ -202,7 +203,7 @@ def _locate(d, e2, pivmin, tol, i, lo, hi, clo, chi):
             hi, chi = lam, count
         else:
             lo, clo = lam, count
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if not lo < mid < hi:
             return hi, lo, clo
         target = mid
@@ -244,14 +245,6 @@ def fd_spectrum(sys: FdSystem, count: int = None) -> np.ndarray:
         lam, lo, clo = _locate(d, e2, pivmin, tol, i, lo, hi, clo, len(d))
         eigs.append(lam)
     return np.array(eigs)
-
-
-def fd_modes(sys: FdSystem, count: int):
-    """Lowest eigenpairs, from numpy's dense symmetric solver; eigenvectors
-    returned on the full grid, normalized in the discrete (mass-weighted)
-    inner product."""
-    vals, vecs = np.linalg.eigh(sys.matrix)
-    return vals[:count], sys.from_w(vecs[:, :count].T)
 
 
 def leapfrog(sys: FdSystem, u0, v0, dt: float, T: float,
@@ -333,10 +326,3 @@ def images_kernel(t, x, y, bc: BoundaryCondition):
         alpha = 1.0 if bc.is_dynamic else bc.effective_alpha()
         image = np.where(lag > 0, np.exp(-alpha * np.maximum(lag, 0.0)) - 0.5, 0.0)
     return np.sign(t) * (direct - image if bc.is_dynamic else direct + image)
-
-
-def free_space_solution(u0_fn, x, t: float):
-    """d'Alembert half of a free evolution from (u0, 0): the average of the
-    two translates.  Valid before any boundary influence arrives."""
-    x = np.asarray(x, dtype=float)
-    return 0.5 * (u0_fn(x - t) + u0_fn(x + t))

@@ -24,11 +24,11 @@ or its suffix (advanced, negated).  The continuum, its omega = 0 node
 included, goes through it block by block; the bound channel is one more
 call, through sinh/cosh whenever its eigenvalue k^2 - alpha^2 is negative.
 
-Every applier on the x grid (the three above, ``wentzell_apply``,
-``evolve_cauchy`` and ``kernel_time_derivative_apply``) is one pass of
-``SpectralResolution.transform``: one loop over blocks of _CHUNK xi nodes
-that evaluates each family block once, projects the source on it, acts on
-the block's modes and sums the block back into the field.  Transient memory
+Every applier on the x grid (the three above, ``wentzell_apply`` and
+``evolve_cauchy``) is one pass of ``SpectralResolution.transform``: one
+loop over blocks of _CHUNK xi nodes that evaluates each family block once,
+projects the source on it, acts on the block's modes and sums the block
+back into the field.  Transient memory
 is O(nt _CHUNK + _CHUNK nx) plus one 2 MB panel besides the source and the
 field: no nt x n_xi coefficient array exists, and no other array of the
 field's size.
@@ -70,12 +70,10 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import g17
-from .model import WarpedProfile, conformal_factors
 from .quadrature import TruncationWarning, check_decay, max_abs
 from .spectral import ExtendedState, SpectralResolution
 
@@ -111,18 +109,13 @@ def sin_propagator(lam, t):
     """s(lam, t) = sin(sqrt(lam) t)/sqrt(lam), continued through lam <= 0.
 
     Equals t at lam = 0 and sinh(sqrt(-lam) t)/sqrt(-lam) for lam < 0.  It
-    and :func:`cos_propagator` read :func:`_harmonics`, the one evaluator of
-    the continued functions behind the kernels, the appliers and
-    :func:`evolve_cauchy`; only the kernel's bound term at lam < 0 takes
-    sinh's two exponentials together with its profiles (``_non_separable``).
+    reads :func:`_harmonics`, the one evaluator of the continued functions
+    behind the kernels, the appliers and :func:`evolve_cauchy`; only the
+    kernel's bound term at lam < 0 takes sinh's two exponentials together
+    with its profiles (``_non_separable``).
     """
     s, _, rate = _harmonics(lam, t)
     return s / rate
-
-
-def cos_propagator(lam, t):
-    """cos(sqrt(lam) t) continued through lam <= 0 (cosh for lam < 0)."""
-    return _harmonics(lam, t)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -658,28 +651,3 @@ def evolve_cauchy(res: SpectralResolution, u0, v0, times):
 
     return _on_bulk(res, np.stack([u0.u, v0.u]), act,
                     np.array([u0.v, v0.v], dtype=float))
-
-
-def kernel_time_derivative_apply(res: SpectralResolution, g):
-    """Apply the t = 0 time derivative of the causal kernel to a function.
-
-    The equal-time derivative is a reproducing (delta-type) kernel, so the
-    output should reproduce ``g`` up to quadrature residuals.
-    """
-    return _on_bulk(res, np.asarray(g, dtype=float), lambda c, lam: c)
-
-
-def conformal_wrap(apply_fn: Callable, profile: WarpedProfile) -> Callable:
-    """Wrap a reduced-model applier into the warped-metric one.
-
-    Returns ``f -> pre * apply_fn(post * f)`` with the pointwise multipliers
-    of :func:`halfwave.model.conformal_factors`.  For beta identically 1 the
-    wrapped applier equals the original.
-    """
-    pre, post = conformal_factors(profile)
-
-    def wrapped(f, *args, **kwargs):
-        f = np.asarray(f, dtype=float)
-        return pre * apply_fn(f * post, *args, **kwargs)
-
-    return wrapped

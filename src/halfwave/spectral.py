@@ -132,8 +132,7 @@ class ExtendedState:
 
     States in the domain of the extended (dynamical) realization satisfy
     the compatibility v = u(0); ``from_bulk`` builds the compatible lift of
-    a bulk function, and ``compatibility_residual`` measures the defect of
-    an arbitrary pair.
+    a bulk function.
     """
 
     u: np.ndarray
@@ -143,10 +142,6 @@ class ExtendedState:
     def from_bulk(cls, u) -> "ExtendedState":
         u = np.asarray(u, dtype=float)
         return cls(u=u, v=float(u[0]))
-
-    def compatibility_residual(self) -> float:
-        scale = max(float(np.max(np.abs(self.u))), abs(self.v), 1e-300)
-        return abs(float(self.u[0]) - self.v) / scale
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,7 @@
 """Boundary trace algebra for the half-line operator -d^2/dx^2 + k^2.
 
 Provides the two trace maps at x = 0 (value and inward derivative), the
-symmetric-difference residual of the boundary Green identity, membership
-tests for the domain of a chosen self-adjoint realization, the decay rate
-spanning the deficiency spaces, the Cayley transform linking the boundary
-operator to the unitary parametrization of extensions, the explicit
+symmetric-difference residual of the boundary Green identity, the explicit
 Weyl function -sqrt(k^2 - lambda), the spectral membership test it induces,
 and a certified lower bound for realizations with semibounded boundary
 operators.
@@ -12,7 +9,6 @@ operators.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -61,28 +57,6 @@ def weyl_function(lam: float, k: float = 0.0) -> WeylValue:
     return WeylValue(lam=float(lam), k=float(k), value=-float(np.sqrt(k * k - lam)))
 
 
-def deficiency_decay(lam: complex) -> complex:
-    """Decay rate mu with Re mu > 0 and mu^2 = -lambda (principal branch).
-
-    exp(-mu x) then spans the kernel of the adjoint minus lambda on the half
-    line.  Raises for lambda on the nonnegative real axis, where the branch
-    degenerates.
-    """
-    lam = complex(lam)
-    if lam.imag == 0.0 and lam.real >= 0.0:
-        raise ValueError("lambda on [0, inf) does not give a decaying solution")
-    mu = cmath.sqrt(-lam)
-    if mu.real < 0:
-        mu = -mu
-    return mu
-
-
-def cayley_unitary(theta: float) -> complex:
-    """Unimodular number C(-theta) = (-theta - i)/(-theta + i)."""
-    t = float(theta)
-    return (-t - 1j) / (-t + 1j)
-
-
 def greens_identity_residual(f1, f2, k: float, x) -> float:
     """Defect of the boundary Green identity for two sampled functions.
 
@@ -112,28 +86,6 @@ def greens_identity_residual(f1, f2, k: float, x) -> float:
     tr = TraceMaps(dx=dx)
     boundary = tr.gamma1(f1) * tr.gamma0(f2) - tr.gamma0(f1) * tr.gamma1(f2)
     return abs(lhs - boundary)
-
-
-def extension_membership(u, bc: BoundaryCondition, k: float, x,
-                         tol: float = 1e-8):
-    """Check whether a sampled function satisfies the boundary condition.
-
-    Returns ``(ok, residual)`` where the residual is |u'(0) - alpha u(0)|
-    for Robin-type conditions (|u(0)| for Dirichlet) and ``ok`` marks
-    residual <= tol.  The dynamical condition has no static membership test;
-    use the space-time residual in :mod:`halfwave.verify` instead.
-    """
-    if bc.is_dynamic:
-        raise ValueError("dynamical condition: test space-time fields with "
-                         "verify.bc_residual")
-    x = np.asarray(x, dtype=float)
-    tr = TraceMaps(dx=float(x[1] - x[0]))
-    alpha = bc.effective_alpha(k)
-    if alpha is None:
-        residual = abs(tr.gamma0(u))
-    else:
-        residual = abs(tr.gamma1(u) - alpha * tr.gamma0(u))
-    return residual <= tol, residual
 
 
 def lower_bound_estimate(m_theta: float, m_a0: float) -> float:

@@ -4,10 +4,10 @@ form of the Green-operator identities.
 
 The energy of a mode field is
 
-    E = 1/2 [ C_inf ||u||^2 + ||du/dt||^2 + ||u'||^2 + k^2 ||u||^2 ]
+    E = 1/2 [ ||du/dt||^2 + ||u'||^2 + k^2 ||u||^2 ]
 
 (the k^2 term is the transverse part of the gradient energy and vanishes at
-k = 0; C_inf = sup|C| of the reduction potential, zero in the flat model).
+k = 0).
 E alone is conserved only for Dirichlet data; the conserved total adds the
 boundary term
 
@@ -52,18 +52,18 @@ class EnergyReport:
     gronwall_b: Optional[float] = None
 
 
-def _density(u, udot, dx, k, c_infty):
+def _density(u, udot, dx, k):
     # energy density at every node, for one snapshot or a stack of them
     u = np.asarray(u, dtype=float)
     udot = np.asarray(udot, dtype=float)
     ux = derivative(u, dx, 1)
-    return 0.5 * (c_infty * u * u + udot * udot + ux * ux + k * k * u * u)
+    return 0.5 * (udot * udot + ux * ux + k * k * u * u)
 
 
-def energy(u, udot, dx, k: float = 0.0, c_infty: float = 0.0):
+def energy(u, udot, dx, k: float = 0.0):
     """Bulk energy (positive functional) of one snapshot, or of each
     snapshot of a stack along the first axis by one dot each, as if alone."""
-    dens = _density(u, udot, dx, k, c_infty)
+    dens = _density(u, udot, dx, k)
     return np.vecdot(dens, corrected_weights(dens.shape[-1], dx))
 
 
@@ -80,10 +80,10 @@ def boundary_energy(bc: BoundaryCondition, u, udot, k: float = 0.0) -> float:
 
 
 def energy_report(times, U, Udot, dx, bc: BoundaryCondition,
-                  k: float = 0.0, c_infty: float = 0.0) -> EnergyReport:
+                  k: float = 0.0) -> EnergyReport:
     """Energy history of a sampled trajectory (stacks along the first axis)."""
     times = np.asarray(times, dtype=float)
-    E = energy(U, Udot, dx, k=k, c_infty=c_infty)
+    E = energy(U, Udot, dx, k=k)
     Eb = np.array([boundary_energy(bc, u, ud, k=k) for u, ud in zip(U, Udot)])
     E_total = E + Eb
     scale = max(abs(E_total[0]), float(np.max(E)), _FLOOR)
@@ -135,7 +135,7 @@ def cone_energy_ratio(times, U, Udot, x, support, margin: float = 0.0) -> float:
     times = np.asarray(times, dtype=float)[:, None]
     dx = float(x[1] - x[0])
     a, b = support
-    dens = _density(U, Udot, dx, 0.0, 0.0)
+    dens = _density(U, Udot, dx, 0.0)
     peak = max(float(np.max(dens @ corrected_weights(x.size, dx))), _FLOOR)
     outside = (x < a - times - margin) | (x > b + times + margin)
     return float(np.max(np.sum(dens * outside, axis=1))) * dx / peak

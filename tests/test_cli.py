@@ -12,7 +12,7 @@ import pytest
 import halfwave
 from halfwave import cli
 from halfwave.cli import (EXIT_CHECK_FAILED, EXIT_INTERNAL, EXIT_IO, EXIT_OK,
-                          EXIT_USAGE, default_config, emit_config, main,
+                          EXIT_USAGE, _write_sidecar, default_config, main,
                           parse_config)
 from halfwave.quadrature import TruncationWarning
 
@@ -34,12 +34,13 @@ def write_config(tmp_path, **sections):
 
 
 def test_config_round_trip(tmp_path):
+    # through the sidecar writer, the one serializer of configs
     cfg = default_config()
-    text = emit_config(cfg)
-    path = tmp_path / "cfg.json"
-    path.write_text(text)
+    path, again = tmp_path / "cfg.json", tmp_path / "again.json"
+    _write_sidecar(path, "spectrum", {"config": cfg}, {})
     assert parse_config(path) == cfg
-    assert emit_config(parse_config(path)) == text
+    _write_sidecar(again, "spectrum", {"config": parse_config(path)}, {})
+    assert again.read_text() == path.read_text()
 
 
 def test_config_rejects_bad_json(tmp_path):
@@ -97,6 +98,20 @@ class TestSpectrum:
         assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == EXIT_OK
         rows = (out / "spectrum.csv").read_text().splitlines()[1:]
         assert [row.split(",")[2] for row in rows] == ["inf"] * 5
+
+    def test_k_near_sqrt_dbl_max(self, tmp_path):
+        # k^2 is a double, but the Sturm bracket's ends lo + hi overflow
+        cfg = write_config(tmp_path, model={"n": 1, "k": 1e154})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "spectrum"]) == EXIT_OK
+        rows = (out / "spectrum.csv").read_text().splitlines()[1:]
+        assert len(rows) == 600
+        for row in rows:
+            lam, k, value, _, below = row.split(",")
+            assert np.all(np.isfinite([float(lam), float(k), float(value)]))
+            assert below == "0"
+        sidecar = json.loads((out / "spectrum.sidecar.json").read_text())
+        assert sidecar["fd_lowest"] == pytest.approx(1e308)
 
     def test_overflowing_fd_diagonal_writes_nothing(self, tmp_path, capsys):
         # a finite alpha whose boundary row overflows in the FD assembly
@@ -547,6 +562,11 @@ class TestConfigInputs:
         {"quadrature": {"xi_max": 1e308}},
         # NaN and Infinity tokens, which JSON has not, even in unread keys
         {"extra": float("nan"), "bc": {"kind": "dirichlet", "alpha": float("inf")}},
+        # k^2 overflows a double
+        {"model": {"n": 1, "k": 1e200}},
+        # the symbol's bound sum |c_j| K^j overflows at K = scan.k_max = 8
+        {"bc": {"kind": "multiplier", "poly": [1e308, 1e308]},
+         "model": {"n": 1, "k": 2.0}},
     ])
     def test_every_command_validates_every_section(self, tmp_path, capsys,
                                                    command, config):

@@ -4,11 +4,16 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from halfwave.model import BoundaryCondition
-from halfwave.oracle import (assemble_fd, fd_count_below, fd_modes,
-                             fd_spectrum, free_space_solution, images_kernel,
-                             leapfrog)
+from halfwave.oracle import (assemble_fd, fd_count_below, fd_spectrum,
+                             images_kernel, leapfrog)
 
 DIR = BoundaryCondition.dirichlet()
+
+
+def free_space_solution(u0_fn, x, t):
+    """d'Alembert solution from (u0, 0): the average of the two translates,
+    valid before any boundary influence arrives."""
+    return 0.5 * (u0_fn(x - t) + u0_fn(x + t))
 
 
 ASSEMBLY_CASES = [
@@ -62,15 +67,6 @@ class TestAssembly:
         k = 1.0
         sysm = assemble_fd(BoundaryCondition.wentzell_laplace(), k, 512, 20.0)
         assert float(fd_spectrum(sysm, 1)[0]) >= k ** 2
-
-    def test_fd_modes_normalized(self):
-        sysm = assemble_fd(BoundaryCondition.robin(-1.0), 0.0, 512, 20.0)
-        vals, modes = fd_modes(sysm, 3)
-        x = np.linspace(0, 20.0, 512)
-        e = modes[0]
-        norm = np.trapezoid(e * e, x) + 0.5 * sysm.dx * 0  # lumped measure
-        assert norm == pytest.approx(1.0, abs=2e-2)
-        assert vals[0] == pytest.approx(-1.0, abs=1e-2)
 
     def test_apply_matches_matrix_action(self):
         sysm = assemble_fd(DIR, 0.0, 256, 10.0)
@@ -208,16 +204,6 @@ class TestDenseReference:
         # a count selects by bisection, as the dense subset solver does
         lowest = scipy.linalg.eigvalsh(sysm.matrix, subset_by_index=[0, 4])
         assert np.max(np.abs(fd_spectrum(sysm, 5) - lowest)) <= 1e-13
-
-    @pytest.mark.parametrize("bc,k", ASSEMBLY_CASES)
-    def test_modes(self, bc, k):
-        sysm = assemble_fd(bc, k, 128, 10.0)
-        vals, vecs = scipy.linalg.eigh(sysm.matrix, subset_by_index=[0, 3])
-        got_vals, got = fd_modes(sysm, 4)
-        want = sysm.from_w(vecs.T)
-        sign = np.sign(np.sum(got * want, axis=1))[:, None]
-        assert np.max(np.abs(got_vals - vals)) <= 1e-13
-        assert np.max(np.abs(sign * got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("bc,k", ASSEMBLY_CASES)
     def test_leapfrog(self, bc, k):

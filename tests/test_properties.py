@@ -124,6 +124,11 @@ SPAN_SAFE = st.floats(min_value=-1e150, max_value=1e150)
 LENGTH = st.floats(min_value=0.0, exclude_min=True, max_value=1e150)
 # a Gaussian width w with 2 w^2 a normal double
 WIDTH = st.floats(min_value=1.1e-154, max_value=9e153)
+# |k| and scan.k_max up to 1e38, and symbol coefficients up to 1e150, so that
+# k^2 and the multiplier's bound sum |c_j| K^j over four terms are doubles
+WAVENUMBER = st.floats(min_value=-1e38, max_value=1e38)
+K_MAX = st.floats(min_value=0.0, exclude_min=True, max_value=1e38)
+COEFFICIENT = st.floats(min_value=-1e150, max_value=1e150)
 
 
 def count(lo, hi):
@@ -135,7 +140,7 @@ BC_SECTIONS = st.one_of(
     st.sampled_from([{"kind": "dirichlet"}, {"kind": "neumann"},
                      {"kind": "wentzell"}]),
     FINITE.map(lambda alpha: {"kind": "robin", "alpha": alpha}),
-    st.lists(FINITE, min_size=1, max_size=4).map(
+    st.lists(COEFFICIENT, min_size=1, max_size=4).map(
         lambda poly: {"kind": "multiplier", "poly": poly}))
 
 
@@ -149,14 +154,14 @@ def valid_configs(draw):
     checks = st.one_of(st.just("all"),
                        st.lists(st.sampled_from(list(cli._VERIFY_CHECKS))))
     return {
-        "model": {"n": n, "k": draw(FINITE) if n else 0.0,
+        "model": {"n": n, "k": draw(WAVENUMBER) if n else 0.0,
                   "x_max": draw(LENGTH), "grid": draw(count(16, 10 ** 6))},
         "bc": bc,
         "quadrature": {"xi_max": draw(LENGTH),
                        "nodes": draw(st.none() | count(64, 10 ** 6))},
         "grids": {name: draw(axis) for name in "txy"},
         "scan": {"lambda_min": draw(NEGATIVE), "lambda_max": draw(FINITE),
-                 "steps": draw(count(0, 10 ** 6)), "k_max": draw(POSITIVE)},
+                 "steps": draw(count(0, 10 ** 6)), "k_max": draw(K_MAX)},
         "source": {"profile": "gaussian", "amplitude": draw(FINITE),
                    "t0": draw(FINITE), "sigma_t": draw(WIDTH),
                    "x0": draw(FINITE), "sigma_x": draw(WIDTH)},
@@ -181,6 +186,6 @@ def comparable(run):
 @given(cfg=valid_configs())
 def test_settings_survive_the_config_round_trip(tmp_path_factory, cfg):
     path = tmp_path_factory.getbasetemp() / "round_trip.json"
-    path.write_text(cli.emit_config(cfg))
+    cli._write_sidecar(path, "verify", {"config": cfg}, {})
     assert comparable(cli.settings(cli.parse_config(path))) == \
         comparable(cli.settings(cfg))

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose, assert_equal
+from numpy.testing import assert_equal
 
 from halfwave import quadrature, triple
 from halfwave.model import BoundaryCondition
 from halfwave.oracle import assemble_fd, fd_spectrum
-from halfwave.quadrature import TruncationWarning, corrected_weights, derivative
+from halfwave.quadrature import TruncationWarning
 from halfwave.triple import (IN_SPECTRUM, NOT_IN_SPECTRUM, TraceMaps,
-                             cayley_unitary, deficiency_decay,
-                             extension_membership, greens_identity_residual,
-                             lower_bound_estimate, negative_spectrum_roots,
-                             spectrum_scan, spectrum_test, weyl_function)
+                             greens_identity_residual, lower_bound_estimate,
+                             negative_spectrum_roots, spectrum_scan,
+                             spectrum_test, weyl_function)
 
 X30 = np.linspace(0.0, 30.0, 3000)
 
@@ -70,75 +69,6 @@ class TestGreensIdentity:
         f = np.cos(X30)
         with pytest.warns(TruncationWarning):
             greens_identity_residual(f, f, 0.0, X30)
-
-
-class TestExtensionMembership:
-    def test_dirichlet_sine(self):
-        ok, residual = extension_membership(np.sin(1.7 * X30),
-                                            BoundaryCondition.dirichlet(), 0.0, X30)
-        assert ok and residual == 0.0
-
-    def test_neumann_cosine(self):
-        ok, residual = extension_membership(np.cos(1.7 * X30),
-                                            BoundaryCondition.neumann(), 0.0, X30)
-        assert ok and residual <= 1e-10
-
-    def test_robin_exponential(self):
-        ok, residual = extension_membership(np.exp(-X30),
-                                            BoundaryCondition.robin(-1.0), 0.0, X30)
-        assert ok and residual <= 1e-10
-
-    def test_mismatch_detected(self):
-        ok, residual = extension_membership(np.cos(1.7 * X30),
-                                            BoundaryCondition.robin(-1.0), 0.0, X30)
-        assert not ok and residual >= 0.5
-
-    def test_dynamic_condition_rejected(self):
-        with pytest.raises(ValueError, match="dynamical"):
-            extension_membership(np.exp(-X30),
-                                 BoundaryCondition.wentzell_laplace(), 0.0, X30)
-
-
-class TestDeficiencyDecay:
-    def test_real_negative(self):
-        assert deficiency_decay(-1.0) == pytest.approx(1.0)
-
-    def test_imaginary_unit(self):
-        mu = deficiency_decay(1j)
-        assert mu == pytest.approx(np.exp(-1j * np.pi / 4))
-        assert mu.real > 0
-
-    def test_decay_solves_operator_equation(self):
-        lam = -4.0
-        mu = deficiency_decay(lam)
-        assert mu == pytest.approx(2.0)
-        x = np.linspace(0.0, 30.0, 6000)
-        u = np.exp(-mu.real * x)
-        dx = x[1] - x[0]
-        resid = -derivative(u, dx, 2) - lam * u
-        assert np.sqrt(corrected_weights(x.size, dx) @ resid ** 2) <= 1e-8
-
-    def test_branch_cut_rejected(self):
-        for lam in (0.0, 2.5):
-            with pytest.raises(ValueError):
-                deficiency_decay(lam)
-
-
-class TestCayley:
-    def test_zero(self):
-        assert cayley_unitary(0.0) == pytest.approx(-1.0)
-
-    def test_one(self):
-        assert cayley_unitary(1.0) == pytest.approx(1j)
-
-    def test_infinite_coupling_limit(self):
-        assert abs(cayley_unitary(1e6) - 1.0) <= 1e-5
-
-    def test_unimodular_and_injective(self):
-        thetas = np.linspace(-50, 50, 401)
-        values = np.array([cayley_unitary(t) for t in thetas])
-        assert_allclose(np.abs(values), 1.0, atol=1e-12)
-        assert len(np.unique(np.round(values, 12))) == len(thetas)
 
 
 class TestWeylFunction:

@@ -44,8 +44,8 @@ class TestEnergy:
         rng = np.random.default_rng(4)
         U, Udot = rng.normal(size=(2, 7, self.X.size))
         dx = self.X[1] - self.X[0]
-        want = [energy(u, ud, dx, k=0.5, c_infty=0.3) for u, ud in zip(U, Udot)]
-        assert_allclose(energy(U, Udot, dx, k=0.5, c_infty=0.3), want,
+        want = [energy(u, ud, dx, k=0.5) for u, ud in zip(U, Udot)]
+        assert_allclose(energy(U, Udot, dx, k=0.5), want,
                         rtol=1e-14, atol=0)
 
     def test_dirichlet_conservation(self):
