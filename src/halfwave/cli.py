@@ -12,8 +12,8 @@ verify     run the verification suite and emit a JSON/text report
 
 Every command is deterministic given its configuration: quadrature grids
 are uniform and nothing draws randomness.  Each output carries a JSON
-sidecar holding the fully resolved configuration, so feeding a sidecar back
-as ``--config`` reproduces the run bit for bit.
+sidecar holding the fully resolved configuration, so feeding a sidecar (or
+``verify.json``) back as ``--config`` reproduces the run bit for bit.
 
 No command loads scipy: the closed-form kernel tails and the FD
 eigenvalues (Sturm counts) are numpy and plain Python.
@@ -23,11 +23,12 @@ error, 3 I/O error, 4 internal error (an unexpected exception, reported as
 one ``internal error:`` line).
 
 Configuration is a single JSON document; ``default_config()`` is the
-canonical schema and ``parse_config`` deep-merges user files over it.
-``settings`` validates every section, whichever command runs, before any
-work starts, and hands the commands converted values.  The multiplier
-boundary condition takes polynomial coefficients, lowest power first:
-{"kind": "multiplier", "poly": [0, 0, 1]} is p(k) = k^2.
+schema, built from the ``_FIELDS`` table of defaults and rules, and
+``parse_config`` deep-merges user files over it.  ``settings`` validates
+every section, whichever command runs, before any work starts, rejects any
+key the schema does not name, and hands the commands converted values.
+The multiplier boundary condition takes polynomial coefficients, lowest
+power first: {"kind": "multiplier", "poly": [0, 0, 1]} is p(k) = k^2.
 
 ``quadrature.nodes`` defaults to null: each command then sizes the xi grid
 for its own window with ``spectral.default_nodes`` (span t_max + 2 x_max for
@@ -64,24 +65,31 @@ class ConfigError(ValueError):
     pass
 
 
+# Every scalar key's (default, rule).  "real" is a finite number, "positive"
+# one > 0, "width" a positive Gaussian width w with 2 w^2 a normal double, and
+# an int the least value of a whole count; a default of None also admits null.
+_FIELDS = {
+    "model": {"n": (0, 0), "k": (0.0, "real"), "x_max": (30.0, "positive"),
+              "grid": (1024, 16)},
+    "quadrature": {"xi_max": (40.0, "positive"), "nodes": (None, spectral.MIN_NODES)},
+    "scan": {"lambda_min": (-3.0, "real"), "lambda_max": (-1e-3, "real"),
+             "steps": (600, 0), "k_max": (8.0, "positive")},
+    "source": {"amplitude": (1.0, "real"), "t0": (1.6, "real"),
+               "sigma_t": (0.25, "width"), "x0": (3.0, "real"),
+               "sigma_x": (0.4, "width")},
+    "evolve": {"t_max": (6.0, "positive"), "steps": (480, 2)},
+}
+
+
 def default_config() -> dict:
-    return {
-        "model": {"n": 0, "k": 0.0, "x_max": 30.0, "grid": 1024},
-        "bc": {"kind": "robin", "alpha": -1.0},
-        "quadrature": {"xi_max": 40.0, "nodes": None},
-        "grids": {
-            "t": [0.0, 2.0, 20],
-            "x": [0.2, 3.0, 20],
-            "y": [0.2, 3.0, 20],
-        },
-        "scan": {"lambda_min": -3.0, "lambda_max": -1e-3, "steps": 600},
-        "source": {"profile": "gaussian", "amplitude": 1.0,
-                   "t0": 1.6, "sigma_t": 0.25, "x0": 3.0, "sigma_x": 0.4},
-        "evolve": {"t_max": 6.0, "steps": 480},
-        "verify": {"checks": "all", "tol_scale": 1.0,
-                   "bc_check_alpha_override": None},
-        "outputs": {"dir": "out", "formats": ["csv", "binary"]},
-    }
+    """The schema: every key a config may set but ``bc.poly``, at its default."""
+    cfg = {name: {key: default for key, (default, _) in fields.items()}
+           for name, fields in _FIELDS.items()}
+    return {**cfg,
+            "bc": {"kind": "robin", "alpha": -1.0},
+            "grids": {"t": [0.0, 2.0, 20], "x": [0.2, 3.0, 20], "y": [0.2, 3.0, 20]},
+            "verify": {"checks": "all"},
+            "outputs": {"dir": "out", "formats": ["csv", "binary"]}}
 
 
 def _merge(base: dict, extra: dict) -> dict:
@@ -109,30 +117,13 @@ def parse_config(path=None) -> dict:
             raise ConfigError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        # sidecars store the effective config under "config"
-        if isinstance(user, dict) and "config" in user and "command" in user:
+        # sidecars and verify.json record the effective config as "config"
+        if isinstance(user, dict) and "config" in user:
             user = user["config"]
         if not isinstance(user, dict):
             raise ConfigError("config root must be a JSON object")
         cfg = _merge(cfg, user)
     return cfg
-
-
-# What each scalar field accepts: "real" is a finite number, "positive" a
-# finite number > 0, "width" a positive Gaussian width w whose 2 w^2 is a
-# normal double, and an int is the least value of a whole count.  A pair
-# (rule, default) marks a field that may be left out; a default of None
-# also admits null.
-_FIELDS = {
-    "model": {"n": 0, "k": "real", "x_max": "positive", "grid": 16},
-    "quadrature": {"xi_max": "positive", "nodes": (spectral.MIN_NODES, None)},
-    "scan": {"lambda_min": "real", "lambda_max": "real", "steps": 0,
-             "k_max": ("positive", 8.0)},
-    "source": {"amplitude": "real", "t0": "real", "sigma_t": "width",
-               "x0": "real", "sigma_x": "width"},
-    "evolve": {"t_max": "positive", "steps": 2},
-    "verify": {"tol_scale": "positive", "bc_check_alpha_override": ("real", None)},
-}
 
 
 def _finite(value, what: str) -> float:
@@ -230,17 +221,26 @@ def _outputs(cfg: dict) -> dict:
 
 
 def settings(cfg: dict) -> dict:
-    """Validate every section of a merged config; raise ConfigError or
-    return its values converted, one entry per section: ``model`` is a
-    HalfSpaceModel, ``bc`` a BoundaryCondition, ``grids`` the (t, x, y) axes,
-    the rest dicts of numbers and name lists.  ``config`` is ``cfg``."""
+    """Validate every section of a merged config and reject any key the
+    schema does not name; raise ConfigError or return its values converted,
+    one entry per section: ``model`` is a HalfSpaceModel, ``bc`` a
+    BoundaryCondition, ``grids`` the (t, x, y) axes, the rest dicts of
+    numbers and name lists.  ``config`` is ``cfg``."""
+    # a misspelt key would otherwise run its default without a word
+    schema = default_config()
+    schema["bc"]["poly"] = None
+    unknown = [name for name in cfg if name not in schema]
+    unknown += [f"{name}.{key}" for name, section in cfg.items()
+                if name in schema and isinstance(section, dict)
+                for key in section if key not in schema[name]]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     run = {"config": cfg}
     for name, fields in _FIELDS.items():
         section = _section(cfg, name)
         run[name] = {}
-        for key, rule in fields.items():
-            rule, default = rule if isinstance(rule, tuple) else (rule, "missing")
-            value = section.get(key, default)
+        for key, (default, rule) in fields.items():
+            value = section.get(key)
             run[name][key] = (None if value is None and default is None
                               else _check(value, rule, f"{name}.{key}"))
     try:
@@ -254,9 +254,13 @@ def settings(cfg: dict) -> dict:
     if not math.isfinite(k * k):
         raise ConfigError(f"model.k must have a finite square k^2, got {k!r}")
     run["bc"] = _boundary(_section(cfg, "bc"), max(abs(k), run["scan"]["k_max"]))
-    if run["bc"].is_dynamic and run["evolve"]["steps"] < 3:    # the bc check's d_tt
-        raise ConfigError("evolve.steps must be >= 3 for the dynamical condition, "
-                          f"got {run['evolve']['steps']}")
+    steps = run["evolve"]["steps"]
+    dt = run["evolve"]["t_max"] / (steps - 1)
+    if run["bc"].is_dynamic and not (steps >= 3 and    # the bc check's d_tt
+                                     sys.float_info.min <= dt * dt < math.inf):
+        raise ConfigError("the dynamical condition needs evolve.steps >= 3 and "
+                          "dt = evolve.t_max / (evolve.steps - 1) with dt^2 a "
+                          f"normal double, got {steps} steps and dt = {dt!r}")
     run["grids"] = tuple(_axis(_section(cfg, "grids"), name) for name in "txy")
     # the frequency quadrature evaluates e^{i xi span} up to xi = xi_max, so
     # the largest phase of each window, xi_max * span, must be a double;
@@ -270,12 +274,9 @@ def settings(cfg: dict) -> dict:
         if not math.isfinite(xi_max * span):
             raise ConfigError(f"the largest phase, quadrature.xi_max times "
                               f"the {what}, overflows a double")
-    profile = _section(cfg, "source").get("profile")
-    if profile != "gaussian":
-        raise ConfigError(f"unknown source profile {profile!r}")
     checks = _section(cfg, "verify").get("checks")
-    run["verify"]["checks"] = (list(_VERIFY_CHECKS) if checks == "all" else
-                               _names(checks, _VERIFY_CHECKS, "verify.checks"))
+    run["verify"] = {"checks": list(_VERIFY_CHECKS) if checks == "all" else
+                     _names(checks, _VERIFY_CHECKS, "verify.checks")}
     run["outputs"] = _outputs(cfg)
     return run
 
@@ -472,9 +473,7 @@ def _verify_bc(run, tol):
     f = _gaussian_source({**run["source"], "t0": 1.6, "sigma_t": 0.25,
                           "x0": 2.5, "sigma_x": 0.4}, t, model.x())
     field = propagator.apply_retarded(res, f, t)
-    override = run["verify"]["bc_check_alpha_override"]
-    check_bc = bc if override is None else BoundaryCondition.robin(override)
-    residual = verify.bc_residual(field, t, model.x(), check_bc, k=model.k)
+    residual = verify.bc_residual(field, t, model.x(), bc, k=model.k)
     return {"residual": residual, "quadrature": res.quadrature, "tol": tol,
             "passed": residual <= tol}
 
@@ -491,7 +490,7 @@ def _verify_energy(run, tol):
     return {"drift": report.drift, "tol": tol, "passed": report.drift <= tol}
 
 
-# check name -> (runner, tolerance before tol_scale), in report order
+# check name -> (runner, tolerance), in report order
 _VERIFY_CHECKS = {
     "greens_identity": (_verify_greens, 1e-6),
     "spectrum": (_verify_spectrum, 1e-3),
@@ -503,11 +502,10 @@ _VERIFY_CHECKS = {
 
 
 def cmd_verify(run: dict, outdir: Path) -> int:
-    scale = run["verify"]["tol_scale"]
     checks = {}
     for name in run["verify"]["checks"]:
         runner, tol = _VERIFY_CHECKS[name]
-        checks[name] = runner(run, tol * scale)
+        checks[name] = runner(run, tol)
         status = "PASS" if checks[name]["passed"] else "FAIL"
         print(f"{status}  {name}")
     payload = {"passed": all(c["passed"] for c in checks.values()),

@@ -63,7 +63,7 @@ class TestGaussianSource:
         x = np.linspace(0.0, 30.0, 1024)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = cli._gaussian_source({"profile": "gaussian", **src}, t, x)
+            got = cli._gaussian_source(src, t, x)
         want = old_source({**src, "amplitude": 1.0}, t, x)
         assert subnormals(want) > 0          # the grids reach the underflow
         want[np.abs(want) < TINY] = 0.0
