@@ -18,6 +18,10 @@ sidecar holding the fully resolved configuration, so feeding a sidecar (or
 No command loads scipy: the closed-form kernel tails and the FD
 eigenvalues (Sturm counts) are numpy and plain Python.
 
+The source of ``evolve`` and of verify's bc check is a Gaussian product
+g(t) h(x), handed to the applier as its two factors: no command makes an
+array of the (t, x) source, so the field is the one array of its size.
+
 Exit codes: 0 success/pass, 1 check failure, 2 usage or configuration
 error, 3 I/O error, 4 internal error (an unexpected exception, reported as
 one ``internal error:`` line).
@@ -313,24 +317,22 @@ def _all_finite(what: str, values, inf_ok: bool = False) -> None:
         raise FloatingPointError(f"{what} has {bad} {kind} values; nothing written")
 
 
-def _gaussian_source(src: dict, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """amplitude exp(-(t - t0)^2/(2 sigma_t^2) - (x - x0)^2/(2 sigma_x^2)) on
-    the (t, x) grid.
+def _gaussian_source(src: dict, t: np.ndarray, x: np.ndarray) -> tuple:
+    """The factors (g, h) of the source g(t) h(x) = amplitude
+    exp(-(t - t0)^2/(2 sigma_t^2)) exp(-(x - x0)^2/(2 sigma_x^2)) on the t
+    grid and the x grid; the amplitude is on g.
 
     Exponents below log(DBL_MIN) become -inf, so their exp is exactly 0 and
     no value is subnormal: an exp that underflows costs about ten times one
     that does not, for a value the analysis would flush to 0 anyway.
     """
-    out = np.zeros((t.size, x.size))
-    amp = src["amplitude"]
-    if amp == 0.0:
-        return out
-    np.subtract(-((t[:, None] - src["t0"]) ** 2) / (2 * src["sigma_t"] ** 2),
-                ((x[None, :] - src["x0"]) ** 2) / (2 * src["sigma_x"] ** 2), out=out)
-    out[out < _LOG_TINY] = -np.inf
-    np.exp(out, out=out)
-    out *= amp
-    return out
+    def factor(s, centre, width):
+        out = -((s - centre) ** 2) / (2 * width ** 2)
+        out[out < _LOG_TINY] = -np.inf
+        return np.exp(out, out=out)
+
+    return (src["amplitude"] * factor(t, src["t0"], src["sigma_t"]),
+            factor(x, src["x0"], src["sigma_x"]))
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +388,7 @@ def cmd_evolve(run: dict, outdir: Path) -> int:
     x = model.x()
     res = _resolution(run, bc, model.k, x, t_max + 2.0 * model.x_max)
     t = np.linspace(0.0, t_max, run["evolve"]["steps"])
-    f = _gaussian_source(run["source"], t, x)
-    field = propagator.apply_retarded(res, f, t)
+    field = propagator.apply_retarded(res, _gaussian_source(run["source"], t, x), t)
     _all_finite("the field", field)
     residual = verify.bc_residual(field, t, x, bc, k=model.k)
     formats = run["outputs"]["formats"]
@@ -414,7 +415,7 @@ def _verify_greens(run, tol):
         x1, s1 = rng.uniform(2, 8), rng.uniform(0.5, 1.5)
         f1 = np.exp(-((x - x0) ** 2) / (2 * s0 ** 2)) + rng.uniform(0, 1) * np.exp(-x)
         f2 = np.exp(-((x - x1) ** 2) / (2 * s1 ** 2)) + rng.uniform(0, 1) * x * np.exp(-x)
-        residuals.append(triple.greens_identity_residual(f1, f2, run["model"].k, x))
+        residuals.append(triple.greens_identity_residual(f1, f2, x))
     worst = float(np.max(residuals))  # a NaN residual fails the check
     return {"residual": worst, "tol": tol, "passed": bool(worst <= tol)}
 
@@ -470,9 +471,9 @@ def _verify_bc(run, tol):
     t = np.linspace(0.0, 4.0, 320)
     model, bc = run["model"], run["bc"]
     res = _resolution(run, bc, model.k, model.x(), float(t[-1]) + 2.0 * model.x_max)
-    f = _gaussian_source({**run["source"], "t0": 1.6, "sigma_t": 0.25,
-                          "x0": 2.5, "sigma_x": 0.4}, t, model.x())
-    field = propagator.apply_retarded(res, f, t)
+    gh = _gaussian_source({**run["source"], "t0": 1.6, "sigma_t": 0.25,
+                           "x0": 2.5, "sigma_x": 0.4}, t, model.x())
+    field = propagator.apply_retarded(res, gh, t)
     residual = verify.bc_residual(field, t, model.x(), bc, k=model.k)
     return {"residual": residual, "quadrature": res.quadrature, "tol": tol,
             "passed": residual <= tol}

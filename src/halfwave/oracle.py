@@ -280,21 +280,26 @@ def leapfrog(sys: FdSystem, u0, v0, dt: float, T: float,
     acc = -sys.act(w_prev) + forcing(0)
     w = w_prev + dt * wd0 + 0.5 * dt * dt * acc
 
+    # each kept sample goes straight onto the full grid, as from_w puts it
     kept = [i for i in range(1, nsteps + 1) if i % sample_stride == 0 or i == nsteps]
-    traj_w = np.empty((len(kept) + 1,) + w.shape)
-    vel_w = np.empty_like(traj_w)
-    traj_w[0], vel_w[0] = w_prev, wd0
+    U = np.zeros((len(kept) + 1,) + w.shape[:-1] + (sys.n,))
+    Udot = np.zeros_like(U)
+    active = (Ellipsis, slice(sys.offset, sys.offset + sys.n_active))
+    root_mass = np.sqrt(sys.mass)
+    np.divide(w_prev, root_mass, out=U[0][active])
+    np.divide(wd0, root_mass, out=Udot[0][active])
     row = 1
     for i in range(1, nsteps + 1):
         acc = -sys.act(w) + forcing(i)
         w_next = 2.0 * w - w_prev + dt * dt * acc
         if i % sample_stride == 0 or i == nsteps:
-            traj_w[row] = w
-            np.divide(w_next - w_prev, 2.0 * dt, out=vel_w[row])
+            np.divide(w, root_mass, out=U[row][active])
+            velocity = np.divide(w_next - w_prev, 2.0 * dt, out=Udot[row][active])
+            velocity /= root_mass
             row += 1
         w_prev, w = w, w_next
     times = np.array([0.0] + [i * dt for i in kept])
-    return times, sys.from_w(traj_w), sys.from_w(vel_w)
+    return times, U, Udot
 
 
 def images_kernel(t, x, y, bc: BoundaryCondition):

@@ -31,7 +31,9 @@ projects the source on it, acts on the block's modes and sums the block
 back into the field.  Transient memory
 is O(nt _CHUNK + _CHUNK nx) plus one 2 MB panel besides the source and the
 field: no nt x n_xi coefficient array exists, and no other array of the
-field's size.
+field's size.  A product source g(t) h(x) may be passed as its factors, the
+pair ``(g, h)``; then the field is the only array of its size, and each
+block projects h once, by one matrix-vector product.
 
 Truncating the frequency integral at xi_max leaves an oscillatory tail of
 size O(1/(xi_max * c)), c the distance to the nearest characteristic, far
@@ -75,7 +77,7 @@ import numpy as np
 
 from . import g17
 from .quadrature import TruncationWarning, check_decay, max_abs
-from .spectral import ExtendedState, SpectralResolution
+from .spectral import ExtendedState, SpectralResolution, _factored
 
 _CSV_CHUNK = 4096      # rows per write_grid_csv block, values per g17.text call
 _DBL_MIN = float(np.finfo(float).tiny)
@@ -502,31 +504,48 @@ def build_kernel_grid(res: SpectralResolution, t, x, y) -> KernelGrid:
 
 def _on_bulk(res: SpectralResolution, f, act, f_boundary=None):
     """:meth:`SpectralResolution.transform` of bulk samples ``f`` (grid on
-    the last axis), returned as bulk samples.
+    the last axis, or the factored pair ``(g, h)``), returned as bulk samples.
 
     On an extended resolution ``f`` is lifted by pairing it with its own
     boundary trace, or with ``f_boundary`` when given, and the result is
     projected back to the bulk; other resolutions ignore the boundary value.
+    The trace of ``(g, h)`` is g h[0], given as h[0].
     """
-    out = res.transform(f, f[..., 0] if f_boundary is None else f_boundary, act)
+    if f_boundary is None:
+        f_boundary = f[1][0] if _factored(f) else f[..., 0]
+    out = res.transform(f, f_boundary, act)
     return out[0] if res.extended else out
 
 
 def _check_source_window(res, f, t):
-    f = np.asarray(f)
-    if f.size == 0:
+    """Warn when the source ``f`` touches either end of the time window, or
+    has not decayed at the far end of the x window.
+
+    A factored source ``(g, h)`` is checked through its factors: the edge
+    ratio is max(|g_0|, |g_-1|)/max|g|, and the decay check runs on h
+    scaled by max|g|.
+    """
+    if _factored(f):
+        g, h = f
+        if g.size == 0 or h.size == 0:
+            return
+        scale, edge = max_abs(g), max(abs(g[0]), abs(g[-1]))
+        space = scale * h       # h at the time factor's peak
+        peak = max_abs(space)
+    else:
+        if f.size == 0:
+            return
+        space, peak = f, max_abs(f)
+        scale, edge = peak, max(max_abs(f[0]), max_abs(f[-1]))
+    if peak == 0:
         return
-    scale = max_abs(f)
-    if scale == 0:
-        return
-    edge = max(max_abs(f[0]), max_abs(f[-1]))
     if edge > 1e-8 * scale:
         warnings.warn(
             f"source support touches the time window edge "
             f"(edge/peak = {edge / scale:.2e}); one-sided appliers lose "
             "contributions from outside the window",
             TruncationWarning, stacklevel=3)
-    check_decay(f, res.dx, what="source spatial support", scale=scale)
+    check_decay(space, res.dx, what="source spatial support", scale=peak)
 
 
 def _prefix_trapezoid(h, dt):
@@ -584,12 +603,19 @@ def _apply(res: SpectralResolution, f, t, support: str):
     """Shared machinery behind the causal/retarded/advanced appliers: one
     pass of :meth:`SpectralResolution.transform` with :func:`_window` as the
     per-mode action, the continuum and the bound channel alike (see the
-    module docstring).  The xi grid must resolve the span
+    module docstring).  The source ``f`` is its (t, x) samples, or the
+    pair ``(g, h)`` of a product source g(t) h(x), sampled on t and on the
+    x nodes.  The xi grid must resolve the span
     t_max - t_min + 2 x_max; a coarser grid raises a :class:`TruncationWarning`.
     """
     t = np.asarray(t, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if f.shape != (t.size, res.x.size):
+    if _factored(f):
+        f = tuple(np.asarray(a, dtype=float) for a in f)
+        shapes = tuple(a.shape for a in f)
+    else:
+        f = np.asarray(f, dtype=float)
+        shapes = f.shape
+    if shapes not in ((t.size, res.x.size), ((t.size,), (res.x.size,))):
         raise ValueError("source must be sampled on the (t, x) grid of the call")
     _check_source_window(res, f, t)
     _check_aliasing(res, float(t[-1] - t[0]) + 2.0 * float(res.x[-1]))

@@ -46,6 +46,13 @@ block into its output.  Both products run one row panel of about
 _PRODUCT_PANEL_BYTES (2 MB) at a time: smaller panels cost a few per cent
 of the applier's time at nx = 2048, and the weighted family and the
 partial sums never take more than one panel each.
+
+The input may also arrive factored, as the pair ``(g, h)`` of a
+space-time source g(t) h(x): then no array of the samples' size exists at
+all, the input is one vector per factor, and each block's projection is
+outer(g, phi @ (h w)), one matrix-vector product in place of a matrix
+product.  Its coefficients are flushed below DBL_MIN, as the samples of a
+dense input are.
 """
 
 from __future__ import annotations
@@ -76,21 +83,32 @@ _TWO_PI_HI = math.ldexp(math.floor(math.ldexp(2.0 * math.pi, 30)), -30)
 _TWO_PI_LO = (2.0 * math.pi - _TWO_PI_HI) + 2.4492935982947064e-16
 
 
+def _flush(a: np.ndarray) -> None:
+    """Set every |value| < DBL_MIN of ``a``, a contiguous array, to 0 in
+    place, one row panel at a time, so that no full-size mask is made."""
+    rows = a.reshape(-1, a.shape[-1] if a.ndim else 1)
+    for p in row_panels(len(rows), rows.shape[1]):
+        rows[p][np.abs(rows[p]) < _TINY] = 0.0
+
+
 def _flushed(a: np.ndarray) -> np.ndarray:
     """``a`` with every |value| < DBL_MIN set to 0 (see the module docstring).
 
-    ``a`` is scanned one row panel at a time, so no full-size mask is made,
-    and it is returned as it is unless some value changes; only then is it
-    copied.
+    ``a`` is scanned one row panel at a time, and it is returned as it is
+    unless some value changes; only then is it copied.
     """
     rows = a.reshape(-1, a.shape[-1] if a.ndim else 1)
-    panels = row_panels(len(rows), rows.shape[1])
-    if not any(np.any(rows[p][np.abs(rows[p]) < _TINY]) for p in panels):
+    if not any(np.any(rows[p][np.abs(rows[p]) < _TINY])
+               for p in row_panels(len(rows), rows.shape[1])):
         return a
-    rows = rows.copy()
-    for p in panels:
-        rows[p][np.abs(rows[p]) < _TINY] = 0.0
-    return rows.reshape(a.shape)
+    a = a.copy()
+    _flush(a)
+    return a
+
+
+def _factored(f) -> bool:
+    # a source given as its factors (g, h), the samples g[i] h[j]
+    return isinstance(f, tuple)
 
 
 def _accumulate(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -264,11 +282,30 @@ class SpectralResolution:
         whose weight 1 takes ``f_boundary``.  The x weights are folded into
         the block one row panel at a time, ``phi * w``, so no weighted copy
         of ``f`` is made.
+
+        A factored ``f``, the pair ``(g, h)``, has the samples g[i] h[j]
+        and the boundary values g[i] f_boundary; its projection is
+        outer(g, phi @ (h w)), one matrix-vector product per block, with
+        the coefficients below DBL_MIN flushed, since the outer product
+        can make subnormals of normal factors.
         """
-        f = _flushed(np.asarray(f, dtype=float))
         w = corrected_weights(self.x.size, self.dx)
         nx = self.x.size
         fb = _flushed(np.asarray(f_boundary, dtype=float)) if self.extended else None
+        if _factored(f):
+            g, h = (_flushed(np.asarray(a, dtype=float)) for a in f)
+            hw = h * w
+
+            def project(phi):
+                v = phi[:, :nx] @ hw
+                if fb is not None:
+                    v += fb * phi[:, nx]
+                c = np.multiply.outer(g, v)
+                _flush(c)
+                return c
+
+            return project
+        f = _flushed(np.asarray(f, dtype=float))
 
         def project(phi):
             c = np.empty(f.shape[:-1] + (len(phi),))
@@ -302,15 +339,18 @@ class SpectralResolution:
     def analyze(self, f, f_boundary: float = 0.0):
         """Project onto the family: returns (continuum coeffs, bound coeff).
 
-        ``f`` may be a single gridded function or a stack with the grid on the
-        last axis; ``f_boundary`` (scalar or matching stack) is the boundary
-        component of an extended-space vector and is ignored otherwise.
+        ``f`` may be a single gridded function, a stack with the grid on the
+        last axis, or a factored stack ``(g, h)``, the samples g[i] h[j];
+        ``f_boundary`` (scalar or matching stack, or for ``(g, h)`` the
+        boundary value of h) is the boundary component of an extended-space
+        vector and is ignored otherwise.
         Projections are endpoint-corrected quadratures, run block by block as
         matrix products against the family with the x weights folded in (the
         projector :meth:`transform` uses too).
         """
         project = self._projector(f, f_boundary)
-        coeffs = np.empty(np.shape(f)[:-1] + (self.xi.size,))
+        lead = np.shape(f[0]) if _factored(f) else np.shape(f)[:-1]
+        coeffs = np.empty(lead + (self.xi.size,))
         for sl, phi in self.blocks():
             coeffs[..., sl] = project(phi)
             del phi
@@ -338,8 +378,9 @@ class SpectralResolution:
         xi nodes at a time: the family block is evaluated once, projected on,
         acted on and summed against, so no full coefficient array is formed,
         and no array of ``f``'s size besides the output (see the module
-        docstring).  The bound channel is one more call, with
-        ``lam = [bound.lam]``.
+        docstring).  ``f`` and ``f_boundary`` are as in :meth:`analyze`, the
+        factored pair ``(g, h)`` included.  The bound channel is one more
+        call, with ``lam = [bound.lam]``.
         Returns what :meth:`synthesize` returns.
         """
         project = self._projector(f, f_boundary)

@@ -81,9 +81,15 @@ def boundary_energy(bc: BoundaryCondition, u, udot, k: float = 0.0) -> float:
 
 def energy_report(times, U, Udot, dx, bc: BoundaryCondition,
                   k: float = 0.0) -> EnergyReport:
-    """Energy history of a sampled trajectory (stacks along the first axis)."""
+    """Energy history of a sampled trajectory (stacks along the first axis),
+    evaluated one row panel at a time: ``energy`` rounds each snapshot the
+    same in any stack, and its temporaries stay one panel in size."""
     times = np.asarray(times, dtype=float)
-    E = energy(U, Udot, dx, k=k)
+    U = np.asarray(U, dtype=float)
+    Udot = np.asarray(Udot, dtype=float)
+    E = np.empty(len(U))
+    for rows in row_panels(len(U), U.shape[-1]):
+        E[rows] = energy(U[rows], Udot[rows], dx, k=k)
     Eb = np.array([boundary_energy(bc, u, ud, k=k) for u, ud in zip(U, Udot)])
     E_total = E + Eb
     scale = max(abs(E_total[0]), float(np.max(E)), _FLOOR)

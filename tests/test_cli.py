@@ -377,6 +377,25 @@ class TestVerify:
         assert "PASS" not in captured.out and "FAIL" not in captured.out
         assert list(out.iterdir()) == []
 
+    @staticmethod
+    def at_mode(k):
+        return cli.settings(cli._merge(cli.default_config(), {"model": {"n": 1, "k": k}}))
+
+    @pytest.mark.parametrize("k", [1e3, 1e5, 1e150])
+    def test_greens_identity_is_the_same_at_every_k(self, k):
+        # the k^2 terms cancel identically and are not formed; forming them
+        # read 4.4e-6 > 1e-6 at k = 1e5 and 3e284 at k = 1e150
+        got = cli._verify_greens(self.at_mode(k), 1e-6)
+        assert got == cli._verify_greens(self.at_mode(0.0), 1e-6)
+        assert got["passed"]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "leapfrog's step 0.4 dx ignores k: its conserved quantity differs from "
+        "the measured energy by O((k dt)^2), a drift of 3.5e-3 > 1e-3 at k = 10, "
+        "and dt^2 (4/dx^2 + k^2) > 4 is unstable (ROADMAP item 5)"))
+    def test_energy_check_at_k_10(self):
+        assert cli._verify_energy(self.at_mode(10.0), 1e-3)["passed"]
+
     def test_nan_greens_residual_fails(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli.triple, "greens_identity_residual",
                             lambda *args: float("nan"))

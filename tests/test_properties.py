@@ -3,6 +3,7 @@ space-time appliers and the analyze/synthesize round trip, of the
 tridiagonal FD oracle against dense linear algebra, and of the CLI's config
 validation."""
 
+import math
 import re
 
 import numpy as np
@@ -87,6 +88,42 @@ def test_analyze_synthesize_round_trip(bc, k, x0):
         rec, rec_b = rec
         assert abs(rec_b - f[0]) <= 1e-6
     assert np.max(np.abs(rec - f)) <= 1e-6
+
+
+# each kind of condition: Dirichlet, Neumann, Robin without and with a bound
+# state, and the dynamical one
+CONDITIONS = [BoundaryCondition.dirichlet(), BoundaryCondition.neumann(),
+              BoundaryCondition.robin(0.7), BoundaryCondition.robin(-1.0),
+              BoundaryCondition.wentzell_laplace()]
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("bc", CONDITIONS, ids=lambda bc: f"{bc.kind}-{bc.alpha}")
+@settings(max_examples=20, deadline=None)
+@given(k=st.floats(0.0, 2.0), amplitude=st.floats(-3.0, 3.0),
+       t0=st.floats(1.6, 3.4), sigma_t=st.floats(0.1, 0.25),
+       x0=st.floats(1.0, 6.0), sigma_x=st.floats(0.2, 0.9))
+def test_factored_source_gives_the_dense_field(bc, k, amplitude, t0, sigma_t,
+                                               x0, sigma_x):
+    # the CLI's Gaussian source as its factors (g, h) and as the samples
+    # g[i] h[j]; the windows keep every source clear of both edges
+    x = np.linspace(0.0, 12.0, 256)
+    t = np.linspace(0.0, 5.0, 121)
+    res = resolve(bc, k, x, nodes=600)
+    g, h = cli._gaussian_source({"amplitude": amplitude, "t0": t0, "sigma_t": sigma_t,
+                                 "x0": x0, "sigma_x": sigma_x}, t, x)
+    factored = apply_retarded(res, (g, h), t)
+    dense = apply_retarded(res, np.multiply.outer(g, h), t)
+    # a bound state below 0 grows like e^{rate t}, and the addition formula
+    # of its window loses about e^{2 rate t0} in rounding, whichever form
+    # the source has (ROADMAP item 1)
+    rate = math.sqrt(max(-res.bound.lam, 0.0)) if res.bound else 0.0
+    tol = 1e-14 + 4 * EPS * math.expm1(2 * rate * t0)
+    # both forms flush what falls below DBL_MIN, the dense one its samples
+    # and the factored one its coefficients: that moves no value above
+    # 2^53 DBL_MIN
+    floor = 2.0 ** 53 * np.finfo(float).tiny
+    assert np.max(np.abs(factored - dense)) <= tol * np.max(np.abs(dense)) + floor
 
 
 def node_paths(node, path=()):

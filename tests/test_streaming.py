@@ -1,13 +1,14 @@
-"""The space-time paths stream: besides the source and the field they hold
-only the working memory of one block of _CHUNK xi nodes, and each streamed
-form equals the whole-array formula it replaced, bit for bit."""
+"""The space-time paths stream: besides the field (and a dense source) they
+hold only the working memory of one block of _CHUNK xi nodes, the energy
+check holds its two sampled trajectories and one row panel, and each
+streamed form equals the whole-array formula it replaced, bit for bit."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from halfwave import cli, propagator, quadrature, spectral, verify
+from halfwave import cli, oracle, propagator, quadrature, spectral, verify
 from halfwave.model import BoundaryCondition
 from halfwave.propagator import _harmonics, _window
 from halfwave.quadrature import _STENCILS, derivative
@@ -56,19 +57,47 @@ class TestPeakMemory:
         assert peak < streaming_bound(t.size, x.size, fields=1)
 
     def test_verify_bc_check_holds_one_block(self):
-        # the check at grid 2048 makes its source and its field
+        # the check at grid 2048 makes its field; its source is two factors
         run = cli.settings(cli._merge(cli.default_config(), {"model": {"grid": 2048}}))
         peak = traced_peak(cli._verify_bc, run, 1e-2)
-        assert peak < streaming_bound(320, 2048, fields=2)
+        assert peak < streaming_bound(320, 2048, fields=1)
 
     @pytest.mark.parametrize("command,nt", [("evolve", 480), ("verify", 320)])
     def test_command_at_defaults(self, tmp_path, capsys, command, nt):
-        # the largest fields are the applier's source and output: evolve's
-        # own, and the bc check's inside verify
+        # the largest array is the applier's field: evolve's own, and the bc
+        # check's inside verify; the source arrives as its two factors
         peak = traced_peak(cli.main, ["--out", str(tmp_path), command])
-        bound = streaming_bound(nt, cli.default_config()["model"]["grid"], fields=2)
+        bound = streaming_bound(nt, cli.default_config()["model"]["grid"], fields=1)
         with capsys.disabled():
             print(f"\n{command} at its defaults: traced peak {peak / 1e6:.2f} MB, "
+                  f"bound {bound / 1e6:.2f} MB")
+        assert peak < bound
+
+    def test_verify_at_grid_2048(self, tmp_path, capsys):
+        # the benchmark's oracle_check config: the bc check's field is still
+        # the largest array, above the energy check's two trajectories
+        config = tmp_path / "grid2048.json"
+        config.write_text('{"model": {"grid": 2048}}')
+        peak = traced_peak(cli.main, ["--config", str(config), "--out",
+                                      str(tmp_path / "out"), "verify"])
+        bound = streaming_bound(320, 2048, fields=1)
+        with capsys.disabled():
+            print(f"\nverify at grid 2048: traced peak {peak / 1e6:.2f} MB, "
+                  f"bound {bound / 1e6:.2f} MB")
+        assert peak < bound
+
+    def test_energy_check_holds_two_trajectories(self, capsys):
+        # U and Udot at the kept samples, plus the energy of one row panel:
+        # the FD system, leapfrog's state vectors and the density's
+        # temporaries, eight panels in all
+        run = cli.settings(cli._merge(cli.default_config(), {"model": {"grid": 2048}}))
+        sysm = oracle.assemble_fd(run["bc"], 0.0, 2048, 30.0)
+        nt = oracle.leapfrog(sysm, np.zeros(2048), np.zeros(2048), 0.4 * sysm.dx,
+                             6.0, sample_stride=8)[0].size
+        peak = traced_peak(cli._verify_energy, run, 1e-3)
+        bound = 2 * 8 * nt * 2048 + 8 * quadrature.PANEL_BYTES
+        with capsys.disabled():
+            print(f"\nenergy check at grid 2048: traced peak {peak / 1e6:.2f} MB, "
                   f"bound {bound / 1e6:.2f} MB")
         assert peak < bound
 
@@ -131,6 +160,46 @@ def whole_array_window(coeffs, t, lam, support):
             Ic, Is = Ic[-1] - Ic, Is[-1] - Is
     D = (s * Ic - c * Is) / rate
     return -D if support == "advanced" else D
+
+
+def stacked_leapfrog(sysm, u0, v0, dt, T, sample_stride=1, source=None):
+    # oracle.leapfrog as written before it wrote its samples onto the full
+    # grid: a stack of mass-weighted states, converted by from_w at the end
+    nsteps = int(round(T / dt))
+
+    def forcing(i):
+        if source is None:
+            return 0.0
+        return sysm.to_w(source(i * dt) if callable(source) else source[i])
+
+    w_prev = sysm.to_w(u0)
+    wd0 = sysm.to_w(v0)
+    acc = -sysm.act(w_prev) + forcing(0)
+    w = w_prev + dt * wd0 + 0.5 * dt * dt * acc
+    kept = [i for i in range(1, nsteps + 1) if i % sample_stride == 0 or i == nsteps]
+    traj_w = np.empty((len(kept) + 1,) + w.shape)
+    vel_w = np.empty_like(traj_w)
+    traj_w[0], vel_w[0] = w_prev, wd0
+    row = 1
+    for i in range(1, nsteps + 1):
+        acc = -sysm.act(w) + forcing(i)
+        w_next = 2.0 * w - w_prev + dt * dt * acc
+        if i % sample_stride == 0 or i == nsteps:
+            traj_w[row] = w
+            np.divide(w_next - w_prev, 2.0 * dt, out=vel_w[row])
+            row += 1
+        w_prev, w = w, w_next
+    times = np.array([0.0] + [i * dt for i in kept])
+    return times, sysm.from_w(traj_w), sysm.from_w(vel_w)
+
+
+def whole_array_energy_report(times, U, Udot, dx, bc, k=0.0):
+    # verify.energy_report as written before it ran in row panels
+    E = verify.energy(U, Udot, dx, k=k)
+    Eb = np.array([verify.boundary_energy(bc, u, ud, k=k) for u, ud in zip(U, Udot)])
+    E_total = E + Eb
+    scale = max(abs(E_total[0]), float(np.max(E)), verify._FLOOR)
+    return E, E_total, float(quadrature.max_abs(E_total - E_total[0]) / scale)
 
 
 def same_bits(a, b):
@@ -201,6 +270,50 @@ class TestBitIdentical:
         lam = np.concatenate([[-1.0, 0.0], rng.uniform(0.0, 50.0, _CHUNK - 2)])
         assert same_bits(_window(coeffs, t, lam, support),
                          whole_array_window(coeffs, t, lam, support))
+
+    @pytest.mark.parametrize("bc,k", BC_CASES + [(ROBIN, 0.5)])
+    @pytest.mark.parametrize("stride,forced", [(1, False), (8, False), (3, True)])
+    def test_leapfrog(self, bc, k, stride, forced):
+        sysm = oracle.assemble_fd(bc, k, 200, 12.0)
+        x = np.linspace(0.0, 12.0, 200)
+        dt = 0.4 * sysm.dx
+        u0, v0 = np.exp(-(x - 4.0) ** 2), np.sin(x) * np.exp(-x)
+        source = None
+        if forced:
+            source = np.random.default_rng(8).normal(size=(int(round(1.7 / dt)) + 1, 200))
+        got = oracle.leapfrog(sysm, u0, v0, dt, 1.7, sample_stride=stride, source=source)
+        want = stacked_leapfrog(sysm, u0, v0, dt, 1.7, stride, source)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and same_bits(a, b)
+
+    def test_leapfrog_with_a_callable_source(self):
+        sysm = oracle.assemble_fd(WENTZELL, 1.0, 64, 8.0)
+        x = np.linspace(0.0, 8.0, 64)
+
+        def source(t):
+            return np.exp(-(x - 2.0) ** 2 - (t - 0.3) ** 2)
+
+        z = np.zeros(64)
+        for a, b in zip(oracle.leapfrog(sysm, z, z, 0.05, 1.0, 4, source),
+                        stacked_leapfrog(sysm, z, z, 0.05, 1.0, 4, source)):
+            assert same_bits(a, b)
+
+    # the default panel, one row and five rows (33 samples = 6 x 5 + 3)
+    @pytest.mark.parametrize("rows", [None, 1, 5])
+    @pytest.mark.parametrize("bc,k", BC_CASES + [(ROBIN, 0.5)])
+    def test_energy_report(self, monkeypatch, bc, k, rows):
+        sysm = oracle.assemble_fd(bc, k, 512, 30.0)
+        x = np.linspace(0.0, 30.0, 512)
+        u0 = np.exp(-((x - 2.0) ** 2) / 0.5)       # it reaches the wall
+        times, U, Udot = oracle.leapfrog(sysm, u0, np.zeros(512), 0.4 * sysm.dx, 3.0,
+                                         sample_stride=4)
+        assert times.size == 33
+        if rows is not None:
+            monkeypatch.setattr(quadrature, "PANEL_BYTES", 8 * 512 * rows)
+        rep = verify.energy_report(times, U, Udot, sysm.dx, bc, k=k)
+        E, E_total, drift = whole_array_energy_report(times, U, Udot, sysm.dx, bc, k)
+        assert same_bits(rep.E, E) and same_bits(rep.E_total, E_total)
+        assert same_bits(rep.drift, drift)
 
     @pytest.mark.parametrize("bad", [None, np.nan])
     def test_energy_drift(self, bad):
