@@ -16,15 +16,16 @@ Eigenvalues come from Sturm counts, numpy and plain Python, no scipy: the
 number of negative pivots of the LDL^T factorization of S - lam is the
 number of eigenvalues below lam (``fd_count_below``), and ``fd_spectrum``
 finds each requested eigenvalue as the least double at which that count
-passes it, by bisection finished with Newton steps (Barth-Martin-Wilkinson
-bisection, as in LAPACK's dstebz/dlaebz).  The whole spectrum comes from
-numpy's dense symmetric solver.
+passes it, by plain bisection on the count until the bracket's ends are
+adjacent doubles (Barth-Martin-Wilkinson bisection, as in LAPACK's
+dstebz/dlaebz): one count per halving, about 70 per eigenvalue.  The whole
+spectrum comes from numpy's dense symmetric solver.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,11 +33,6 @@ from .model import BoundaryCondition
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-# Newton steps start once a bracket holding one eigenvalue is this narrow
-# relative to its larger end; they end within _AIM eps ||S|| of the root,
-# about where rounding in the counts sets in
-_NEAR = 2.0 ** -4
-_AIM = 1.0 / 16
 
 
 @dataclass
@@ -55,11 +51,8 @@ class FdSystem:
     off: np.ndarray
     mass: np.ndarray
     dx: float
-    k: float
-    kind: str
     offset: int
     n: int
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_active(self) -> int:
@@ -123,16 +116,14 @@ def assemble_fd(bc: BoundaryCondition, k: float, grid: int,
     diag = kd / sb / sb + k * k
     # both triangles of b^(-1/2) K b^(-1/2), averaged: exactly symmetric
     off = 0.5 * (ko / sb[:-1] / sb[1:] + ko / sb[1:] / sb[:-1])
-    return FdSystem(diag=diag, off=off, mass=b, dx=dx, k=float(k), kind=kind,
-                    offset=offset, n=grid,
-                    meta={"alpha": alpha, "x_max": x_max})
+    return FdSystem(diag=diag, off=off, mass=b, dx=dx, offset=offset, n=grid)
 
 
 def _sturm(sys: FdSystem):
     """The Sturm recurrence's data as Python floats: the diagonal, the
     squared off-diagonal led by 0, dlaebz's pivot floor, a Gerschgorin
     bracket of the spectrum widened as dstebz does (its counts are exactly 0
-    and n) and the Newton end-game tolerance."""
+    and n)."""
     d = sys.diag.tolist()
     e2 = [0.0] + (sys.off * sys.off).tolist()
     radius = np.zeros(sys.n_active)
@@ -145,7 +136,7 @@ def _sturm(sys: FdSystem):
     slack = 2.1 * (norm * _EPS * len(d) + 2.0 * pivmin)
     if not math.isfinite(norm + pivmin + slack):
         raise FloatingPointError("the FD matrix overflows the Sturm recurrence")
-    return d, e2, pivmin, lo - slack, hi + slack, _AIM * _EPS * norm
+    return d, e2, pivmin, lo - slack, hi + slack
 
 
 def _count(d, e2, pivmin, lam):
@@ -161,66 +152,19 @@ def _count(d, e2, pivmin, lam):
     return count
 
 
-def _count_slope(d, e2, pivmin, lam):
-    # _count, and sum(q'/q) = d/dlam log|det(S - lam)| for a Newton step
-    count, q, dq, slope = 0, 1.0, 0.0, 0.0
-    for a, b in zip(d, e2):
-        r = b / q
-        dq = r * dq / q - 1.0
-        q = a - r - lam
-        if q < pivmin:
-            count += 1
-            if q > -pivmin:
-                q = -pivmin
-        slope += dq / q
-    return count, slope
-
-
-def _locate(d, e2, pivmin, tol, i, lo, hi, clo, chi):
+def _locate(d, e2, pivmin, i, lo, hi):
     """The least double lam with more than ``i`` eigenvalues at or below it,
-    given clo = count(lo) <= i < chi = count(hi); returns it, with the last
-    lower end and its count (a start for eigenvalue i + 1).
-
-    Every sample lies inside the bracket, so the result is the one plain
-    bisection to adjacent doubles gives.  Bisection narrows the bracket until
-    it holds eigenvalue i alone and is _NEAR-narrow; Newton steps on the
-    determinant then run while each at least halves the last; once a step
-    is below ``tol`` or stops halving, one sample aims past the root,
-    further by 4x each time it falls short, and bisection finishes.
-    """
-    # halves first: lo + hi overflows when both ends are near DBL_MAX
-    lam = 0.5 * lo + 0.5 * hi
-    step = math.inf
-    aim = None                          # (anchor, direction, reach)
+    given count(lo) <= i < count(hi), by bisection to adjacent doubles;
+    returns it, with the last lower end (a start for eigenvalue i + 1)."""
     while True:
-        newton = (aim is None and clo == i and chi == i + 1
-                  and hi - lo <= _NEAR * max(-lo, hi))
-        if newton:
-            count, slope = _count_slope(d, e2, pivmin, lam)
-        else:
-            count = _count(d, e2, pivmin, lam)
-        if count > i:
-            hi, chi = lam, count
-        else:
-            lo, clo = lam, count
+        # halves first: lo + hi overflows when both ends are near DBL_MAX
         mid = 0.5 * lo + 0.5 * hi
         if not lo < mid < hi:
-            return hi, lo, clo
-        target = mid
-        if aim is not None:
-            anchor, sign, reach = aim
-            reach = 4.0 * reach if (count > i) != (sign > 0) else math.inf
-            aim = anchor, sign, reach
-            target = anchor + sign * reach
-        elif newton and slope:
-            s = -1.0 / slope
-            if abs(s) <= tol or abs(s) > 0.5 * step:
-                sign = math.copysign(1.0, s)
-                aim = lam, sign, max(abs(s), tol)
-                target = lam + sign * aim[2]
-            elif lo < lam + s < hi:
-                step, target = abs(s), lam + s
-        lam = target if lo < target < hi else mid
+            return hi, lo
+        if _count(d, e2, pivmin, mid) > i:
+            hi = mid
+        else:
+            lo = mid
 
 
 def fd_count_below(sys: FdSystem, lam: float) -> int:
@@ -233,16 +177,17 @@ def fd_count_below(sys: FdSystem, lam: float) -> int:
 def fd_spectrum(sys: FdSystem, count: int = None) -> np.ndarray:
     """Lowest ``count`` eigenvalues (all when count is None), ascending.
 
-    With a count, each is located on Sturm counts (``_locate``): within
-    rounding of order eps ||S|| of the exact eigenvalue of the stored
-    matrix.  The whole spectrum comes from numpy's dense symmetric solver.
+    With a count, each is located by bisection on Sturm counts (``_locate``,
+    resumed from the last lower end of the one before): within rounding of
+    order eps ||S|| of the exact eigenvalue of the stored matrix.  The whole
+    spectrum comes from numpy's dense symmetric solver.
     """
     if count is None or count >= sys.n_active:
         return np.linalg.eigvalsh(sys.matrix)
-    d, e2, pivmin, lo, hi, tol = _sturm(sys)
-    eigs, clo = [], 0
+    d, e2, pivmin, lo, hi = _sturm(sys)
+    eigs = []
     for i in range(count):
-        lam, lo, clo = _locate(d, e2, pivmin, tol, i, lo, hi, clo, len(d))
+        lam, lo = _locate(d, e2, pivmin, i, lo, hi)
         eigs.append(lam)
     return np.array(eigs)
 

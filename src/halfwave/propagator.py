@@ -641,21 +641,19 @@ def apply_advanced(res: SpectralResolution, f, t):
     return _apply(res, f, t, "advanced")
 
 
-def wentzell_apply(res: SpectralResolution, f, t, support: str = "retarded"):
-    """Field of the dynamical-condition propagator for a bulk source.
+def wentzell_apply(res: SpectralResolution, f, t):
+    """Retarded field of the dynamical-condition propagator for a bulk source.
 
     The source is lifted to the extended space by pairing it with its own
     boundary trace, propagated through the extended family, and projected
     back to the bulk.  The output obeys the dynamical boundary condition
-    u'(0) = (d_tt + k^2) u(0) up to discretization error.  It runs the
-    applier ``support`` names (``apply_retarded`` by default), which makes
-    that lift itself, and only accepts extended resolutions.
+    u'(0) = (d_tt + k^2) u(0) up to discretization error.  It is
+    ``apply_retarded``, which makes that lift itself, restricted to extended
+    resolutions.
     """
     if not res.extended:
         raise ValueError("needs an extended (dynamical) resolution")
-    if support not in ("causal", "retarded", "advanced"):
-        raise ValueError(f"unknown support {support!r}")
-    return _apply(res, f, t, support)
+    return _apply(res, f, t, "retarded")
 
 
 def evolve_cauchy(res: SpectralResolution, u0, v0, times):

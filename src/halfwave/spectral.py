@@ -125,7 +125,6 @@ class BoundState:
 
     lam: float          # eigenvalue, k^2 - alpha^2
     kappa: float        # decay rate, -alpha
-    k: float
 
     def profile(self, x) -> np.ndarray:
         return np.sqrt(2.0 * self.kappa) * np.exp(-self.kappa * np.asarray(x, dtype=float))
@@ -141,7 +140,7 @@ def bound_state(alpha: float, k: float) -> Optional[BoundState]:
     """
     if alpha is None or not alpha < 0.0:
         return None
-    return BoundState(lam=float(k * k - alpha * alpha), kappa=float(-alpha), k=float(k))
+    return BoundState(lam=float(k * k - alpha * alpha), kappa=float(-alpha))
 
 
 @dataclass(frozen=True)

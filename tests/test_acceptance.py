@@ -206,7 +206,7 @@ def test_criterion_08_dynamical_condition_suite():
     nt = int(round(5.0 / dt)) + 1
     t = np.arange(nt) * dt
     f = gaussian_source(t, x, 1.6, 0.25, 3.0, 0.4)
-    u = wentzell_apply(res, f, t, support="retarded")
+    u = wentzell_apply(res, f, t)
     times, U, _ = leapfrog(sysm, np.zeros(1024), np.zeros(1024), dt, 5.0,
                            sample_stride=1, source=f)
     field_err = norm_ratio(u[: times.size] - U, U)

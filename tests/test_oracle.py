@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis.strategies import floats, integers, sampled_from
 from numpy.testing import assert_allclose
 
 from halfwave.model import BoundaryCondition
@@ -301,16 +303,16 @@ def test_fd_spectrum_ordering_on_trivial_system():
     # deterministic ascending order, independent of assembly
     from halfwave.oracle import FdSystem
     sysm = FdSystem(diag=np.array([2.0, 1.0]), off=np.zeros(1), mass=np.ones(2),
-                    dx=1.0, k=0.0, kind="dirichlet", offset=1, n=4)
+                    dx=1.0, offset=1, n=4)
     assert_allclose(fd_spectrum(sysm), [1.0, 2.0], rtol=0, atol=0)
     assert_allclose(fd_spectrum(sysm, 1), [1.0], rtol=0, atol=0)
 
 
 def bisection_reference(sysm, count):
-    # the plain bisection to adjacent doubles on the same counts, which the
-    # Newton finish must reproduce exactly
+    # plain bisection to adjacent doubles on the same counts, each eigenvalue
+    # from the whole Gerschgorin bracket
     from halfwave import oracle
-    d, e2, pivmin, lo, hi, _ = oracle._sturm(sysm)
+    d, e2, pivmin, lo, hi = oracle._sturm(sysm)
     eigs = []
     for i in range(count):
         a, b = lo, hi
@@ -322,6 +324,19 @@ def bisection_reference(sysm, count):
                 a = mid
         eigs.append(b)
     return np.array(eigs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=sampled_from(["robin", "neumann", "dirichlet", "wentzell"]),
+       alpha=floats(-1.5, -0.5), k=floats(0.0, 3.0), count=integers(1, 3))
+def test_located_eigenvalues_are_the_bisection_reference(kind, alpha, k, count):
+    # the Robin alpha of the oracle_check draws; continuing each search from
+    # the last lower end lands on the same doubles
+    bc = {"robin": lambda: BoundaryCondition.robin(alpha),
+          "neumann": BoundaryCondition.neumann, "dirichlet": BoundaryCondition.dirichlet,
+          "wentzell": BoundaryCondition.wentzell_laplace}[kind]()
+    sysm = assemble_fd(bc, k, 2048, 30.0)
+    assert np.array_equal(fd_spectrum(sysm, count), bisection_reference(sysm, count))
 
 
 def exact_count(sysm, lam) -> int:
@@ -375,8 +390,7 @@ class TestSturm:
     def test_counts_at_the_trivial_system_eigenvalues(self):
         from halfwave.oracle import FdSystem
         sysm = FdSystem(diag=np.array([2.0, 1.0]), off=np.zeros(1),
-                        mass=np.ones(2), dx=1.0, k=0.0, kind="dirichlet",
-                        offset=1, n=4)
+                        mass=np.ones(2), dx=1.0, offset=1, n=4)
         # an eigenvalue equal to lam counts
         assert [fd_count_below(sysm, lam) for lam in (0.5, 1.0, 1.5, 2.0)] == [0, 1, 1, 2]
 
@@ -392,21 +406,23 @@ class TestSturm:
     @pytest.mark.parametrize("bc,k,grid,x_max", CLI_SYSTEMS + [
         (BoundaryCondition.robin(-5.0), 1.0, 2048, 30.0),
         (BoundaryCondition.robin(2.0), 1.5, 128, 10.0)])
-    def test_newton_finish_is_the_bisection(self, bc, k, grid, x_max):
+    def test_located_is_the_bisection_reference(self, bc, k, grid, x_max):
         sysm = assemble_fd(bc, k, grid, x_max)
         assert np.array_equal(fd_spectrum(sysm, 3), bisection_reference(sysm, 3))
 
-    def test_newton_steps_run_on_the_spectrum_command_system(self, monkeypatch):
+    def test_spectrum_command_system_takes_at_most_70_counts(self, monkeypatch):
+        # one count per halving of the Gerschgorin bracket down to adjacent
+        # doubles: the cost of the spectrum command's eigenvalue
         from halfwave import oracle
         calls = []
-        real = oracle._count_slope
+        real = oracle._count
 
         def counted(*args):
             calls.append(args[-1])
             return real(*args)
-        monkeypatch.setattr(oracle, "_count_slope", counted)
+        monkeypatch.setattr(oracle, "_count", counted)
         fd_spectrum(assemble_fd(BoundaryCondition.robin(-1.0), 0.0, 2048, 30.0), 1)
-        assert 1 <= len(calls) <= 8
+        assert len(calls) <= 70
 
     def test_overflowing_matrix_is_refused(self):
         # finite entries whose squares overflow

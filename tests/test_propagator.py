@@ -632,10 +632,7 @@ class TestFusedBlockLoop:
         # 400 nodes: one full block of _CHUNK and one partial block
         res = resolve(bc, k, self.X, nodes=400)
         f = gaussian_source(self.T, self.X, 1.5, 0.2, 2.0, 0.5)
-        if res.extended:
-            got = wentzell_apply(res, f, self.T, support)
-        else:
-            got = APPLIERS[support](res, f, self.T)
+        got = APPLIERS[support](res, f, self.T)
         assert_allclose(got, reference_apply(res, f, self.T, support),
                         rtol=0, atol=0)
 
@@ -801,7 +798,7 @@ class TestWentzell:
         f = window[:, None] * bulk
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
-            u = wentzell_apply(res_w, f, self.T, support="retarded")
+            u = wentzell_apply(res_w, f, self.T)
         late = self.T > 3.0
         r = u[late, 0]
         tt = self.T[late]
@@ -819,7 +816,7 @@ class TestWentzell:
         nt = int(round(5.0 / dt)) + 1
         t = np.arange(nt) * dt
         f = gaussian_source(t, x, 2.0, 0.3, 3.0, 0.4)
-        u = wentzell_apply(res_w, f, t, support="retarded")
+        u = wentzell_apply(res_w, f, t)
         sysm = assemble_fd(BoundaryCondition.wentzell_laplace(), 1.0,
                            x.size, x[-1])
         times, U, _ = leapfrog(sysm, np.zeros_like(x), np.zeros_like(x), dt,
