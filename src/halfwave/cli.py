@@ -8,12 +8,12 @@ kernel     build a causal-kernel grid and write CSV + binary + sidecar
 evolve     drive a source through the retarded propagator (one applier for
            every condition, the dynamical one included) and write the
            trajectory with a boundary-residual column
-verify     run the verification suite and emit a JSON/text report
+verify     run the checks of ``verify.CHECKS`` and emit a JSON/text report
 
 Every command is deterministic given its configuration: quadrature grids
-are uniform and nothing draws randomness.  Each output carries a JSON
-sidecar holding the fully resolved configuration, so feeding a sidecar (or
-``verify.json``) back as ``--config`` reproduces the run bit for bit.
+are uniform, and verify's random samples come from fixed seeds.  Each output
+carries a JSON sidecar holding the fully resolved configuration, so feeding
+a sidecar (or ``verify.json``) back as ``--config`` reproduces it bit for bit.
 
 No command loads scipy: the closed-form kernel tails and the FD
 eigenvalues (Sturm counts) are numpy and plain Python.
@@ -34,11 +34,11 @@ key the schema does not name, and hands the commands converted values.
 The multiplier boundary condition takes polynomial coefficients, lowest
 power first: {"kind": "multiplier", "poly": [0, 0, 1]} is p(k) = k^2.
 
-``quadrature.nodes`` defaults to null: each command then sizes the xi grid
-for its own window with ``spectral.default_nodes`` (span t_max + 2 x_max for
-the appliers, max|t| + max x + max y for kernels) and records the grid it
-used, ``{"xi_max", "nodes"}``, next to its outputs.  An explicit count is
-used as given.
+``quadrature.nodes`` defaults to null: ``spectral.resolve`` then sizes the
+xi grid for each window with ``spectral.default_nodes`` (span t_max + 2 x_max
+for the appliers, max|t| + max x + max y for kernels), and each command
+records the grid it used, ``{"xi_max", "nodes"}``, next to its outputs.  An
+explicit count is used as given.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ import numpy as np
 
 from . import oracle, propagator, spectral, triple, verify
 from .model import BoundaryCondition, HalfSpaceModel
-
-_LOG_TINY = math.log(np.finfo(float).tiny)    # least exponent of a normal exp
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -279,18 +277,10 @@ def settings(cfg: dict) -> dict:
             raise ConfigError(f"the largest phase, quadrature.xi_max times "
                               f"the {what}, overflows a double")
     checks = _section(cfg, "verify").get("checks")
-    run["verify"] = {"checks": list(_VERIFY_CHECKS) if checks == "all" else
-                     _names(checks, _VERIFY_CHECKS, "verify.checks")}
+    run["verify"] = {"checks": list(verify.CHECKS) if checks == "all" else
+                     _names(checks, verify.CHECKS, "verify.checks")}
     run["outputs"] = _outputs(cfg)
     return run
-
-
-def _resolution(run: dict, bc: BoundaryCondition, k: float, x, span: float):
-    # the configured quadrature, or the default node count for ``span``
-    xi_max, nodes = run["quadrature"]["xi_max"], run["quadrature"]["nodes"]
-    if nodes is None:
-        nodes = spectral.default_nodes(bc, k, xi_max, span)
-    return spectral.resolve(bc, k, x, xi_max=xi_max, nodes=nodes)
 
 
 def _outdir(path) -> Path:
@@ -315,24 +305,6 @@ def _all_finite(what: str, values, inf_ok: bool = False) -> None:
     if bad:
         kind = "NaN" if inf_ok else "non-finite"
         raise FloatingPointError(f"{what} has {bad} {kind} values; nothing written")
-
-
-def _gaussian_source(src: dict, t: np.ndarray, x: np.ndarray) -> tuple:
-    """The factors (g, h) of the source g(t) h(x) = amplitude
-    exp(-(t - t0)^2/(2 sigma_t^2)) exp(-(x - x0)^2/(2 sigma_x^2)) on the t
-    grid and the x grid; the amplitude is on g.
-
-    Exponents below log(DBL_MIN) become -inf, so their exp is exactly 0 and
-    no value is subnormal: an exp that underflows costs about ten times one
-    that does not, for a value the analysis would flush to 0 anyway.
-    """
-    def factor(s, centre, width):
-        out = -((s - centre) ** 2) / (2 * width ** 2)
-        out[out < _LOG_TINY] = -np.inf
-        return np.exp(out, out=out)
-
-    return (src["amplitude"] * factor(t, src["t0"], src["sigma_t"]),
-            factor(x, src["x0"], src["sigma_x"]))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +340,8 @@ def cmd_spectrum(run: dict, outdir: Path) -> int:
 def cmd_kernel(run: dict, outdir: Path) -> int:
     t, x, y = run["grids"]
     model, bc = run["model"], run["bc"]
-    res = _resolution(run, bc, model.k, model.x(), propagator.kernel_span(t, x, y))
+    res = spectral.resolve(bc, model.k, model.x(), span=propagator.kernel_span(t, x, y),
+                           **run["quadrature"])
     grid = propagator.build_kernel_grid(res, t, x, y)
     _all_finite("the kernel grid", grid.values)
     formats = run["outputs"]["formats"]
@@ -386,9 +359,11 @@ def cmd_evolve(run: dict, outdir: Path) -> int:
     model, bc = run["model"], run["bc"]
     t_max = run["evolve"]["t_max"]
     x = model.x()
-    res = _resolution(run, bc, model.k, x, t_max + 2.0 * model.x_max)
+    res = spectral.resolve(bc, model.k, x, span=t_max + 2.0 * model.x_max,
+                           **run["quadrature"])
     t = np.linspace(0.0, t_max, run["evolve"]["steps"])
-    field = propagator.apply_retarded(res, _gaussian_source(run["source"], t, x), t)
+    gh = propagator.gaussian_source(run["source"], t, x)
+    field = propagator.apply_retarded(res, gh, t)
     _all_finite("the field", field)
     residual = verify.bc_residual(field, t, x, bc, k=model.k)
     formats = run["outputs"]["formats"]
@@ -406,109 +381,11 @@ def cmd_evolve(run: dict, outdir: Path) -> int:
     return EXIT_OK
 
 
-def _verify_greens(run, tol):
-    x = np.linspace(0.0, 30.0, 3000)
-    rng = np.random.default_rng(7)
-    residuals = []
-    for _ in range(20):
-        x0, s0 = rng.uniform(2, 8), rng.uniform(0.5, 1.5)
-        x1, s1 = rng.uniform(2, 8), rng.uniform(0.5, 1.5)
-        f1 = np.exp(-((x - x0) ** 2) / (2 * s0 ** 2)) + rng.uniform(0, 1) * np.exp(-x)
-        f2 = np.exp(-((x - x1) ** 2) / (2 * s1 ** 2)) + rng.uniform(0, 1) * x * np.exp(-x)
-        residuals.append(triple.greens_identity_residual(f1, f2, x))
-    worst = float(np.max(residuals))  # a NaN residual fails the check
-    return {"residual": worst, "tol": tol, "passed": bool(worst <= tol)}
-
-
-def _verify_spectrum(run, tol):
-    # Robin -1 at k = 0 whatever the config, recorded as such
-    bc = BoundaryCondition.robin(-1.0)
-    roots = triple.negative_spectrum_roots(bc, -3.0)
-    sysm = oracle.assemble_fd(bc, 0.0, 1024, 20.0)
-    low = float(oracle.fd_spectrum(sysm, 1)[0])
-    ok = len(roots) == 1 and abs(roots[0] + 1.0) <= 1e-3 and abs(low + 1.0) <= tol
-    return {"bc": bc.describe(0.0), "roots": roots, "fd_lowest": low, "tol": tol,
-            "passed": bool(ok)}
-
-
-def _verify_kernel_images(run, tol):
-    # the configured condition at k = 0, else Dirichlet; multipliers enter
-    # the oracle as the Robin condition they reduce to
-    bc = run["bc"]
-    if run["model"].k != 0.0:
-        bc = BoundaryCondition.dirichlet()
-    rng = np.random.default_rng(11)
-    t = rng.uniform(0.05, 2.0, 100)
-    x = rng.uniform(0.2, 3.0, 100)
-    y = rng.uniform(0.2, 3.0, 100)
-    guard = 0.05
-    keep = (np.abs(t - np.abs(x - y)) > guard) & (np.abs(t - (x + y)) > guard)
-    t, x, y = t[keep], x[keep], y[keep]
-    res = _resolution(run, bc, 0.0, np.linspace(0, 10, 64),
-                      propagator.kernel_span(t, x, y))
-    images_bc = bc if res.alpha is None else BoundaryCondition.robin(res.alpha)
-    K = propagator.causal_kernel(res, t, x, y)
-    Im = oracle.images_kernel(t, x, y, images_bc)
-    worst = float(np.max(np.abs(K - Im)))
-    return {"bc": bc.describe(0.0), "max_err": worst, "points": int(t.size),
-            "quadrature": res.quadrature, "tol": tol, "passed": worst <= tol}
-
-
-def _verify_causality(run, tol):
-    model, bc, k = run["model"], run["bc"], run["model"].k
-    if k != 0.0:
-        bc, k = BoundaryCondition.robin(-1.0), 0.0
-    t = np.linspace(0.0, 1.5, 9)
-    x = np.linspace(0.3, 3.5, 12)
-    res = _resolution(run, bc, k, model.x(), propagator.kernel_span(t, x, x))
-    grid = propagator.build_kernel_grid(res, t, x, x)
-    report = verify.causality_report(grid, tol=tol)
-    return {"bc": bc.describe(k), "max_acausal": report["max_acausal"],
-            "quadrature": res.quadrature, "tol": tol, "passed": report["passed"]}
-
-
-def _verify_bc(run, tol):
-    t = np.linspace(0.0, 4.0, 320)
-    model, bc = run["model"], run["bc"]
-    res = _resolution(run, bc, model.k, model.x(), float(t[-1]) + 2.0 * model.x_max)
-    gh = _gaussian_source({**run["source"], "t0": 1.6, "sigma_t": 0.25,
-                           "x0": 2.5, "sigma_x": 0.4}, t, model.x())
-    field = propagator.apply_retarded(res, gh, t)
-    residual = verify.bc_residual(field, t, model.x(), bc, k=model.k)
-    return {"residual": residual, "quadrature": res.quadrature, "tol": tol,
-            "passed": residual <= tol}
-
-
-def _verify_energy(run, tol):
-    model, bc = run["model"], run["bc"]
-    sysm = oracle.assemble_fd(bc, model.k, model.grid, model.x_max)
-    x = model.x()
-    u0 = np.exp(-((x - 0.35 * model.x_max) ** 2) / (2 * 0.5 ** 2))
-    dt = 0.4 * sysm.dx
-    times, U, Udot = oracle.leapfrog(sysm, u0, np.zeros_like(u0), dt, 6.0,
-                                     sample_stride=8)
-    report = verify.energy_report(times, U, Udot, sysm.dx, bc, k=model.k)
-    return {"drift": report.drift, "tol": tol, "passed": report.drift <= tol}
-
-
-# check name -> (runner, tolerance), in report order
-_VERIFY_CHECKS = {
-    "greens_identity": (_verify_greens, 1e-6),
-    "spectrum": (_verify_spectrum, 1e-3),
-    "kernel_images": (_verify_kernel_images, 1e-3),
-    "causality": (_verify_causality, 1e-3),
-    "bc_residual": (_verify_bc, 1e-2),
-    "energy": (_verify_energy, 1e-3),
-}
-
-
 def cmd_verify(run: dict, outdir: Path) -> int:
     checks = {}
     for name in run["verify"]["checks"]:
-        runner, tol = _VERIFY_CHECKS[name]
-        checks[name] = runner(run, tol)
-        status = "PASS" if checks[name]["passed"] else "FAIL"
-        print(f"{status}  {name}")
+        checks[name] = verify.run_check(name, run)
+        print(f"{'PASS' if checks[name]['passed'] else 'FAIL'}  {name}")
     payload = {"passed": all(c["passed"] for c in checks.values()),
                "checks": checks, "config": run["config"]}
     verify.emit_report(outdir / "verify.json", payload)

@@ -425,19 +425,20 @@ def default_nodes(bc: BoundaryCondition, k: float,
 
 
 def resolve(bc: BoundaryCondition, k: float, x,
-            xi_max: float = DEFAULT_XI_MAX,
-            nodes: int = DEFAULT_NODES) -> SpectralResolution:
+            xi_max: float = DEFAULT_XI_MAX, nodes: Optional[int] = DEFAULT_NODES,
+            span: float = 0.0) -> SpectralResolution:
     """Build the spectral resolution of the realization chosen by ``bc``.
 
     Dirichlet gives the sine family; Neumann, Robin and multiplier conditions
     give the Robin family at the per-mode coefficient (plus the bound state
     when alpha < 0); the dynamical condition gives the extended family.
-    ``xi_max`` and ``nodes`` fix the quadrature truncation; the node count
-    for a given window is :func:`default_nodes`.  ``x`` must be a
-    uniform increasing grid starting at the boundary, x = 0.
+    ``xi_max`` and ``nodes`` fix the quadrature truncation; ``nodes=None``
+    takes :func:`default_nodes` for the window of width ``span``.  ``x`` must
+    be a uniform increasing grid starting at the boundary, x = 0.
     """
     if not xi_max > 0:
         raise ValueError("xi_max must be positive")
+    nodes = default_nodes(bc, k, xi_max, span) if nodes is None else nodes
     if nodes < MIN_NODES:
         raise ValueError(f"need at least {MIN_NODES} quadrature nodes")
     x = np.asarray(x, dtype=float)

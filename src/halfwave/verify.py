@@ -27,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
+from . import oracle, propagator, spectral, triple
 from .model import BoundaryCondition
-from .propagator import KernelGrid
 from .quadrature import corrected_weights, derivative, max_abs, row_panels
 
 _FLOOR = 1e-300
@@ -49,7 +49,6 @@ class EnergyReport:
     E: np.ndarray
     E_total: np.ndarray
     drift: float
-    gronwall_b: Optional[float] = None
 
 
 def _density(u, udot, dx, k):
@@ -113,10 +112,8 @@ def gronwall_check(report: EnergyReport, b_cap: Optional[float] = None,
     t = report.times
     peak = float(np.max(E))
     if peak <= _FLOOR:
-        report.gronwall_b = 0.0
         return True, 0.0
     if not np.all(np.isfinite(E)) or E[0] <= zero_tol * peak:
-        report.gronwall_b = float("inf")
         return False, float("inf")
     later = t > t[0]
     ratios = np.log(np.maximum(E[later], _FLOOR) / E[0]) / (t[later] - t[0])
@@ -124,7 +121,6 @@ def gronwall_check(report: EnergyReport, b_cap: Optional[float] = None,
     good = E > 0
     slope = np.polyfit(t[good], np.log(E[good]), 1)[0] if np.sum(good) > 1 else 0.0
     b_hat = max(b_cert, float(slope), 0.0)
-    report.gronwall_b = b_hat
     passed = b_cap is None or b_hat <= b_cap
     return passed, b_hat
 
@@ -147,8 +143,9 @@ def cone_energy_ratio(times, U, Udot, x, support, margin: float = 0.0) -> float:
     return float(np.max(np.sum(dens * outside, axis=1))) * dx / peak
 
 
-def causality_report(kernel: KernelGrid, tol: float = 1e-3) -> dict:
-    """Largest kernel magnitude in the region no signal can reach.
+def causality_report(kernel: propagator.KernelGrid) -> dict:
+    """Largest kernel magnitude in the region no signal can reach, as
+    ``{"max_acausal", "points"}``, the points counting that region.
 
     The acausal region is {|t| < |x - y| and |t| < x + y}: earlier than both
     the direct and the boundary-reflected characteristics.
@@ -156,10 +153,9 @@ def causality_report(kernel: KernelGrid, tol: float = 1e-3) -> dict:
     T, X, Y = np.meshgrid(kernel.t, kernel.x, kernel.y, indexing="ij")
     region = (np.abs(T) < np.abs(X - Y)) & (np.abs(T) < X + Y)
     if not np.any(region):
-        return {"max_acausal": 0.0, "points": 0, "tol": tol, "passed": True}
-    worst = float(np.max(np.abs(kernel.values[region])))
-    return {"max_acausal": worst, "points": int(np.sum(region)),
-            "tol": tol, "passed": worst <= tol}
+        return {"max_acausal": 0.0, "points": 0}
+    return {"max_acausal": float(np.max(np.abs(kernel.values[region]))),
+            "points": int(np.sum(region))}
 
 
 def bc_residual(field, t, x, bc: BoundaryCondition, k: float = 0.0) -> float:
@@ -242,8 +238,6 @@ def exact_sequence_residuals(res, fd_sys, g, t) -> tuple:
 
     with box realized by centered time differences plus the FD operator.
     """
-    from .propagator import apply_advanced, apply_causal, apply_retarded
-
     g = np.asarray(g, dtype=float)
     t = np.asarray(t, dtype=float)
     dt = float(t[1] - t[0])
@@ -251,17 +245,126 @@ def exact_sequence_residuals(res, fd_sys, g, t) -> tuple:
     if np.sum(g[1:-1] ** 2) * dx * dt == 0.0:
         return 0.0, 0.0, 0.0, 0.0
 
-    r1 = _rel_l2(apply_causal(res, wave_operator(g, t, fd_sys), t), g, dx, dt)
+    r1 = _rel_l2(propagator.apply_causal(res, wave_operator(g, t, fd_sys), t),
+                 g, dx, dt)
 
-    Gg = apply_causal(res, g, t)
+    Gg = propagator.apply_causal(res, g, t)
     r2 = _rel_l2(wave_operator(Gg, t, fd_sys), g, dx, dt)
 
-    Gret = apply_retarded(res, g, t)
+    Gret = propagator.apply_retarded(res, g, t)
     r3 = _rel_l2(wave_operator(Gret, t, fd_sys) - g, g, dx, dt)
 
-    Gadv = apply_advanced(res, g, t)
+    Gadv = propagator.apply_advanced(res, g, t)
     r4 = _rel_l2((Gret - Gadv) - Gg, g, dx, dt)
     return r1, r2, r3, r4
+
+
+# ---------------------------------------------------------------------------
+# the checks of ``halfwave verify``: a runner takes the validated config and
+# returns the (bc, k) it tested, its measure and its other record entries; it
+# reaches the measures through module attributes, so a wrapped one is called
+
+def _greens(run):
+    # the measure depends on neither the condition nor k
+    x = np.linspace(0.0, 30.0, 3000)
+    rng = np.random.default_rng(7)
+    residuals = []
+    for _ in range(20):
+        x0, s0 = rng.uniform(2, 8), rng.uniform(0.5, 1.5)
+        x1, s1 = rng.uniform(2, 8), rng.uniform(0.5, 1.5)
+        f1 = np.exp(-((x - x0) ** 2) / (2 * s0 ** 2)) + rng.uniform(0, 1) * np.exp(-x)
+        f2 = np.exp(-((x - x1) ** 2) / (2 * s1 ** 2)) + rng.uniform(0, 1) * x * np.exp(-x)
+        residuals.append(triple.greens_identity_residual(f1, f2, x))
+    worst = float(np.max(residuals))  # a NaN residual fails the check
+    return run["bc"], run["model"].k, worst, {"residual": worst}
+
+
+def _spectrum(run):
+    # Robin -1 at k = 0 whatever the config: one root and the lowest FD
+    # eigenvalue, both at -1; np.maximum, unlike max, keeps a NaN
+    bc = BoundaryCondition.robin(-1.0)
+    roots = triple.negative_spectrum_roots(bc, -3.0)
+    low = float(oracle.fd_spectrum(oracle.assemble_fd(bc, 0.0, 1024, 20.0), 1)[0])
+    err = (float(np.maximum(abs(roots[0] + 1.0), abs(low + 1.0)))
+           if len(roots) == 1 else math.inf)
+    return bc, 0.0, err, {"roots": roots, "fd_lowest": low}
+
+
+def _kernel_images(run):
+    # the configured condition at k = 0, else Dirichlet; multipliers enter
+    # the oracle as the Robin condition they reduce to
+    bc = run["bc"] if run["model"].k == 0.0 else BoundaryCondition.dirichlet()
+    rng = np.random.default_rng(11)
+    t = rng.uniform(0.05, 2.0, 100)
+    x = rng.uniform(0.2, 3.0, 100)
+    y = rng.uniform(0.2, 3.0, 100)
+    guard = 0.05
+    keep = (np.abs(t - np.abs(x - y)) > guard) & (np.abs(t - (x + y)) > guard)
+    t, x, y = t[keep], x[keep], y[keep]
+    res = spectral.resolve(bc, 0.0, np.linspace(0, 10, 64),
+                           span=propagator.kernel_span(t, x, y), **run["quadrature"])
+    images_bc = bc if res.alpha is None else BoundaryCondition.robin(res.alpha)
+    K = propagator.causal_kernel(res, t, x, y)
+    worst = float(np.max(np.abs(K - oracle.images_kernel(t, x, y, images_bc))))
+    return bc, 0.0, worst, {"max_err": worst, "points": int(t.size),
+                            "quadrature": res.quadrature}
+
+
+def _causality(run):
+    # the configured condition at k = 0, else Robin -1 at k = 0
+    bc = run["bc"] if run["model"].k == 0.0 else BoundaryCondition.robin(-1.0)
+    t = np.linspace(0.0, 1.5, 9)
+    x = np.linspace(0.3, 3.5, 12)
+    res = spectral.resolve(bc, 0.0, run["model"].x(),
+                           span=propagator.kernel_span(t, x, x), **run["quadrature"])
+    worst = causality_report(propagator.build_kernel_grid(res, t, x, x))["max_acausal"]
+    return bc, 0.0, worst, {"max_acausal": worst, "quadrature": res.quadrature}
+
+
+def _bc_residual(run):
+    model, bc = run["model"], run["bc"]
+    t = np.linspace(0.0, 4.0, 320)
+    x = model.x()
+    res = spectral.resolve(bc, model.k, x, span=float(t[-1]) + 2.0 * model.x_max,
+                           **run["quadrature"])
+    gh = propagator.gaussian_source({**run["source"], "t0": 1.6, "sigma_t": 0.25,
+                                     "x0": 2.5, "sigma_x": 0.4}, t, x)
+    residual = bc_residual(propagator.apply_retarded(res, gh, t), t, x, bc, k=model.k)
+    return bc, model.k, residual, {"residual": residual, "quadrature": res.quadrature}
+
+
+def _energy(run):
+    model, bc = run["model"], run["bc"]
+    sysm = oracle.assemble_fd(bc, model.k, model.grid, model.x_max)
+    x = model.x()
+    u0 = np.exp(-((x - 0.35 * model.x_max) ** 2) / (2 * 0.5 ** 2))
+    times, U, Udot = oracle.leapfrog(sysm, u0, np.zeros_like(u0), 0.4 * sysm.dx,
+                                     6.0, sample_stride=8)
+    drift = energy_report(times, U, Udot, sysm.dx, bc, k=model.k).drift
+    return bc, model.k, drift, {"drift": drift}
+
+
+# check name -> (runner, tolerance), in report order
+CHECKS = {
+    "greens_identity": (_greens, 1e-6),
+    "spectrum": (_spectrum, 1e-3),
+    "kernel_images": (_kernel_images, 1e-3),
+    "causality": (_causality, 1e-3),
+    "bc_residual": (_bc_residual, 1e-2),
+    "energy": (_energy, 1e-3),
+}
+
+
+def run_check(name: str, run: dict) -> dict:
+    """The ``verify.json`` record of check ``name`` on the config ``run``: the
+    runner's entries, the tested pair as ``bc`` (``bc.describe(k)``) and ``k``,
+    ``tol``, ``passed`` (measure <= tol, so a NaN measure fails) and
+    ``substituted`` (the tested pair is not the configured one)."""
+    runner, tol = CHECKS[name]
+    bc, k, measure, record = runner(run)
+    return {**record, "bc": bc.describe(k), "k": k, "tol": tol,
+            "passed": bool(measure <= tol),
+            "substituted": (bc, k) != (run["bc"], run["model"].k)}
 
 
 def _strict(obj):

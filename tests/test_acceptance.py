@@ -121,7 +121,7 @@ def test_criterion_05_causality_with_bound_state():
     worst = {}
     for nodes in (4000, 8000):
         res = resolve(ROBIN, 0.0, np.linspace(0.0, 12.0, 64), nodes=nodes)
-        rep = causality_report(build_kernel_grid(res, t, x, x), tol=1e-3)
+        rep = causality_report(build_kernel_grid(res, t, x, x))
         worst[nodes] = rep["max_acausal"]
     passed = worst[4000] <= 1e-3 and worst[8000] <= worst[4000] / 2
     report(5, "causality with bound state",

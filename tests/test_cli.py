@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import halfwave
-from halfwave import cli
+from halfwave import cli, verify
 from halfwave.cli import (EXIT_CHECK_FAILED, EXIT_INTERNAL, EXIT_IO, EXIT_OK,
                           EXIT_USAGE, _write_sidecar, default_config, main,
                           parse_config)
@@ -365,9 +365,9 @@ class TestVerify:
         assert main(["frobnicate"]) == EXIT_USAGE
 
     def test_crash_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
-        def crash(run, tol):
+        def crash(run):
             raise RuntimeError("boom")
-        monkeypatch.setitem(cli._VERIFY_CHECKS, "greens_identity", (crash, 1e-6))
+        monkeypatch.setitem(verify.CHECKS, "greens_identity", (crash, 1e-6))
         cfg = write_config(tmp_path, model={"grid": 256},
                            verify={"checks": ["greens_identity"]})
         out = tmp_path / "out"
@@ -385,8 +385,8 @@ class TestVerify:
     def test_greens_identity_is_the_same_at_every_k(self, k):
         # the k^2 terms cancel identically and are not formed; forming them
         # read 4.4e-6 > 1e-6 at k = 1e5 and 3e284 at k = 1e150
-        got = cli._verify_greens(self.at_mode(k), 1e-6)
-        assert got == cli._verify_greens(self.at_mode(0.0), 1e-6)
+        got = verify.run_check("greens_identity", self.at_mode(k))
+        assert got == {**verify.run_check("greens_identity", self.at_mode(0.0)), "k": k}
         assert got["passed"]
 
     @pytest.mark.xfail(strict=True, reason=(
@@ -394,7 +394,7 @@ class TestVerify:
         "the measured energy by O((k dt)^2), a drift of 3.5e-3 > 1e-3 at k = 10, "
         "and dt^2 (4/dx^2 + k^2) > 4 is unstable (ROADMAP item 5)"))
     def test_energy_check_at_k_10(self):
-        assert cli._verify_energy(self.at_mode(10.0), 1e-3)["passed"]
+        assert verify.run_check("energy", self.at_mode(10.0))["passed"]
 
     def test_nan_greens_residual_fails(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli.triple, "greens_identity_residual",
@@ -717,9 +717,8 @@ class TestQuadratureDefault:
 
 
 def test_verify_check_order(tmp_path, capsys):
-    from halfwave.cli import _VERIFY_CHECKS
-    assert list(_VERIFY_CHECKS) == ["greens_identity", "spectrum", "kernel_images",
-                                    "causality", "bc_residual", "energy"]
+    assert list(verify.CHECKS) == ["greens_identity", "spectrum", "kernel_images",
+                                   "causality", "bc_residual", "energy"]
     cfg = write_config(tmp_path, model={"grid": 256},
                        verify={"checks": ["kernel_images", "greens_identity"]})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),

@@ -12,11 +12,12 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from halfwave import cli
+from halfwave import cli, verify
 from halfwave.model import BoundaryCondition
 from halfwave.oracle import assemble_fd, fd_spectrum
 from halfwave.propagator import (apply_advanced, apply_causal, apply_retarded,
-                                 build_kernel_grid, causal_kernel)
+                                 build_kernel_grid, causal_kernel,
+                                 gaussian_source)
 from halfwave.spectral import resolve
 
 X_GRID = np.linspace(0.0, 12.0, 64)
@@ -110,8 +111,8 @@ def test_factored_source_gives_the_dense_field(bc, k, amplitude, t0, sigma_t,
     x = np.linspace(0.0, 12.0, 256)
     t = np.linspace(0.0, 5.0, 121)
     res = resolve(bc, k, x, nodes=600)
-    g, h = cli._gaussian_source({"amplitude": amplitude, "t0": t0, "sigma_t": sigma_t,
-                                 "x0": x0, "sigma_x": sigma_x}, t, x)
+    g, h = gaussian_source({"amplitude": amplitude, "t0": t0, "sigma_t": sigma_t,
+                            "x0": x0, "sigma_x": sigma_x}, t, x)
     factored = apply_retarded(res, (g, h), t)
     dense = apply_retarded(res, np.multiply.outer(g, h), t)
     # a bound state below 0 grows like e^{rate t}, and the addition formula
@@ -194,7 +195,7 @@ def valid_configs(draw):
     t_max = st.floats(min_value=1e-140, max_value=1e150) if wentzell else LENGTH
     axis = st.tuples(SPAN_SAFE, SPAN_SAFE, count(1, 50)).map(list)
     checks = st.one_of(st.just("all"),
-                       st.lists(st.sampled_from(list(cli._VERIFY_CHECKS))))
+                       st.lists(st.sampled_from(list(verify.CHECKS))))
     return {
         "model": {"n": n, "k": draw(WAVENUMBER) if n else 0.0,
                   "x_max": draw(LENGTH), "grid": draw(count(16, 10 ** 6))},

@@ -51,15 +51,15 @@ class TestPeakMemory:
         t = np.linspace(0.0, 6.0, 480)
         x = np.linspace(0.0, 30.0, 1024)
         res = resolve(ROBIN, 0.0, x, nodes=spectral.default_nodes(ROBIN, 0.0, span=66.0))
-        f = cli._gaussian_source({"amplitude": 1.0, "t0": 1.6, "sigma_t": 0.25,
-                                  "x0": 3.0, "sigma_x": 0.4}, t, x)
+        f = propagator.gaussian_source({"amplitude": 1.0, "t0": 1.6, "sigma_t": 0.25,
+                                        "x0": 3.0, "sigma_x": 0.4}, t, x)
         peak = traced_peak(propagator.apply_retarded, res, f, t)
         assert peak < streaming_bound(t.size, x.size, fields=1)
 
     def test_verify_bc_check_holds_one_block(self):
         # the check at grid 2048 makes its field; its source is two factors
         run = cli.settings(cli._merge(cli.default_config(), {"model": {"grid": 2048}}))
-        peak = traced_peak(cli._verify_bc, run, 1e-2)
+        peak = traced_peak(verify.run_check, "bc_residual", run)
         assert peak < streaming_bound(320, 2048, fields=1)
 
     @pytest.mark.parametrize("command,nt", [("evolve", 480), ("verify", 320)])
@@ -94,7 +94,7 @@ class TestPeakMemory:
         sysm = oracle.assemble_fd(run["bc"], 0.0, 2048, 30.0)
         nt = oracle.leapfrog(sysm, np.zeros(2048), np.zeros(2048), 0.4 * sysm.dx,
                              6.0, sample_stride=8)[0].size
-        peak = traced_peak(cli._verify_energy, run, 1e-3)
+        peak = traced_peak(verify.run_check, "energy", run)
         bound = 2 * 8 * nt * 2048 + 8 * quadrature.PANEL_BYTES
         with capsys.disabled():
             print(f"\nenergy check at grid 2048: traced peak {peak / 1e6:.2f} MB, "
@@ -216,8 +216,8 @@ class TestBitIdentical:
 
     def applied_field(self, bc, k):
         res = resolve(bc, k, self.X, nodes=600)
-        f = cli._gaussian_source({"amplitude": 1.0, "t0": 2.0, "sigma_t": 0.3,
-                                  "x0": 3.0, "sigma_x": 0.4}, self.T, self.X)
+        f = propagator.gaussian_source({"amplitude": 1.0, "t0": 2.0, "sigma_t": 0.3,
+                                        "x0": 3.0, "sigma_x": 0.4}, self.T, self.X)
         return propagator.apply_retarded(res, f, self.T)
 
     # 128 and 6 rows: 301 is 2 x 128 + 45 and 50 x 6 + a lone row

@@ -24,8 +24,9 @@ def evolve_case():
     model = run["model"]
     x = model.x()
     t = np.linspace(0.0, run["evolve"]["t_max"], run["evolve"]["steps"])
-    res = cli._resolution(run, run["bc"], model.k, x,
-                          run["evolve"]["t_max"] + 2.0 * model.x_max)
+    res = spectral.resolve(run["bc"], model.k, x,
+                           span=run["evolve"]["t_max"] + 2.0 * model.x_max,
+                           **run["quadrature"])
     return res, run["source"], t
 
 
@@ -35,7 +36,8 @@ def verify_bc_case():
     model = run["model"]
     x = model.x()
     t = np.linspace(0.0, 4.0, 320)
-    res = cli._resolution(run, run["bc"], model.k, x, 4.0 + 2.0 * model.x_max)
+    res = spectral.resolve(run["bc"], model.k, x, span=4.0 + 2.0 * model.x_max,
+                           **run["quadrature"])
     src = {**run["source"], "t0": 1.6, "sigma_t": 0.25, "x0": 2.5, "sigma_x": 0.4}
     return res, src, t
 
@@ -78,7 +80,7 @@ class TestGaussianSource:
         x = np.linspace(0.0, 30.0, 1024)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = cli._gaussian_source(src, t, x)
+            got = propagator.gaussian_source(src, t, x)
         wants = (old_factor(t, src["t0"], src["sigma_t"]),
                  old_factor(x, src["x0"], src["sigma_x"]))
         assert subnormals(wants[1]) > 0      # the x grid reaches the underflow
@@ -94,13 +96,13 @@ class TestGaussianSource:
                                    rtol=1e-12, atol=0.0)
 
     def test_bound_is_the_least_normal_exponent(self):
-        assert np.exp(cli._LOG_TINY) >= TINY
-        assert np.exp(np.nextafter(cli._LOG_TINY, -np.inf)) < TINY
+        assert np.exp(propagator._LOG_TINY) >= TINY
+        assert np.exp(np.nextafter(propagator._LOG_TINY, -np.inf)) < TINY
 
     def test_zero_amplitude(self):
-        g, h = cli._gaussian_source({"amplitude": 0.0, "t0": 1.0, "sigma_t": 0.2,
-                                     "x0": 1.0, "sigma_x": 0.2},
-                                    np.linspace(0, 2, 5), np.linspace(0, 3, 7))
+        g, h = propagator.gaussian_source({"amplitude": 0.0, "t0": 1.0,
+                                           "sigma_t": 0.2, "x0": 1.0, "sigma_x": 0.2},
+                                          np.linspace(0, 2, 5), np.linspace(0, 3, 7))
         assert g.shape == (5,) and h.shape == (7,) and not np.any(g)
 
 
@@ -147,7 +149,7 @@ class TestAnalysisFlush:
     def test_factored_bit_identical_without_flush(self, monkeypatch, case):
         # the CLI's factored source: no coefficient to flush at its defaults
         res, src, t = CASES[case]()
-        gh = cli._gaussian_source(src, t, res.x)
+        gh = propagator.gaussian_source(src, t, res.x)
         flushed = res.analyze(gh)
         field = propagator.apply_retarded(res, gh, t)
         monkeypatch.setattr(spectral, "_TINY", 0.0)
@@ -158,7 +160,7 @@ class TestAnalysisFlush:
 
     def test_factored_coefficients_have_no_subnormal(self, monkeypatch):
         res, src, t = narrow_pulse_case()
-        gh = cli._gaussian_source(src, t, res.x)
+        gh = propagator.gaussian_source(src, t, res.x)
         seen = []
         flush = spectral._flush
 
