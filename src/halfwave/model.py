@@ -119,6 +119,13 @@ class BoundaryCondition:
             raise ValueError(f"multiplier symbol evaluated to {value} at k={k}")
         return value
 
+    def realization(self, k: float = 0.0) -> tuple:
+        """The realization selected at mode k: ("dirichlet", None), ("robin",
+        alpha(k)) for Neumann, Robin and multipliers, or ("wentzell", None)."""
+        if self.kind in ("dirichlet", "wentzell"):
+            return self.kind, None
+        return "robin", self.effective_alpha(k)
+
     def describe(self, k: float = 0.0) -> dict:
         """JSON-friendly descriptor (used in file sidecars)."""
         d = {"kind": self.kind}

@@ -98,9 +98,7 @@ def assemble_fd(bc: BoundaryCondition, k: float, grid: int,
     if grid < 16:
         raise ValueError("grid must have at least 16 samples")
     dx = x_max / (grid - 1)
-    kind = "wentzell" if bc.is_dynamic else ("dirichlet" if bc.kind == "dirichlet"
-                                             else "robin")
-    alpha = None if bc.is_dynamic else bc.effective_alpha(k)
+    kind, alpha = bc.realization(k)
     m = grid - 2 if kind == "dirichlet" else grid - 1
     offset = 1 if kind == "dirichlet" else 0
     kd = np.full(m, 2.0 / dx)
@@ -259,20 +257,19 @@ def images_kernel(t, x, y, bc: BoundaryCondition):
     alpha = 0 (image +1/2) and Dirichlet the alpha -> inf limit (image -1/2);
     for alpha < 0 the exponential is the bound state's growth.  The dynamical
     condition reflects with minus the Robin alpha = 1 coefficient, and its
-    image is minus Robin alpha = 1's: 1/2 - exp(-(t - x - y)).
+    image is minus Robin alpha = 1's: 1/2 - exp(-(t - x - y)).  Every other
+    condition enters as the realization it selects at k = 0.
     """
-    if bc.kind == "multiplier":
-        raise ValueError("images construction covers Dirichlet, Neumann, "
-                         "Robin and the dynamical condition only")
+    kind, alpha = bc.realization(0.0)
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     s = np.abs(t)
     lag = s - np.abs(x + y)
     direct = 0.5 * (np.abs(x - y) < s)
-    if bc.kind == "dirichlet":
+    if kind == "dirichlet":
         image = np.where(lag > 0, -0.5, 0.0)
     else:
-        alpha = 1.0 if bc.is_dynamic else bc.effective_alpha()
+        alpha = 1.0 if kind == "wentzell" else alpha
         image = np.where(lag > 0, np.exp(-alpha * np.maximum(lag, 0.0)) - 0.5, 0.0)
-    return np.sign(t) * (direct - image if bc.is_dynamic else direct + image)
+    return np.sign(t) * (direct - image if kind == "wentzell" else direct + image)

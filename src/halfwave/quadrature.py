@@ -17,6 +17,7 @@ import warnings
 import numpy as np
 
 PANEL_BYTES = 1 << 17      # a row panel of doubles that stays in L2 cache
+DECAY_TOL = 1e-8           # tail/peak above which check_decay warns
 
 
 class TruncationWarning(UserWarning):
@@ -116,7 +117,7 @@ def boundary_derivative(u, dx):
     return float(np.dot(_D1_EDGE6, head)) / dx
 
 
-def check_decay(f, dx, rel_tol=1e-8, what="input", scale=None):
+def check_decay(f, dx, what="input", scale=None):
     """Warn if samples near the far end of the window are not negligible.
 
     ``scale`` is the peak max|f| when the caller has it already.
@@ -127,7 +128,7 @@ def check_decay(f, dx, rel_tol=1e-8, what="input", scale=None):
     if scale == 0:
         return
     tail = max_abs(f[..., -max(2, f.shape[-1] // 100):])
-    if tail > rel_tol * scale:
+    if tail > DECAY_TOL * scale:
         warnings.warn(
             f"{what} has not decayed at the window edge "
             f"(tail/peak = {tail / scale:.2e}); results carry truncation error",

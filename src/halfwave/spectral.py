@@ -417,7 +417,7 @@ def default_nodes(bc: BoundaryCondition, k: float,
     h = MAX_STEP
     if span > 0:
         h = min(h, math.pi / span)
-    alpha = None if bc.is_dynamic else bc.effective_alpha(k)
+    alpha = bc.realization(k)[1]
     if alpha:
         h = min(h, abs(alpha) / 10.0)
     steps = xi_max / h if h > 0 else math.inf
@@ -446,13 +446,9 @@ def resolve(bc: BoundaryCondition, k: float, x,
     if x[0] != 0.0:
         raise ValueError(f"x must start at the boundary x = 0, got {x[0]:g}")
     xi = np.linspace(0.0, float(xi_max), int(nodes))
-    if bc.is_dynamic:
-        return SpectralResolution(kind="wentzell", alpha=None, k=float(k), x=x, xi=xi)
-    alpha = bc.effective_alpha(k)
-    if alpha is None:
-        return SpectralResolution(kind="dirichlet", alpha=None, k=float(k), x=x, xi=xi)
-    return SpectralResolution(kind="robin", alpha=float(alpha), k=float(k), x=x,
-                              xi=xi, bound=bound_state(alpha, k))
+    kind, alpha = bc.realization(k)
+    return SpectralResolution(kind=kind, alpha=alpha, k=float(k), x=x, xi=xi,
+                              bound=bound_state(alpha, k))
 
 
 def completeness_residual(res: SpectralResolution, f, f_boundary: float = 0.0,

@@ -104,6 +104,7 @@ def lower_bound_estimate(m_theta: float, m_a0: float) -> float:
 
 IN_SPECTRUM = "IN_SPECTRUM"
 NOT_IN_SPECTRUM = "NOT_IN_SPECTRUM"
+K_SAMPLES = 2001    # points of an interval k_range (:func:`_k_sample`)
 
 
 def _alpha_sample(bc: BoundaryCondition, k: np.ndarray) -> np.ndarray:
@@ -120,7 +121,7 @@ def _scan_witness(alpha, lam: np.ndarray, k: np.ndarray):
 
     ``alpha`` is theta on the sample (:func:`_alpha_sample`).  The values
     are formed on one ``row_panels`` block of (lambda x k) values at a time:
-    8 rows of a 2001-sample k interval, which scanned faster than 2^16-value
+    8 rows of a ``K_SAMPLES`` k interval, which scanned faster than 2^16-value
     blocks.  Returns three arrays over ``lam``: the finite value closest to
     0 (the first one on ties; inf when none is finite), its k index (0 when
     none) and whether the finite values change sign.
@@ -144,20 +145,19 @@ def _scan_witness(alpha, lam: np.ndarray, k: np.ndarray):
     return value, index, change
 
 
-def _k_sample(k_range: Union[float, tuple, Iterable[float]],
-              samples: int) -> np.ndarray:
+def _k_sample(k_range: Union[float, tuple, Iterable[float]]) -> np.ndarray:
     """Wavenumbers of a ``k_range``: one k, an interval ``(k_min, k_max)``
-    sampled at ``samples`` points, or an explicit sample."""
+    sampled at ``K_SAMPLES`` points, or an explicit sample."""
     if isinstance(k_range, (int, float)):
         return np.array([float(k_range)])
     if isinstance(k_range, tuple) and len(k_range) == 2:
-        return np.linspace(float(k_range[0]), float(k_range[1]), samples)
+        return np.linspace(float(k_range[0]), float(k_range[1]), K_SAMPLES)
     return np.asarray(list(k_range), dtype=float)
 
 
 def spectrum_test(lam: float, bc: BoundaryCondition,
                   k_range: Union[float, tuple, Iterable[float]] = 0.0,
-                  samples: int = 2001, tol: float = 1e-9) -> str:
+                  tol: float = 1e-9) -> str:
     """Spectral membership of lambda < 0 for the realization chosen by ``bc``.
 
     lambda belongs to the spectrum iff 0 lies in the closure of
@@ -169,12 +169,12 @@ def spectrum_test(lam: float, bc: BoundaryCondition,
     """
     if lam >= 0:
         raise ValueError("spectrum_test scans below the continuum: lambda < 0")
-    return spectrum_scan(bc, [lam], k_range, samples, tol)[0][3]
+    return spectrum_scan(bc, [lam], k_range, tol)[0][3]
 
 
 def spectrum_scan(bc: BoundaryCondition, lam_grid,
                   k_range: Union[float, tuple, Iterable[float]] = 0.0,
-                  samples: int = 2001, tol: float = 1e-9):
+                  tol: float = 1e-9):
     """Scan spectral membership over a lambda grid.
 
     Returns a list of rows ``(lam, k_ref, theta_minus_weyl_min, verdict)``
@@ -184,7 +184,7 @@ def spectrum_scan(bc: BoundaryCondition, lam_grid,
     the k sample; lambda is in the spectrum when that value is within
     ``tol`` of 0 or the finite values change sign.
     """
-    ks = _k_sample(k_range, samples)
+    ks = _k_sample(k_range)
     lam = np.asarray(lam_grid, dtype=float)
     value, index, change = _scan_witness(_alpha_sample(bc, ks), lam, ks)
     hit = (np.abs(value) <= tol) | change
@@ -205,7 +205,7 @@ def negative_spectrum_roots(bc: BoundaryCondition, lam_min: float,
     interval k ranges).
     """
     lam_grid = np.arange(lam_min, 0.0, step)
-    ks = _k_sample(k_range, 2001)
+    ks = _k_sample(k_range)
     alpha = _alpha_sample(bc, ks)
     w = _scan_witness(alpha, lam_grid, ks)[0]
     pairs = np.flatnonzero(np.isfinite(w[:-1]) & np.isfinite(w[1:]))

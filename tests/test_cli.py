@@ -396,6 +396,14 @@ class TestVerify:
     def test_energy_check_at_k_10(self):
         assert verify.run_check("energy", self.at_mode(10.0))["passed"]
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "leapfrog's drift falls like dx^2 and reads 1.93e-3 > 1e-3 on a correct "
+        "field at grid 512 (x_max 30); a spectral energy check would take the "
+        "grid out of the verdict (ROADMAP item 5)"))
+    def test_energy_check_at_grid_512(self):
+        run = cli.settings(cli._merge(cli.default_config(), {"model": {"grid": 512}}))
+        assert verify.run_check("energy", run)["passed"]
+
     def test_nan_greens_residual_fails(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli.triple, "greens_identity_residual",
                             lambda *args: float("nan"))

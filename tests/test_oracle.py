@@ -293,10 +293,22 @@ class TestImagesKernel:
         got = images_kernel(1.5, 0.4, 0.5, BoundaryCondition.wentzell_laplace())
         assert got == pytest.approx(1.0 - np.exp(-0.6), rel=1e-15)
 
-    def test_unsupported_bc(self):
-        with pytest.raises(ValueError):
-            images_kernel(0.5, 1.0, 1.0,
-                          BoundaryCondition.multiplier(lambda k: k * k))
+    def test_static_conditions_enter_as_their_robin_realization(self):
+        # a multiplier p is Robin p(0) at k = 0, and Neumann is Robin 0,
+        # bit for bit, on both sides of the reflected characteristic
+        rng = np.random.default_rng(5)
+        t = rng.uniform(-2, 2, 200)
+        x = rng.uniform(0.1, 3, 200)
+        y = rng.uniform(0.1, 3, 200)
+        assert np.any(np.abs(t) > x + y) and np.any(np.abs(t) < x + y)
+        for poly, robin in (((lambda k: k * k + 0.7), 0.7), ((lambda k: -1.0), -1.0),
+                            ((lambda k: 2.0 * k), 0.0)):
+            assert_allclose(images_kernel(t, x, y, BoundaryCondition.multiplier(poly)),
+                            images_kernel(t, x, y, BoundaryCondition.robin(robin)),
+                            rtol=0, atol=0)
+        assert_allclose(images_kernel(t, x, y, BoundaryCondition.neumann()),
+                        images_kernel(t, x, y, BoundaryCondition.robin(0.0)),
+                        rtol=0, atol=0)
 
 
 def test_fd_spectrum_ordering_on_trivial_system():

@@ -152,8 +152,8 @@ def reference_witness(alpha, lam, ks):
     return float(vals[idx]), idx, vals[finite].min() < 0.0 < vals[finite].max()
 
 
-def reference_scan(bc, lam_grid, k_range=0.0, samples=2001, tol=1e-9):
-    ks = triple._k_sample(k_range, samples)
+def reference_scan(bc, lam_grid, k_range=0.0, tol=1e-9):
+    ks = triple._k_sample(k_range)
     alpha = reference_alpha(bc, ks)
     rows = []
     for lam in np.asarray(lam_grid, dtype=float):
@@ -167,7 +167,7 @@ def reference_scan(bc, lam_grid, k_range=0.0, samples=2001, tol=1e-9):
 def reference_roots(bc, lam_min, step=1e-3, k_range=0.0):
     # negative_spectrum_roots with one scalar bisection per bracket
     lam_grid = np.arange(lam_min, 0.0, step)
-    ks = triple._k_sample(k_range, 2001)
+    ks = triple._k_sample(k_range)
     alpha = reference_alpha(bc, ks)
 
     def witness(lam):

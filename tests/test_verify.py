@@ -330,6 +330,28 @@ class TestCheckTable:
         assert (records["greens_identity"]["bc"], records["greens_identity"]["k"]) == \
             configured
 
+    def test_substituted_reads_the_multiplier_symbol(self, monkeypatch):
+        # multipliers k^2 and 5 differ at k = 1 (Robin 1 against Robin 5),
+        # though the two conditions compare equal as dataclasses
+        run = check_run(bc={"kind": "multiplier", "poly": [0, 0, 1]},
+                        model={"n": 1, "k": 1.0, "grid": 256})
+        tested = BoundaryCondition.multiplier(lambda k: 5.0)
+        monkeypatch.setitem(verify.CHECKS, "greens_identity",
+                            (lambda run: (tested, 1.0, 0.0, {}), 1e-6))
+        record = verify.run_check("greens_identity", run)
+        assert record["substituted"] is True
+        assert record["bc"] == {"kind": "multiplier", "alpha_at_k": 5.0}
+
+    def test_multiplier_minus_one_is_the_spectrum_checks_robin(self, tmp_path):
+        # p = -1 selects Robin -1 at every k, the spectrum check's realization
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"bc": {"kind": "multiplier", "poly": [-1.0]}}))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(config), "--out", str(out), "verify"]) == 0
+        checks = json.loads((out / "verify.json").read_text())["checks"]
+        assert checks["spectrum"]["bc"] == {"kind": "robin", "alpha": -1.0}
+        assert [n for n, r in checks.items() if r["substituted"]] == []
+
     @pytest.mark.parametrize("k", [0.0, 1.0])
     def test_record_keys(self, tmp_path, k):
         config = tmp_path / "config.json"
