@@ -28,12 +28,14 @@ Every applier on the x grid (the three above, ``wentzell_apply`` and
 ``evolve_cauchy``) is one pass of ``SpectralResolution.transform``: one
 loop over blocks of _CHUNK xi nodes that evaluates each family block once,
 projects the source on it, acts on the block's modes and sums the block
-back into the field.  Transient memory
-is O(nt _CHUNK + _CHUNK nx) plus one 2 MB panel besides the source and the
-field: no nt x n_xi coefficient array exists, and no other array of the
-field's size.  A product source g(t) h(x) may be passed as its factors, the
-pair ``(g, h)``; then the field is the only array of its size, and each
-block projects h once, by one matrix-vector product.
+back into the field.  Besides the source and the field, a block holds its
+family sample (_CHUNK, nx), one (nt, _CHUNK) coefficient array, which
+``_window`` overwrites in 128 KB column panels and ``transform`` weights in
+place, the window's panels and one 1 MB panel of the products: no
+nt x n_xi coefficient array exists, and no other array of the field's size.
+A product source g(t) h(x) may be passed as its factors, the pair
+``(g, h)``; then the field is the only array of its size, and each block
+projects h once, by one matrix-vector product.
 
 Truncating the frequency integral at xi_max leaves an oscillatory tail of
 size O(1/(xi_max * c)), c the distance to the nearest characteristic, far
@@ -75,8 +77,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import g17
-from .quadrature import TruncationWarning, check_decay, max_abs
+from . import g17, quadrature
+from .quadrature import TruncationWarning, check_decay, max_abs, row_panels
 from .spectral import ExtendedState, SpectralResolution, _factored
 
 _CSV_CHUNK = 4096      # rows per write_grid_csv block, values per g17.text call
@@ -439,17 +441,26 @@ class KernelGrid:
         write_grid_csv(path, "t,x,y,value", (self.t, self.x, self.y), self.values)
 
     def to_binary(self, path_base) -> None:
-        """Raw row-major doubles plus a JSON sidecar describing the axes."""
+        """Raw row-major doubles plus a JSON sidecar describing the axes.
+
+        Each axis is stored as [first, last, size] and reloaded by
+        ``linspace``, so an axis that ``linspace`` does not rebuild to
+        within 4 ulps of its largest |value|, a non-uniform one, raises
+        ``ValueError`` before anything is written.
+        """
+        axes = {}
+        for name, a in (("t", self.t), ("x", self.x), ("y", self.y)):
+            if a.size > 1 and not np.allclose(np.linspace(a[0], a[-1], a.size), a, rtol=0,
+                                              atol=4 * np.spacing(max_abs(a))):
+                raise ValueError(f"the kernel grid's {name} axis is not uniform, so "
+                                 "[first, last, size] cannot store it")
+            axes[name] = [float(a[0]), float(a[-1]), int(a.size)]
         self.values.astype("<f8", copy=False).tofile(str(path_base) + ".bin")
         sidecar = {
             "dtype": "<f8",
             "order": "C",
             "shape": list(self.values.shape),
-            "axes": {
-                "t": [float(self.t[0]), float(self.t[-1]), int(self.t.size)],
-                "x": [float(self.x[0]), float(self.x[-1]), int(self.x.size)],
-                "y": [float(self.y[0]), float(self.y[-1]), int(self.y.size)],
-            },
+            "axes": axes,
             "meta": self.meta,
         }
         with open(str(path_base) + ".json", "w") as fh:
@@ -587,7 +598,18 @@ def _one_sided(h, dt, support):
     return out
 
 
-def _window(coeffs, t, lam, support: str):
+def _column_panels(nlam, nt):
+    """``row_panels`` over the nlam columns of an (nt, nlam) block, none of
+    them a lone column unless the block is one: np.trapezoid sums a lone
+    column pairwise and each column of a wider array in order, so panels of
+    two or more columns keep every column's sum that of the whole block."""
+    panels = row_panels(nlam, nt, max(quadrature.PANEL_BYTES, 16 * nt))
+    if len(panels) > 1 and panels[-1].stop - panels[-1].start == 1:
+        panels[-2:] = [slice(panels[-2].start, nlam)]
+    return panels
+
+
+def _window(coeffs, t, lam, support: str, out=None):
     """Time convolution of mode coefficients with s(lam, t - t') over a window.
 
     ``coeffs`` is (nt, nlam), one column per eigenvalue in ``lam``.  The
@@ -596,26 +618,42 @@ def _window(coeffs, t, lam, support: str):
     of c(t') coeffs and s(t') coeffs over the window ``support`` selects:
     all t' for 'causal', the prefix t' <= t for 'retarded' and the suffix
     t' >= t for 'advanced', whose result is negated so that
-    retarded - advanced = causal.  One buffer holds c coeffs and then
-    s coeffs, and the result is formed in place in I_c, so the one-sided
-    windows hold four (nt, nlam) arrays at most besides ``coeffs``.
+    retarded - advanced = causal.
+
+    The arithmetic runs over column panels of about
+    ``quadrature.PANEL_BYTES`` per (nt, width) array: one buffer holds
+    c coeffs and then s coeffs, and the window's temporaries are four
+    panels at most (six for 'causal', with np.trapezoid's own).  Each
+    panel's result goes into ``out``, by default a new array; ``out`` may
+    be ``coeffs`` itself, since a panel's columns are read before they are
+    written.  Each column's arithmetic is that of the whole block.
     """
-    s, c, rate = _harmonics(lam[None, :], t[:, None])
     dt = float(t[1] - t[0])
-    h = np.multiply(c, coeffs)
+    out = np.empty(coeffs.shape) if out is None else out
+    for cols in _column_panels(lam.size, t.size):
+        _window_panel(coeffs[:, cols], t, dt, lam[None, cols], support, out[:, cols])
+    return out
+
+
+def _window_panel(a, t, dt, lam, support, out):
+    # _window on the columns ``a`` at eigenvalues ``lam`` (1, width), into
+    # ``out``; its temporaries go when it returns, before the next panel
+    s, c, rate = _harmonics(lam, t[:, None])
+    h = np.multiply(c, a)
     if support == "causal":
         D = s * np.trapezoid(h, dx=dt, axis=0)
-        np.multiply(s, coeffs, out=h)
+        np.multiply(s, a, out=h)
         c *= np.trapezoid(h, dx=dt, axis=0)
     else:
         D = _one_sided(h, dt, support)
         D *= s
-        np.multiply(s, coeffs, out=h)
+        np.multiply(s, a, out=h)
         del s
         c *= _one_sided(h, dt, support)
-    D -= c      # s I_c - c I_s
-    D /= rate
-    return np.negative(D, out=D) if support == "advanced" else D
+    np.subtract(D, c, out=out)      # s I_c - c I_s
+    out /= rate
+    if support == "advanced":
+        np.negative(out, out=out)
 
 
 def _apply(res: SpectralResolution, f, t, support: str):
@@ -636,9 +674,12 @@ def _apply(res: SpectralResolution, f, t, support: str):
         shapes = f.shape
     if shapes not in ((t.size, res.x.size), ((t.size,), (res.x.size,))):
         raise ValueError("source must be sampled on the (t, x) grid of the call")
+    if t.ndim != 1 or t.size < 2:
+        raise ValueError("t must hold at least 2 time samples")
     _check_source_window(res, f, t)
     _check_aliasing(res, float(t[-1] - t[0]) + 2.0 * float(res.x[-1]))
-    return _on_bulk(res, f, lambda c, lam: _window(c, t, lam, support))
+    # the window writes over the block's fresh coefficients
+    return _on_bulk(res, f, lambda c, lam: _window(c, t, lam, support, out=c))
 
 
 def apply_causal(res: SpectralResolution, f, t):

@@ -42,13 +42,16 @@ def check_uniform_grid(x) -> None:
     """Raise ``ValueError`` unless ``x`` is a uniform increasing 1-D grid.
 
     That takes at least 2 samples, and steps that are all positive and
-    equal to relative precision 1e-10.
+    equal to within 1e-10 of a step plus 4 ulps of max|x|: the steps of a
+    ``linspace`` differ by up to about one ulp of its largest value, more
+    than 1e-10 of a step once the grid has a few million nodes.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("x must be a 1-D grid of at least 2 samples")
     steps = np.diff(x)
-    if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-10):
+    ulps = 4 * np.spacing(max_abs(x))
+    if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-10, atol=ulps):
         raise ValueError("x must be a uniform increasing grid")
 
 

@@ -42,10 +42,10 @@ is above 2^53 DBL_MIN (~2e-292).
 No array of the input's size is made besides the output.  ``analyze`` and
 ``transform`` share one projector, which folds the x weights into the
 family block rather than into the samples, and ``_synthesize`` sums each
-block into its output.  Both products run one row panel of about
-_PRODUCT_PANEL_BYTES (2 MB) at a time: smaller panels cost a few per cent
-of the applier's time at nx = 2048, and the weighted family and the
-partial sums never take more than one panel each.
+block into its output, weighting in place the blocks ``transform`` hands
+it, so a block has one coefficient array.  Both products run one row panel
+of about _PRODUCT_PANEL_BYTES (1 MB) at a time, so the weighted family and
+the partial sums never take more than one panel each.
 
 The input may also arrive factored, as the pair ``(g, h)`` of a
 space-time source g(t) h(x): then no array of the samples' size exists at
@@ -73,7 +73,7 @@ MIN_NODES = 64
 MAX_STEP = 0.05     # xi spacing that keeps end-corrected kernels within 1e-7
 
 _CHUNK = 256
-_PRODUCT_PANEL_BYTES = 1 << 21    # a row panel of the analysis and synthesis products
+_PRODUCT_PANEL_BYTES = 1 << 20    # a row panel of the analysis and synthesis products
 _TINY = np.finfo(float).tiny    # DBL_MIN, the least normal double
 
 # 2 pi = _TWO_PI_HI + _TWO_PI_LO to ~1e-26, the high part with 33 significant
@@ -316,17 +316,19 @@ class SpectralResolution:
 
         return project
 
-    def _synthesize(self, coeffs_of, cb):
+    def _synthesize(self, coeffs_of, cb, owned=False):
         # the family on the x nodes summed against the block coefficients
-        # ``coeffs_of(sl, phi)`` block by block, plus the bound channel ``cb``
+        # ``coeffs_of(sl, phi)`` block by block, plus the bound channel ``cb``;
+        # ``owned``: each block is an array of its own, weighted in place
         out = None
         w = self.xi_weights() * self.weight
         for sl, phi in self.blocks():
-            wc = coeffs_of(sl, phi) * w[sl]
+            c = coeffs_of(sl, phi)
+            wc = np.multiply(c, w[sl], out=c if owned else None)
             if out is None:
                 out = np.zeros(wc.shape[:-1] + (phi.shape[1],))
             _accumulate(out, wc, phi)
-            del phi, wc     # free the block before the next one is evaluated
+            del phi, c, wc  # free the block before the next one is evaluated
         if self.bound is not None and cb is not None:
             _accumulate(out, np.asarray(cb, dtype=float)[..., None],
                         self.bound.profile(self.x)[None, :])
@@ -373,13 +375,15 @@ class SpectralResolution:
         ``act(c, lam)`` maps a block of coefficients ``c`` (grid axis of
         ``f`` replaced by the block's modes) at eigenvalues ``lam`` to new
         coefficients; it must act on each mode independently, and may change
-        the leading axes.  The continuum runs through it one block of _CHUNK
-        xi nodes at a time: the family block is evaluated once, projected on,
-        acted on and summed against, so no full coefficient array is formed,
-        and no array of ``f``'s size besides the output (see the module
-        docstring).  ``f`` and ``f_boundary`` are as in :meth:`analyze`, the
-        factored pair ``(g, h)`` included.  The bound channel is one more
-        call, with ``lam = [bound.lam]``.
+        the leading axes.  What it returns must be an array of its own, a
+        new one or ``c`` itself, since the xi weights go on in place.  The
+        continuum runs through it one block of _CHUNK xi nodes at a time:
+        the family block is evaluated once, projected on, acted on and
+        summed against, so no full coefficient array is formed, and no
+        array of ``f``'s size besides the output (see the module
+        docstring).  ``f`` and ``f_boundary`` are as in :meth:`analyze`,
+        the factored pair ``(g, h)`` included.  The bound channel is one
+        more call, with ``lam = [bound.lam]``.
         Returns what :meth:`synthesize` returns.
         """
         project = self._projector(f, f_boundary)
@@ -389,7 +393,7 @@ class SpectralResolution:
             cb = act(project(self.bound.profile(self.x)[None, :]),
                      np.array([self.bound.lam]))[..., 0]
         return self._split(self._synthesize(
-            lambda sl, phi: act(project(phi), lam[sl]), cb))
+            lambda sl, phi: act(project(phi), lam[sl]), cb, owned=True))
 
     def apply_operator(self, f, f_boundary: float = 0.0):
         """Apply the realized operator through the resolution.

@@ -234,6 +234,24 @@ class TestKernelGridInvariants:
         assert rows[0] == "t,x,y,value"
         assert len(rows) == 1 + t.size * x.size * x.size
 
+    def test_binary_keeps_one_sample_and_decreasing_axes(self, tmp_path, res_dirichlet):
+        t, x, y = np.array([0.5]), np.linspace(2.0, 0.3, 5), np.linspace(0.3, 2.0, 4)
+        build_kernel_grid(res_dirichlet, t, x, y).to_binary(tmp_path / "kern")
+        back = KernelGrid.from_binary(tmp_path / "kern")
+        for a, b in ((back.t, t), (back.x, x), (back.y, y)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("axis", ["t", "y"])
+    def test_binary_rejects_a_non_uniform_axis(self, tmp_path, res_dirichlet, axis):
+        # it is stored as [first, last, size] and would reload as a linspace
+        axes = {"t": np.linspace(0.0, 1.0, 4), "x": np.linspace(0.3, 2.0, 5),
+                "y": np.linspace(0.3, 2.0, 5)}
+        axes[axis] = np.geomspace(0.3, 2.0, 5)
+        grid = build_kernel_grid(res_dirichlet, axes["t"], axes["x"], axes["y"])
+        with pytest.raises(ValueError, match=f"{axis} axis is not uniform"):
+            grid.to_binary(tmp_path / "kern")
+        assert not any(tmp_path.iterdir())
+
 
 @functools.lru_cache(maxsize=None)
 def mp_si_tail(c, xi_max):
@@ -481,6 +499,14 @@ class TestAppliers:
         f = np.zeros((self.T.size, res_robin.x.size))
         assert_allclose(apply_causal(res_robin, f, self.T), 0.0)
         assert_allclose(apply_retarded(res_robin, f, self.T), 0.0)
+
+    @pytest.mark.parametrize("apply", [apply_causal, apply_retarded, apply_advanced])
+    @pytest.mark.parametrize("factored", [True, False])
+    def test_one_time_sample_is_rejected(self, res_robin, apply, factored):
+        h = np.exp(-res_robin.x)
+        f = (np.ones(1), h) if factored else h[None, :]
+        with pytest.raises(ValueError, match="at least 2 time samples"):
+            apply(res_robin, f, np.array([0.5]))
 
     def test_causal_annihilates_wave_images(self, res_dirichlet):
         # f = box g for compactly supported g lies in the kernel

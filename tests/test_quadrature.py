@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfwave.quadrature import (PANEL_BYTES, corrected_weights, derivative,
-                                 row_panels)
+from halfwave.quadrature import (PANEL_BYTES, check_uniform_grid, corrected_weights,
+                                 derivative, row_panels)
 from halfwave.verify import energy
 
 
@@ -104,3 +104,14 @@ class TestRowPanels:
         assert all(0 < size <= sizes[0] for size in sizes)
         budget = PANEL_BYTES if nbytes is None else nbytes
         assert all(size == 1 or 8 * size * width <= budget for size in sizes)
+
+
+# steps that differ by more than 1e-10 of a step, by up to about one ulp of
+# the largest value: many nodes, or a grid far from 0
+@pytest.mark.parametrize("start,stop,num", [(0.0, 30.0, 2 * 10 ** 6),
+                                            (1e6, 1e6 + 1.0, 1001)])
+def test_a_linspace_is_a_uniform_grid(start, stop, num):
+    x = np.linspace(start, stop, num)
+    steps = np.diff(x)
+    assert np.max(np.abs(steps - steps[0])) > 1e-10 * steps[0]
+    check_uniform_grid(x)

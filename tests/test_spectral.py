@@ -324,6 +324,7 @@ class TestResolve:
         (np.zeros(64), "uniform increasing"),
         (X + 0.5, "start at the boundary"),
         (X - X[1], "start at the boundary"),
+        (np.array([0.0, 1e-9, 3e-9, 4e-9, 5e-9]), "uniform increasing"),
     ])
     def test_rejects_unusable_x_grids(self, x, match):
         # analysis reads dx from the first step and places the boundary at x[0]

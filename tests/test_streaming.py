@@ -20,11 +20,11 @@ WENTZELL = BoundaryCondition.wentzell_laplace()
 
 def block_allowance(nt, npoints):
     """Bytes one block may hold at once: its family sample (_CHUNK x
-    npoints), its coefficients and the four (nt, _CHUNK) arrays of the
-    one-sided window, one panel of the synthesis product, and 256 KB for
-    the ufuncs' own buffers."""
-    return (8 * _CHUNK * (npoints + 5 * nt) + spectral._PRODUCT_PANEL_BYTES
-            + 2 ** 18)
+    npoints) and its one (nt, _CHUNK) coefficient array, one row panel for
+    each of the window's temporaries (six, the causal window's), one panel
+    of the synthesis product, and 256 KB for the ufuncs' own buffers."""
+    return (8 * _CHUNK * (npoints + nt) + 6 * quadrature.PANEL_BYTES
+            + spectral._PRODUCT_PANEL_BYTES + 2 ** 18)
 
 
 def streaming_bound(nt, npoints, fields):
@@ -262,14 +262,27 @@ class TestBitIdentical:
         assert same_bits(derivative(u, 0.03, order),
                          whole_array_derivative(u, 0.03, order))
 
-    @pytest.mark.parametrize("support", ["causal", "retarded", "advanced"])
-    def test_window(self, support):
+    # the default column panels (34 columns), a one-column panel size (the
+    # panels take two), and widths that do not divide _CHUNK: 3 leaves a lone
+    # last column (256 = 85 x 3 + 1), 7 a short one
+    @pytest.mark.parametrize("support,width", [
+        pytest.param(support, width, id=support + (f"-width{width}" if width else ""))
+        for width in (None, 1, 3, 7) for support in ("causal", "retarded", "advanced")])
+    def test_window(self, monkeypatch, support, width):
         rng = np.random.default_rng(5)
         t = np.linspace(0.0, 6.0, 480)
+        if width is not None:
+            monkeypatch.setattr(quadrature, "PANEL_BYTES", 8 * t.size * width)
         coeffs = rng.normal(size=(t.size, _CHUNK))
-        lam = np.concatenate([[-1.0, 0.0], rng.uniform(0.0, 50.0, _CHUNK - 2)])
-        assert same_bits(_window(coeffs, t, lam, support),
-                         whole_array_window(coeffs, t, lam, support))
+        lam = rng.uniform(0.0, 50.0, _CHUNK)
+        lam[0], lam[-1] = -1.0, 0.0     # in the first panel and the last
+        want = whole_array_window(coeffs, t, lam, support)
+        kept = coeffs.copy()
+        assert same_bits(_window(coeffs, t, lam, support), want)
+        assert same_bits(coeffs, kept)
+        # the aliased call, the appliers' own, writes over its input
+        assert _window(coeffs, t, lam, support, out=coeffs) is coeffs
+        assert same_bits(coeffs, want)
 
     @pytest.mark.parametrize("bc,k", BC_CASES + [(ROBIN, 0.5)])
     @pytest.mark.parametrize("stride,forced", [(1, False), (8, False), (3, True)])
