@@ -450,8 +450,9 @@ class KernelGrid:
         """
         axes = {}
         for name, a in (("t", self.t), ("x", self.x), ("y", self.y)):
-            if a.size > 1 and not np.allclose(np.linspace(a[0], a[-1], a.size), a, rtol=0,
-                                              atol=4 * np.spacing(max_abs(a))):
+            # not np.allclose, whose call overhead is most of this check on a short axis
+            if a.size > 1 and not (max_abs(np.linspace(a[0], a[-1], a.size) - a)
+                                   <= 4 * np.spacing(max_abs(a))):
                 raise ValueError(f"the kernel grid's {name} axis is not uniform, so "
                                  "[first, last, size] cannot store it")
             axes[name] = [float(a[0]), float(a[-1]), int(a.size)]

@@ -50,8 +50,8 @@ def check_uniform_grid(x) -> None:
     if x.ndim != 1 or x.size < 2:
         raise ValueError("x must be a 1-D grid of at least 2 samples")
     steps = np.diff(x)
-    ulps = 4 * np.spacing(max_abs(x))
-    if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-10, atol=ulps):
+    tol = 1e-10 * steps[0] + 4 * np.spacing(max_abs(x))
+    if np.any(steps <= 0) or not max_abs(steps - steps[0]) <= tol:
         raise ValueError("x must be a uniform increasing grid")
 
 
