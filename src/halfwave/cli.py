@@ -11,7 +11,7 @@ evolve     drive a source through the retarded propagator (one applier for
 verify     run the checks of ``verify.CHECKS`` and emit a JSON/text report
 
 Every command is deterministic given its configuration: quadrature grids
-are uniform, and verify's random samples come from fixed seeds.  Each output
+are uniform, and verify's random samples come from a fixed seed.  Each output
 carries a JSON sidecar holding the fully resolved configuration, so feeding
 a sidecar (or ``verify.json``) back as ``--config`` reproduces it bit for bit.
 

@@ -20,7 +20,10 @@ The three appliers share one window routine, ``_window``: the time
 convolution with s(lam, t - t') factors through the addition formula of
 sin, of t - t' at lam = 0, or of sinh for lam < 0, into integrals of the
 source coefficients over the whole sample (causal), its prefix (retarded)
-or its suffix (advanced, negated).  The continuum, its omega = 0 node
+or its suffix (advanced, negated).  All three read one prefix trapezoid
+rule, ``_prefix_trapezoid``: the retarded window as it is, the advanced one
+as its last row less it and the causal one as its last row, in four panel
+temporaries for every support.  The continuum, its omega = 0 node
 included, goes through it block by block; the bound channel is one more
 call, through sinh/cosh whenever its eigenvalue k^2 - alpha^2 is negative.
 
@@ -77,7 +80,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import g17, quadrature
+from . import g17
 from .quadrature import TruncationWarning, check_decay, max_abs, row_panels
 from .spectral import ExtendedState, SpectralResolution, _factored
 
@@ -591,23 +594,16 @@ def _prefix_trapezoid(h, dt):
     return out
 
 
-def _one_sided(h, dt, support):
-    # the prefix integrals of h, or for 'advanced' the suffix ones, t' >= t
+def _window_integrals(h, dt, support):
+    # trapezoid integrals of h over each row's window, read off the prefix
+    # ones P: P itself for 'retarded', P[-1] - P for 'advanced' and P[-1] in
+    # every row for 'causal'
     out = _prefix_trapezoid(h, dt)
-    if support == "advanced":
+    if support == "causal":
+        out[:-1] = out[-1]
+    elif support == "advanced":
         np.subtract(out[-1].copy(), out, out=out)
     return out
-
-
-def _column_panels(nlam, nt):
-    """``row_panels`` over the nlam columns of an (nt, nlam) block, none of
-    them a lone column unless the block is one: np.trapezoid sums a lone
-    column pairwise and each column of a wider array in order, so panels of
-    two or more columns keep every column's sum that of the whole block."""
-    panels = row_panels(nlam, nt, max(quadrature.PANEL_BYTES, 16 * nt))
-    if len(panels) > 1 and panels[-1].stop - panels[-1].start == 1:
-        panels[-2:] = [slice(panels[-2].start, nlam)]
-    return panels
 
 
 def _window(coeffs, t, lam, support: str, out=None):
@@ -619,19 +615,21 @@ def _window(coeffs, t, lam, support: str, out=None):
     of c(t') coeffs and s(t') coeffs over the window ``support`` selects:
     all t' for 'causal', the prefix t' <= t for 'retarded' and the suffix
     t' >= t for 'advanced', whose result is negated so that
-    retarded - advanced = causal.
+    retarded - advanced = causal.  Every window reads the one prefix rule,
+    :func:`_prefix_trapezoid`: the causal integral is its last row, which
+    sums each column in order whatever the panel's width.
 
     The arithmetic runs over column panels of about
     ``quadrature.PANEL_BYTES`` per (nt, width) array: one buffer holds
     c coeffs and then s coeffs, and the window's temporaries are four
-    panels at most (six for 'causal', with np.trapezoid's own).  Each
-    panel's result goes into ``out``, by default a new array; ``out`` may
-    be ``coeffs`` itself, since a panel's columns are read before they are
-    written.  Each column's arithmetic is that of the whole block.
+    panels at most, for every support.  Each panel's result goes into
+    ``out``, by default a new array; ``out`` may be ``coeffs`` itself,
+    since a panel's columns are read before they are written.  Each
+    column's arithmetic is that of the whole block.
     """
     dt = float(t[1] - t[0])
     out = np.empty(coeffs.shape) if out is None else out
-    for cols in _column_panels(lam.size, t.size):
+    for cols in row_panels(lam.size, t.size):
         _window_panel(coeffs[:, cols], t, dt, lam[None, cols], support, out[:, cols])
     return out
 
@@ -641,16 +639,11 @@ def _window_panel(a, t, dt, lam, support, out):
     # ``out``; its temporaries go when it returns, before the next panel
     s, c, rate = _harmonics(lam, t[:, None])
     h = np.multiply(c, a)
-    if support == "causal":
-        D = s * np.trapezoid(h, dx=dt, axis=0)
-        np.multiply(s, a, out=h)
-        c *= np.trapezoid(h, dx=dt, axis=0)
-    else:
-        D = _one_sided(h, dt, support)
-        D *= s
-        np.multiply(s, a, out=h)
-        del s
-        c *= _one_sided(h, dt, support)
+    D = _window_integrals(h, dt, support)
+    D *= s
+    np.multiply(s, a, out=h)
+    del s
+    c *= _window_integrals(h, dt, support)
     np.subtract(D, c, out=out)      # s I_c - c I_s
     out /= rate
     if support == "advanced":

@@ -42,10 +42,10 @@ is above 2^53 DBL_MIN (~2e-292).
 No array of the input's size is made besides the output.  ``analyze`` and
 ``transform`` share one projector, which folds the x weights into the
 family block rather than into the samples, and ``_synthesize`` sums each
-block into its output, weighting in place the blocks ``transform`` hands
-it, so a block has one coefficient array.  Both products run one row panel
-of about _PRODUCT_PANEL_BYTES (1 MB) at a time, so the weighted family and
-the partial sums never take more than one panel each.
+block into its output, weighting it in place, so a block has one
+coefficient array.  Both products run one row panel of about
+_PRODUCT_PANEL_BYTES (1 MB) at a time, so the weighted family and the
+partial sums never take more than one panel each.
 
 The input may also arrive factored, as the pair ``(g, h)`` of a
 space-time source g(t) h(x): then no array of the samples' size exists at
@@ -316,19 +316,19 @@ class SpectralResolution:
 
         return project
 
-    def _synthesize(self, coeffs_of, cb, owned=False):
+    def _synthesize(self, coeffs_of, cb):
         # the family on the x nodes summed against the block coefficients
         # ``coeffs_of(sl, phi)`` block by block, plus the bound channel ``cb``;
-        # ``owned``: each block is an array of its own, weighted in place
+        # each block must be an array of its own, since it is weighted in place
         out = None
         w = self.xi_weights() * self.weight
         for sl, phi in self.blocks():
             c = coeffs_of(sl, phi)
-            wc = np.multiply(c, w[sl], out=c if owned else None)
+            c *= w[sl]
             if out is None:
-                out = np.zeros(wc.shape[:-1] + (phi.shape[1],))
-            _accumulate(out, wc, phi)
-            del phi, c, wc  # free the block before the next one is evaluated
+                out = np.zeros(c.shape[:-1] + (phi.shape[1],))
+            _accumulate(out, c, phi)
+            del phi, c  # free the block before the next one is evaluated
         if self.bound is not None and cb is not None:
             _accumulate(out, np.asarray(cb, dtype=float)[..., None],
                         self.bound.profile(self.x)[None, :])
@@ -367,7 +367,7 @@ class SpectralResolution:
         extended resolutions.
         """
         coeffs = np.asarray(coeffs, dtype=float)
-        return self._split(self._synthesize(lambda sl, phi: coeffs[..., sl], cb))
+        return self._split(self._synthesize(lambda sl, phi: coeffs[..., sl].copy(), cb))
 
     def transform(self, f, f_boundary, act):
         """``synthesize`` of ``act`` applied to the ``analyze`` coefficients.
@@ -393,7 +393,7 @@ class SpectralResolution:
             cb = act(project(self.bound.profile(self.x)[None, :]),
                      np.array([self.bound.lam]))[..., 0]
         return self._split(self._synthesize(
-            lambda sl, phi: act(project(phi), lam[sl]), cb, owned=True))
+            lambda sl, phi: act(project(phi), lam[sl]), cb))
 
     def apply_operator(self, f, f_boundary: float = 0.0):
         """Apply the realized operator through the resolution.
@@ -469,6 +469,6 @@ def completeness_residual(res: SpectralResolution, f, f_boundary: float = 0.0,
     fn, w = f, corrected_weights(res.x.size, res.dx)    # f on the x nodes
     if res.extended:
         fn, w = np.append(f, f_boundary), np.append(w, 1.0)
-    err = fn - res._synthesize(lambda sl, phi: c[..., sl],
+    err = fn - res._synthesize(lambda sl, phi: c[..., sl].copy(),
                                cb if include_bound else None)
     return float(np.sqrt(max((err * err) @ w, 0.0) / ((fn * fn) @ w)))

@@ -416,6 +416,22 @@ class TestVerify:
         assert report["checks"]["greens_identity"]["passed"] is False
         assert report["checks"]["greens_identity"]["residual"] is None
 
+    # a kernel 1e-3 too large is off by about 4.7e-3 at Robin -1, max|G| 4.71
+    @pytest.mark.parametrize("scale", [1.5, 1.001])
+    def test_scaled_kernel_grid_fails_kernel_images(self, tmp_path, monkeypatch, scale):
+        build = cli.propagator.build_kernel_grid
+
+        def scaled(*args):
+            grid = build(*args)
+            grid.values *= scale
+            return grid
+
+        monkeypatch.setattr(cli.propagator, "build_kernel_grid", scaled)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "verify"]) == EXIT_CHECK_FAILED
+        report = json.loads((out / "verify.json").read_text())
+        assert report["checks"]["kernel_images"]["passed"] is False
+
 
 def test_quadrature_keys_reach_the_sidecar(tmp_path):
     cfg = write_config(tmp_path, model={"grid": 256, "x_max": 12.0},

@@ -616,7 +616,7 @@ class TestWindow:
         got = APPLIERS[support](res, f, self.T)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("support", ["retarded", "advanced"])
+    @pytest.mark.parametrize("support", SUPPORTS)
     def test_prefix_integral_is_scipys_cumulative_trapezoid(self, support,
                                                             monkeypatch):
         rng = np.random.default_rng(5)

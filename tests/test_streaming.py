@@ -21,9 +21,9 @@ WENTZELL = BoundaryCondition.wentzell_laplace()
 def block_allowance(nt, npoints):
     """Bytes one block may hold at once: its family sample (_CHUNK x
     npoints) and its one (nt, _CHUNK) coefficient array, one row panel for
-    each of the window's temporaries (six, the causal window's), one panel
+    each of the window's temporaries (four, for every support), one panel
     of the synthesis product, and 256 KB for the ufuncs' own buffers."""
-    return (8 * _CHUNK * (npoints + nt) + 6 * quadrature.PANEL_BYTES
+    return (8 * _CHUNK * (npoints + nt) + 4 * quadrature.PANEL_BYTES
             + spectral._PRODUCT_PANEL_BYTES + 2 ** 18)
 
 
@@ -47,13 +47,22 @@ def traced_peak(fn, *args):
 
 class TestPeakMemory:
     def test_retarded_applier_holds_one_block(self):
+        self.check_applier_holds_one_block(propagator.apply_retarded)
+
+    @pytest.mark.parametrize("applier", ["apply_causal", "apply_advanced"])
+    def test_other_appliers_hold_one_block(self, applier):
+        # the causal window's integrals come from the same prefix rule
+        self.check_applier_holds_one_block(getattr(propagator, applier))
+
+    @staticmethod
+    def check_applier_holds_one_block(applier):
         # the `halfwave evolve` grid; the source is made before tracing
         t = np.linspace(0.0, 6.0, 480)
         x = np.linspace(0.0, 30.0, 1024)
         res = resolve(ROBIN, 0.0, x, nodes=spectral.default_nodes(ROBIN, 0.0, span=66.0))
         f = propagator.gaussian_source({"amplitude": 1.0, "t0": 1.6, "sigma_t": 0.25,
                                         "x0": 3.0, "sigma_x": 0.4}, t, x)
-        peak = traced_peak(propagator.apply_retarded, res, f, t)
+        peak = traced_peak(applier, res, f, t)
         assert peak < streaming_bound(t.size, x.size, fields=1)
 
     def test_verify_bc_check_holds_one_block(self):
@@ -262,9 +271,9 @@ class TestBitIdentical:
         assert same_bits(derivative(u, 0.03, order),
                          whole_array_derivative(u, 0.03, order))
 
-    # the default column panels (34 columns), a one-column panel size (the
-    # panels take two), and widths that do not divide _CHUNK: 3 leaves a lone
-    # last column (256 = 85 x 3 + 1), 7 a short one
+    # the default column panels (34 columns), panels of one column, run as
+    # they are, and widths that do not divide _CHUNK: 3 leaves a lone last
+    # column (256 = 85 x 3 + 1), 7 a short one
     @pytest.mark.parametrize("support,width", [
         pytest.param(support, width, id=support + (f"-width{width}" if width else ""))
         for width in (None, 1, 3, 7) for support in ("causal", "retarded", "advanced")])
