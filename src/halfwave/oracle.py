@@ -214,13 +214,13 @@ def leapfrog(sys: FdSystem, u0, v0, dt: float, T: float,
     nsteps = int(round(T / dt))
 
     def forcing(i):
-        if source is None:
-            return 0.0
         return sys.to_w(source(i * dt) if callable(source) else source[i])
 
     w_prev = sys.to_w(u0)
     wd0 = sys.to_w(v0)
-    acc = -sys.act(w_prev) + forcing(0)
+    acc = -sys.act(w_prev)
+    if source is not None:
+        acc += forcing(0)
     w = w_prev + dt * wd0 + 0.5 * dt * dt * acc
 
     # each kept sample goes straight onto the full grid, as from_w puts it
@@ -231,16 +231,27 @@ def leapfrog(sys: FdSystem, u0, v0, dt: float, T: float,
     root_mass = np.sqrt(sys.mass)
     np.divide(w_prev, root_mass, out=U[0][active])
     np.divide(wd0, root_mass, out=Udot[0][active])
+    # one step: w_next = (2 - dt^2 diag) w - w_prev - dt^2 (off-diagonal
+    # products) + dt^2 forcing, the products made in one reused buffer and
+    # w_next written over the state two steps back
+    dt2 = dt * dt
+    centre = 2.0 - dt2 * sys.diag
+    side = dt2 * sys.off
+    spare, product = np.empty_like(w), np.empty_like(w)
     row = 1
     for i in range(1, nsteps + 1):
-        acc = -sys.act(w) + forcing(i)
-        w_next = 2.0 * w - w_prev + dt * dt * acc
+        w_next = np.multiply(centre, w, out=spare)
+        w_next -= w_prev
+        w_next[..., :-1] -= np.multiply(side, w[..., 1:], out=product[..., :-1])
+        w_next[..., 1:] -= np.multiply(side, w[..., :-1], out=product[..., 1:])
+        if source is not None:
+            w_next += dt2 * forcing(i)
         if i % sample_stride == 0 or i == nsteps:
             np.divide(w, root_mass, out=U[row][active])
             velocity = np.divide(w_next - w_prev, 2.0 * dt, out=Udot[row][active])
             velocity /= root_mass
             row += 1
-        w_prev, w = w, w_next
+        w_prev, w, spare = w, w_next, w_prev
     times = np.array([0.0] + [i * dt for i in kept])
     return times, U, Udot
 

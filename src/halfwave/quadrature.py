@@ -12,6 +12,7 @@ It also owns the panel rule of every pass over a large array, the 128 KB
 alone or in any stack, so a panelled pass gives the whole-array bits.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -38,21 +39,74 @@ def max_abs(a):
     return max(a.max(), -a.min())
 
 
-def check_uniform_grid(x) -> None:
-    """Raise ``ValueError`` unless ``x`` is a uniform increasing 1-D grid.
+def uniform_step(x):
+    """The step of ``x`` if it is a uniform increasing 1-D grid, else None.
 
     That takes at least 2 samples, and steps that are all positive and
     equal to within 1e-10 of a step plus 4 ulps of max|x|: the steps of a
     ``linspace`` differ by up to about one ulp of its largest value, more
-    than 1e-10 of a step once the grid has a few million nodes.
+    than 1e-10 of a step once the grid has a few million nodes.  The step
+    returned is the mean one, (x[-1] - x[0])/(n - 1).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2:
-        raise ValueError("x must be a 1-D grid of at least 2 samples")
+        return None
     steps = np.diff(x)
     tol = 1e-10 * steps[0] + 4 * np.spacing(max_abs(x))
     if np.any(steps <= 0) or not max_abs(steps - steps[0]) <= tol:
+        return None
+    return float(x[-1] - x[0]) / (x.size - 1)
+
+
+def check_uniform_grid(x) -> None:
+    """Raise ``ValueError`` unless ``x`` is a uniform increasing 1-D grid,
+    as :func:`uniform_step` judges it."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError("x must be a 1-D grid of at least 2 samples")
+    if uniform_step(x) is None:
         raise ValueError("x must be a uniform increasing grid")
+
+
+_SPLITTER = 134217729.0     # 2^27 + 1, which splits a double into two 26-bit halves
+
+
+def two_product(a, b):
+    """``(p, e)`` with p = fl(a b) and p + e = a b exactly (Dekker's product
+    with Veltkamp's split), elementwise at broadcastable ``a``, ``b`` whose
+    magnitudes are below 2^996."""
+    p = a * b
+    halves = []
+    for v in (a, b):
+        hi = v * _SPLITTER
+        hi = hi - (hi - v)
+        halves.append((hi, v - hi))
+    (a1, a2), (b1, b2) = halves
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def cells(p):
+    """The points ``p`` (a 1-D array) as cells: ``((hi, lo), fine)``, the
+    point i of cell j = i // b being hi[j] + lo[j] + fine[i % b].
+
+    On a uniform grid (:func:`uniform_step`) of n points, b = ceil(sqrt(n)):
+    cell j starts at p[0] + j b h exactly, h the mean step, held as the
+    pair hi + lo, and fine holds the offsets r h, r < b, rounded.  Each
+    point is then within about one ulp of the stored one (half an ulp for
+    a ``linspace`` from 0), and a function of the n points can be sampled
+    on about 2 sqrt(n) values.  Any other point set has cells of one point:
+    hi = p, lo = 0 and fine = [0].
+    """
+    p = np.asarray(p, dtype=float)
+    h = uniform_step(p)
+    if h is None:
+        return (p, np.zeros(p.size)), np.zeros(1)
+    b = math.isqrt(p.size - 1) + 1
+    u, v = two_product(np.arange(0, p.size, b, dtype=float), h)
+    # p[0] + u + v: the rounded sum, and its error (Knuth's two-sum) plus v
+    hi = p[0] + u
+    lo = (p[0] - (hi - (hi - p[0]))) + (u - (hi - p[0])) + v
+    return (hi, lo), np.arange(b) * h
 
 
 def trapezoid_weights(n, dx):

@@ -29,15 +29,25 @@ order.  ``default_nodes`` sizes the grid for the window a caller evaluates.
 family, at any points and any block of xi nodes; ``BoundState.profile`` is
 the one evaluator of the bound state.
 
-Two rules keep the blocked products off slow floating-point paths, and
-neither changes a result bit.  ``family_block`` evaluates its block in the
-128 KB row panels of ``quadrature.row_panels``: the outer product, the
-reduction mod 2 pi, the phase and the sine each pass over one panel in
-cache, and the only temporaries are two panel-sized buffers.  And the
-analysis input, the samples that ``analyze`` and ``transform`` project, has
-every |value| < DBL_MIN set to 0: a subnormal operand sends the matrix
-products through microcode assists, and it can move no sum whose magnitude
-is above 2^53 DBL_MIN (~2e-292).
+``family_block`` samples the family through the addition theorem.  The
+points go in cells, x = c + f (``quadrature.cells``): on a uniform grid of
+n points, about sqrt(n) cell starts c, held exactly as pairs of doubles,
+and b = ceil(sqrt(n)) offsets f.  Each row is sin(a) cos(xi f) + cos(a)
+sin(xi f), a = xi c + theta with the exact product xi c reduced mod 2 pi
+(``_angles``), one matrix product per row over the cells from tables of
+about 4 sqrt(n) sines and cosines, in place of one sine per point.  The
+tables are made a few dozen rows at a time, each at most a quarter of a
+128 KB panel, and the products go straight into the block.  The error
+against the exact family at the stored points is that of the point itself
+(half an ulp of x_max on a ``linspace`` from 0) times xi, plus a few ulps of
+2 pi: within one ulp of xi_max x_max.  Points that are not uniform make
+cells of one point, where the formula is sin(xi x + theta) itself.
+
+One rule keeps the blocked products off a slow floating-point path and
+changes no result bit: the analysis input, the samples that ``analyze``
+and ``transform`` project, has every |value| < DBL_MIN set to 0.  A
+subnormal operand sends the matrix products through microcode assists, and
+it can move no sum whose magnitude is above 2^53 DBL_MIN (~2e-292).
 
 No array of the input's size is made besides the output.  ``analyze`` and
 ``transform`` share one projector, which folds the x weights into the
@@ -64,8 +74,9 @@ from typing import Optional
 import numpy as np
 
 from .model import BoundaryCondition
-from .quadrature import (_EM_EDGE, check_decay, check_uniform_grid,
-                         corrected_weights, row_panels, trapezoid_weights)
+from .quadrature import (_EM_EDGE, cells, check_decay, check_uniform_grid,
+                         corrected_weights, row_panels, trapezoid_weights,
+                         two_product)
 
 DEFAULT_XI_MAX = 40.0
 DEFAULT_NODES = 4000
@@ -109,6 +120,34 @@ def _flushed(a: np.ndarray) -> np.ndarray:
 def _factored(f) -> bool:
     # a source given as its factors (g, h), the samples g[i] h[j]
     return isinstance(f, tuple)
+
+
+def _angles(omega, coarse, periodic=True):
+    """omega c in one double, at the rates ``omega`` and the cell starts
+    ``coarse`` = (hi, lo) of ``quadrature.cells`` (broadcastable): the
+    exact product, reduced mod 2 pi where ``periodic`` (whole multiples of
+    _TWO_PI_HI come off exactly), its low part added last."""
+    hi, lo = coarse
+    p, e = two_product(omega, hi)
+    e += omega * lo
+    m = np.rint(p / (2.0 * np.pi)) * periodic
+    p -= m * _TWO_PI_HI
+    p -= m * _TWO_PI_LO
+    p += e
+    return p
+
+
+def _cell_sum(out, coarse, fine):
+    # out[:, j b + r] = sum over k of coarse[:, j, k] fine[:, k, r], b =
+    # fine.shape[2]: one matrix product per row over its whole cells, one
+    # more over the last cell, which may be short
+    rows, n = out.shape
+    b = fine.shape[2]
+    m = n - n % b
+    np.matmul(coarse[:, :m // b], fine, out=out[:, :m].reshape(rows, m // b, b))
+    if m < n:
+        np.matmul(coarse[:, m // b:], fine[:, :, :n - m],
+                  out=out[:, m:].reshape(rows, 1, n - m))
 
 
 def _accumulate(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -232,41 +271,40 @@ class SpectralResolution:
         return np.pi / 2 + np.arctan(xi)
 
     def family_block(self, sl: slice, points=None):
-        """Continuum family sin(xi x + theta) at ``points`` for a block of xi
-        nodes: ``(phi, v)``, phi of shape (block, npoints) and v the boundary
-        component sin(theta) = phi at x = 0 (None unless extended).  Rows are
-        evaluated in the default ``row_panels``, bit for bit the one-shot
-        formula."""
+        """Continuum family sin(xi x + theta) at ``points``, by default the
+        x grid, for a block of xi nodes: ``(phi, v)``, phi of shape (block,
+        npoints) and v the boundary component sin(theta) = phi at x = 0
+        (None unless extended).
+
+        The points go in cells, x = c + f (``quadrature.cells``), and each
+        row is the addition formula sin(xi c + theta) cos(xi f) + cos(xi c
+        + theta) sin(xi f), from one sine and one cosine per cell and per
+        offset (see the module docstring): the exact xi c is reduced mod
+        2 pi before theta is added (:func:`_angles`), and each row is one
+        matrix product over its cells, whichever row panel it falls in.
+        Points that are not uniform make cells of one point, and the
+        formula is sin(xi x + theta) itself."""
         pts = self.x if points is None else np.asarray(points, dtype=float)
         xi = self.xi[sl]
         theta = self.phase(xi)
+        coarse, fine = cells(pts)
         phi = np.empty((xi.size, pts.size))
-        panels = row_panels(xi.size, pts.size)
-        n = np.empty_like(phi[panels[0]] if panels else phi)
-        scaled = np.empty_like(n)
-        for rows in panels:
-            p = phi[rows]
-            np.multiply.outer(xi[rows], pts, out=p)
-            if self.kind != "dirichlet":
-                # add theta to xi x reduced mod 2 pi, so the sum rounds at the
-                # scale of 2 pi, not of xi x (as accurate as the expanded forms)
-                m, s = n[:len(p)], scaled[:len(p)]
-                np.rint(np.divide(p, 2.0 * np.pi, out=m), out=m)
-                p -= np.multiply(m, _TWO_PI_HI, out=s)
-                p -= np.multiply(m, _TWO_PI_LO, out=s)
-                p += theta[rows, None]
-            np.sin(p, out=p)
+        for rows in row_panels(xi.size, 4 * (coarse[0].size + fine.size)):
+            a = _angles(xi[rows, None], coarse)
+            a += theta[rows, None]
+            f = np.multiply.outer(xi[rows], fine)
+            _cell_sum(phi[rows], np.stack([np.sin(a), np.cos(a)], axis=2),
+                      np.stack([np.cos(f), np.sin(f)], axis=1))
         return phi, (np.sin(theta) if self.extended else None)
 
     def blocks(self, points=None):
         """Yield ``(sl, phi)`` over consecutive blocks of xi nodes.
 
         ``phi`` is :meth:`family_block` on the slice ``sl`` at ``points``,
-        by default the x nodes: the x grid, plus x = 0 on the extended space.
+        by default the x grid, whose first node is the boundary x = 0: on
+        the extended space its column is also the boundary component.
         Blocking bounds the transient family sample to _CHUNK rows.
         """
-        if points is None:
-            points = np.append(self.x, 0.0) if self.extended else self.x
         for i0 in range(0, self.xi.size, _CHUNK):
             sl = slice(i0, min(i0 + _CHUNK, self.xi.size))
             yield sl, self.family_block(sl, points=points)[0]
@@ -277,8 +315,9 @@ class SpectralResolution:
         ``project(phi)`` is the endpoint-corrected quadrature of ``f``
         (flushed, see the module docstring) against each row of ``phi``:
         one column per row, the grid axis of ``f`` replaced.  ``phi`` holds
-        the rows on the x nodes, then, on the extended space, at x = 0,
-        whose weight 1 takes ``f_boundary``.  The x weights are folded into
+        the rows on the x grid; on the extended space the boundary node,
+        x = 0 with weight 1, takes ``f_boundary`` against the grid's first
+        column, its value there.  The x weights are folded into
         the block one row panel at a time, ``phi * w``, so no weighted copy
         of ``f`` is made.
 
@@ -289,16 +328,15 @@ class SpectralResolution:
         can make subnormals of normal factors.
         """
         w = corrected_weights(self.x.size, self.dx)
-        nx = self.x.size
         fb = _flushed(np.asarray(f_boundary, dtype=float)) if self.extended else None
         if _factored(f):
             g, h = (_flushed(np.asarray(a, dtype=float)) for a in f)
             hw = h * w
 
             def project(phi):
-                v = phi[:, :nx] @ hw
+                v = phi @ hw
                 if fb is not None:
-                    v += fb * phi[:, nx]
+                    v += fb * phi[:, 0]
                 c = np.multiply.outer(g, v)
                 _flush(c)
                 return c
@@ -308,10 +346,10 @@ class SpectralResolution:
 
         def project(phi):
             c = np.empty(f.shape[:-1] + (len(phi),))
-            for rows in row_panels(len(phi), nx, _PRODUCT_PANEL_BYTES):
-                c[..., rows] = f @ (phi[rows, :nx] * w).T
+            for rows in row_panels(len(phi), phi.shape[1], _PRODUCT_PANEL_BYTES):
+                c[..., rows] = f @ (phi[rows] * w).T
             if fb is not None:
-                c += np.multiply.outer(fb, phi[:, nx])
+                c += np.multiply.outer(fb, phi[:, 0])
             return c
 
         return project
@@ -335,7 +373,8 @@ class SpectralResolution:
         return out
 
     def _split(self, out):
-        return (out[..., :-1], out[..., -1]) if self.extended else out
+        # the extended space's boundary component is the value at x = 0
+        return (out, out[..., 0].copy()) if self.extended else out
 
     def analyze(self, f, f_boundary: float = 0.0):
         """Project onto the family: returns (continuum coeffs, bound coeff).
@@ -467,8 +506,8 @@ def completeness_residual(res: SpectralResolution, f, f_boundary: float = 0.0,
     check_decay(f, res.dx, what="completeness input")
     c, cb = res.analyze(f, f_boundary)
     fn, w = f, corrected_weights(res.x.size, res.dx)    # f on the x nodes
+    u = res._synthesize(lambda sl, phi: c[..., sl].copy(), cb if include_bound else None)
     if res.extended:
-        fn, w = np.append(f, f_boundary), np.append(w, 1.0)
-    err = fn - res._synthesize(lambda sl, phi: c[..., sl].copy(),
-                               cb if include_bound else None)
+        fn, w, u = np.append(f, f_boundary), np.append(w, 1.0), np.append(u, u[0])
+    err = fn - u
     return float(np.sqrt(max((err * err) @ w, 0.0) / ((fn * fn) @ w)))

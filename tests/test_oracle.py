@@ -142,9 +142,13 @@ def list_leapfrog(sysm, u0, v0, dt, T, sample_stride, source):
     acc = -sysm.act(w_prev) + sysm.to_w(source[0])
     w = w_prev + dt * wd0 + 0.5 * dt * dt * acc
     times, traj, vel = [0.0], [w_prev], [wd0]
+    dt2 = dt * dt
     for i in range(1, nsteps + 1):
-        acc = -sysm.act(w) + sysm.to_w(source[i])
-        w_next = 2.0 * w - w_prev + dt * dt * acc
+        # leapfrog's step: the diagonal term, less the off-diagonal products
+        w_next = (2.0 - dt2 * sysm.diag) * w - w_prev
+        w_next[:-1] -= (dt2 * sysm.off) * w[1:]
+        w_next[1:] -= (dt2 * sysm.off) * w[:-1]
+        w_next += dt2 * sysm.to_w(source[i])
         if i % sample_stride == 0 or i == nsteps:
             times.append(i * dt)
             traj.append(w)

@@ -86,6 +86,49 @@ class TestTimePropagatorScalars:
         assert np.all(np.isfinite(grid.values))
 
 
+class TestHarmonicsAccuracy:
+    """``_harmonics`` on a uniform t column and mixed lam against the
+    continued functions of r t in 50 digits, r the double sqrt(|lam|) that
+    s/rate divides by: within one ulp of r_max t_max for sin and cos, two
+    ulps of t_max for t itself, and (ulp(r_max t_max) + 4 eps) cosh(r t)
+    for sinh and cosh; n a multiple of the cell length ceil(sqrt(n)) or
+    not.  A ``linspace`` from t0 != 0 rounds each sample twice, which puts
+    its points up to an ulp of t_max off the uniform grid, so there the
+    bounds take r_max times that ulp more."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(t0=st.sampled_from([0.0, 0.25, 1.0, 2.0]), t_max=st.floats(2.0, 20.0),
+           b=st.integers(2, 25),
+           extra=st.sampled_from(["none", "one", "short", "whole"]),
+           rate_max=st.floats(5.0, 60.0), data=st.data())
+    def test_within_one_ulp(self, t0, t_max, b, extra, rate_max, data):
+        n = b * (b - 1) + {"none": 0, "one": 1, "short": b - 1, "whole": b}[extra]
+        assert math.isqrt(n - 1) + 1 == b
+        t = np.linspace(t0, t0 + t_max, n)
+        lam = np.array([-data.draw(st.floats(0.01, 4.0)), 0.0, rate_max ** 2]
+                       + data.draw(st.lists(st.floats(1e-6, rate_max ** 2),
+                                            min_size=1, max_size=5)))
+        s, c, rate = _harmonics(lam[None, :], t[:, None])
+        assert s.shape == c.shape == (n, lam.size)
+        r = np.sqrt(np.abs(lam))
+        with mpmath.workdps(50):
+            a = [[mpmath.mpf(float(ri)) * mpmath.mpf(float(tj)) for ri in r] for tj in t]
+            sin, cos, sinh, cosh = ([[float(f(v)) for v in row] for row in a]
+                                    for f in (mpmath.sin, mpmath.cos, mpmath.sinh, mpmath.cosh))
+        sin, cos, sinh, cosh = map(np.array, (sin, cos, sinh, cosh))
+        pos, neg = lam > 0, lam < 0
+        off_grid = np.spacing(t[-1]) if t0 != 0.0 else 0.0
+        tol = np.spacing(rate_max * t[-1]) + rate_max * off_grid
+        assert np.max(np.abs(s[:, pos] - sin[:, pos])) <= tol
+        assert np.max(np.abs(c[:, pos] - cos[:, pos])) <= tol
+        assert np.max(np.abs(s[:, 1] - t)) <= 2 * np.spacing(t[-1]) and np.all(c[:, 1] == 1.0)
+        hyp = (np.spacing(r[neg].max() * t[-1]) + r[neg].max() * off_grid
+               + 4 * np.finfo(float).eps) * cosh[:, neg]
+        assert np.all(np.abs(s[:, neg] - sinh[:, neg]) <= hyp)
+        assert np.all(np.abs(c[:, neg] - cosh[:, neg]) <= hyp)
+        assert np.array_equal(rate, np.where(lam == 0, 1.0, r)[None, :])
+
+
 @pytest.fixture(scope="module")
 def res_dirichlet():
     return resolve(DIR, 0.0, np.linspace(0.0, 12.0, 1024))
@@ -507,6 +550,19 @@ class TestAppliers:
         f = (np.ones(1), h) if factored else h[None, :]
         with pytest.raises(ValueError, match="at least 2 time samples"):
             apply(res_robin, f, np.array([0.5]))
+
+    @pytest.mark.parametrize("apply", [apply_causal, apply_retarded, apply_advanced])
+    @pytest.mark.parametrize("factored", [True, False])
+    def test_non_uniform_time_grid_is_rejected(self, res_robin, apply, factored):
+        # the step doubles after t = 3: a window read at the first step
+        # put the retarded field 50% off at t = 5.5, without a word
+        dt = self.T[1] - self.T[0]
+        t = np.concatenate([np.arange(0.0, 3.0, dt), 3.0 + 2 * dt * np.arange(0, 160)])
+        g, h = propagator.gaussian_source({"amplitude": 1.0, "t0": 3.8, "sigma_t": 0.3,
+                                           "x0": 4.0, "sigma_x": 0.5}, t, res_robin.x)
+        f = (g, h) if factored else np.multiply.outer(g, h)
+        with pytest.raises(ValueError, match="t must be a uniform increasing grid"):
+            apply(res_robin, f, t)
 
     def test_causal_annihilates_wave_images(self, res_dirichlet):
         # f = box g for compactly supported g lies in the kernel

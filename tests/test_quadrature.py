@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfwave.quadrature import (PANEL_BYTES, check_uniform_grid, corrected_weights,
-                                 derivative, row_panels)
+from halfwave.quadrature import (PANEL_BYTES, cells, check_uniform_grid, corrected_weights,
+                                 derivative, max_abs, row_panels, two_product,
+                                 uniform_step)
 from halfwave.verify import energy
 
 
@@ -115,3 +118,36 @@ def test_a_linspace_is_a_uniform_grid(start, stop, num):
     steps = np.diff(x)
     assert np.max(np.abs(steps - steps[0])) > 1e-10 * steps[0]
     check_uniform_grid(x)
+
+
+def test_two_product_is_exact():
+    # p + e = a b exactly: the error term is the product's rounding error
+    from fractions import Fraction
+    rng = np.random.default_rng(11)
+    a = rng.uniform(-1.0, 1.0, 200) * 2.0 ** rng.integers(-60, 60, 200)
+    b = rng.uniform(-1.0, 1.0, 200) * 2.0 ** rng.integers(-60, 60, 200)
+    p, e = two_product(a, b)
+    for ai, bi, pi, ei in zip(a, b, p, e):
+        assert pi == ai * bi
+        assert Fraction(pi) + Fraction(ei) == Fraction(ai) * Fraction(bi)
+
+
+@pytest.mark.parametrize("start,stop,num", [(0.0, 30.0, 2048), (0.0, 30.0, 2049),
+                                            (0.2, 3.2, 20), (-1.0, 5.0, 1000)])
+def test_cells_rebuild_a_linspace(start, stop, num):
+    # each cell start is exact, and every point within an ulp of the stored one
+    x = np.linspace(start, stop, num)
+    (hi, lo), fine = cells(x)
+    b = math.isqrt(num - 1) + 1
+    assert fine.size == b and hi.size == -(-num // b)
+    assert np.array_equal(fine, np.arange(b) * uniform_step(x))
+    j, r = np.divmod(np.arange(num), b)
+    assert np.max(np.abs((hi[j] - x) + lo[j] + fine[r])) <= np.spacing(max_abs(x))
+
+
+def test_scattered_points_make_cells_of_one():
+    x = np.array([0.0, 0.1, 0.3, 0.4])
+    (hi, lo), fine = cells(x)
+    assert uniform_step(x) is None
+    assert hi is x or np.array_equal(hi, x)
+    assert np.all(lo == 0.0) and np.array_equal(fine, [0.0])

@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import mpmath
 from hypothesis import example, given, settings
-from hypothesis.strategies import floats
+from hypothesis.strategies import booleans, floats, integers, sampled_from
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -67,17 +68,20 @@ class TestRobinContinuumMode:
 
 
 def expanded_family(kind, alpha, xi, x):
-    # the per-kind closed forms the phase form sin(xi x + theta) replaces
+    # the per-kind closed forms the phase form sin(xi x + theta) replaces, at
+    # the exact product X + E = xi x: sin and cos of a rounded xi x would be
+    # off by up to half an ulp of xi x (1.1e-13 at 40 x 30) themselves
     xi = xi[:, None]
-    X = xi * x[None, :]
+    X, E = quadrature.two_product(xi, x[None, :])
+    sin, cos = np.sin(X) + E * np.cos(X), np.cos(X) - E * np.sin(X)
     if kind == "dirichlet":
-        return np.sin(X), None
+        return sin, None
     if kind == "robin":
         if alpha == 0.0:
-            return np.cos(X), None
-        return (xi * np.cos(X) + alpha * np.sin(X)) / np.hypot(xi, alpha), None
+            return cos, None
+        return (xi * cos + alpha * sin) / np.hypot(xi, alpha), None
     nrm = 1.0 / np.sqrt(1.0 + xi * xi)
-    return nrm * (np.cos(X) - xi * np.sin(X)), nrm[:, 0]
+    return nrm * (cos - xi * sin), nrm[:, 0]
 
 
 PHASE_CASES = [("dirichlet", None), ("robin", -1.0), ("robin", 0.0), ("robin", 0.7),
@@ -101,8 +105,10 @@ class TestPhaseForm:
             assert v is None
 
     def test_dirichlet_is_exactly_sine(self):
-        phi, _ = family("dirichlet", self.XI, self.PTS)
-        assert phi.tobytes() == np.sin(np.multiply.outer(self.XI, self.PTS)).tobytes()
+        # the table formula at theta = 0, bit for bit, and exactly 0 at x = 0
+        res = SpectralResolution(kind="dirichlet", alpha=None, k=0.0, x=X, xi=self.XI)
+        phi, _ = res.family_block(slice(None), points=self.PTS)
+        assert phi.tobytes() == one_shot_family(res, slice(None), self.PTS).tobytes()
         assert np.all(phi[:, 0] == 0.0)
 
     def test_neumann_is_exact_at_zero_frequency(self):
@@ -130,18 +136,27 @@ class TestPhaseForm:
 
 
 def one_shot_family(res, sl, points):
-    # family_block as one pass over the whole block, the formula it runs
-    # panel by panel
-    xi = res.xi[sl]
-    theta = res.phase(xi)
-    phi = np.multiply.outer(xi, points)
-    if res.kind != "dirichlet":
-        n = np.rint(phi / (2.0 * np.pi))
-        phi -= _TWO_PI_HI * n
-        phi -= _TWO_PI_LO * n
-        phi += theta[:, None]
-    np.sin(phi, out=phi)
-    return phi
+    # family_block as one pass over the whole block, the table formula it
+    # runs in panels: cells x = c + f, the exact xi c reduced mod 2 pi plus
+    # theta, and at each point the product of the row (sin a, cos a) of its
+    # cell with the column (cos xi f, sin xi f) of its offset, one matrix
+    # product per row over the whole cells and one over the last
+    xi = res.xi[sl][:, None]
+    (hi, lo), fine = quadrature.cells(points)
+    p, e = quadrature.two_product(xi, hi)
+    e += xi * lo
+    n = np.rint(p / (2.0 * np.pi))
+    p -= n * _TWO_PI_HI
+    p -= n * _TWO_PI_LO
+    p += e
+    p += res.phase(xi)
+    f = xi * fine
+    rows = np.stack([np.sin(p), np.cos(p)], axis=2)
+    cols = np.stack([np.cos(f), np.sin(f)], axis=1)
+    whole, short = divmod(len(points), fine.size)
+    return np.concatenate([np.matmul(rows[:, :whole], cols).reshape(len(xi), -1),
+                           np.matmul(rows[:, whole:], cols[:, :, :short]).reshape(len(xi), -1)],
+                          axis=1)
 
 
 def panel_rows(npoints):
@@ -155,7 +170,8 @@ PANEL_CASES = [BoundaryCondition.dirichlet(), BoundaryCondition.robin(-1.0),
 
 
 class TestPanels:
-    """``family_block`` runs in row panels, bit for bit the one-shot formula."""
+    """``family_block`` runs in row panels, bit for bit the one-shot table
+    formula; ``TestFamilyAccuracy`` holds it to the exact family."""
 
     @pytest.mark.parametrize("rows", [None, 3], ids=["default", "3rows"])
     @pytest.mark.parametrize("npoints", [1, 20, 1025, 2049])
@@ -191,6 +207,45 @@ class TestPanels:
         # two panel buffers, plus the ufuncs' own iteration buffers
         panel = panel_rows(points.size) * points.size * 8
         assert peak < phi.nbytes + 2 * panel + 2 ** 18
+
+
+FAMILY_KINDS = [("dirichlet", None), ("robin", 1.5), ("robin", -1.0), ("robin", 0.0),
+                ("wentzell", None)]
+
+
+class TestFamilyAccuracy:
+    """``family_block`` against sin(xi x + theta) in 50 digits at the stored
+    xi, x and theta: within one ulp of xi_max x_max, on uniform grids (the
+    table formula) and on scattered points (cells of one point)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(xi_max=floats(10.0, 100.0), x_max=floats(10.0, 100.0),
+           n=integers(2, 2049), kind=sampled_from(FAMILY_KINDS), uniform=booleans(),
+           seed=integers(0, 2 ** 32 - 1))
+    @example(xi_max=40.0, x_max=30.0, n=2048, kind=("robin", -1.0), uniform=True, seed=0)
+    @example(xi_max=40.0, x_max=30.0, n=1024, kind=("wentzell", None), uniform=True, seed=0)
+    def test_within_one_ulp(self, xi_max, x_max, n, kind, uniform, seed):
+        if uniform:
+            points = np.linspace(0.0, x_max, n)
+        else:
+            points = np.sort(np.random.default_rng(seed).uniform(0.0, x_max, n))
+            points[0] = 0.0
+        xi = np.linspace(0.0, xi_max, 97)
+        res = SpectralResolution(kind=kind[0], alpha=kind[1], k=0.0, x=X, xi=xi)
+        phi, v = res.family_block(slice(None), points=points)
+        tol = np.spacing(xi_max * x_max)
+        theta = res.phase(xi)
+        for i in (1, 48, 96):
+            with mpmath.workdps(50):
+                want = [float(mpmath.sin(mpmath.mpf(float(xi[i])) * mpmath.mpf(float(p))
+                                         + mpmath.mpf(float(theta[i])))) for p in points]
+            assert np.max(np.abs(phi[i] - want)) <= tol
+        if kind[0] == "wentzell":
+            # the boundary component is the family at x = 0, the first point
+            assert np.array_equal(v, phi[:, 0])
+            with mpmath.workdps(50):
+                want = [float(mpmath.sin(mpmath.mpf(float(a)))) for a in theta]
+            assert np.max(np.abs(v - want)) <= tol
 
 
 class TestBoundState:

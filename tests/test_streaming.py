@@ -171,19 +171,34 @@ def whole_array_window(coeffs, t, lam, support):
     return -D if support == "advanced" else D
 
 
+def fused_step(sysm, w, w_prev, dt, force=None):
+    # leapfrog's step: (2 - dt^2 diag) w - w_prev less the two off-diagonal
+    # products, plus dt^2 times the forcing when there is one
+    dt2 = dt * dt
+    w_next = (2.0 - dt2 * sysm.diag) * w - w_prev
+    w_next[..., :-1] -= (dt2 * sysm.off) * w[..., 1:]
+    w_next[..., 1:] -= (dt2 * sysm.off) * w[..., :-1]
+    if force is not None:
+        w_next += dt2 * force
+    return w_next
+
+
 def stacked_leapfrog(sysm, u0, v0, dt, T, sample_stride=1, source=None):
-    # oracle.leapfrog as written before it wrote its samples onto the full
-    # grid: a stack of mass-weighted states, converted by from_w at the end
+    # oracle.leapfrog's step, with the samples written as before they went
+    # straight onto the full grid: a stack of mass-weighted states,
+    # converted by from_w at the end
     nsteps = int(round(T / dt))
 
     def forcing(i):
         if source is None:
-            return 0.0
+            return None
         return sysm.to_w(source(i * dt) if callable(source) else source[i])
 
     w_prev = sysm.to_w(u0)
     wd0 = sysm.to_w(v0)
-    acc = -sysm.act(w_prev) + forcing(0)
+    acc = -sysm.act(w_prev)
+    if source is not None:
+        acc += forcing(0)
     w = w_prev + dt * wd0 + 0.5 * dt * dt * acc
     kept = [i for i in range(1, nsteps + 1) if i % sample_stride == 0 or i == nsteps]
     traj_w = np.empty((len(kept) + 1,) + w.shape)
@@ -191,8 +206,7 @@ def stacked_leapfrog(sysm, u0, v0, dt, T, sample_stride=1, source=None):
     traj_w[0], vel_w[0] = w_prev, wd0
     row = 1
     for i in range(1, nsteps + 1):
-        acc = -sysm.act(w) + forcing(i)
-        w_next = 2.0 * w - w_prev + dt * dt * acc
+        w_next = fused_step(sysm, w, w_prev, dt, forcing(i))
         if i % sample_stride == 0 or i == nsteps:
             traj_w[row] = w
             np.divide(w_next - w_prev, 2.0 * dt, out=vel_w[row])
