@@ -13,7 +13,7 @@ Run:  python demos/01_boundary_selection_and_spectra.py
 import numpy as np
 
 from halfwave import (BoundaryCondition, assemble_fd, fd_spectrum,
-                      negative_spectrum_roots, spectrum_test, weyl_function)
+                      negative_spectrum_roots, spectrum_scan, weyl_function)
 
 print("Weyl function at k = 0:  M(lambda) = -sqrt(-lambda)")
 for lam in (-4.0, -1.0, -0.25):
@@ -26,7 +26,7 @@ for alpha in (-2.0, -1.0, -0.5, 0.0, 1.0):
     roots = negative_spectrum_roots(bc, lam_min=-6.0, step=1e-3)
     sysm = assemble_fd(bc, 0.0, 1024, 20.0)
     lowest = fd_spectrum(sysm, 1)[0]
-    verdict = "-" if alpha >= 0 else spectrum_test(-alpha ** 2, bc, 0.0)
+    verdict = "-" if alpha >= 0 else spectrum_scan(bc, [-alpha ** 2], 0.0)[0][3]
     root_str = ", ".join(f"{r:.4f}" for r in roots) if roots else "none"
     print(f"{alpha:7.2f} | {root_str:>18} | {lowest:10.5f} | {verdict}")
 
@@ -34,4 +34,4 @@ print("\nwith transverse modes (k ranging over an interval) the bound state")
 print("smears into a band: Robin(-2) fills (-4, 0)")
 bc = BoundaryCondition.robin(-2.0)
 for lam in (-5.0, -3.0, -1.0):
-    print(f"  lambda = {lam:5.2f}: {spectrum_test(lam, bc, (0.0, 8.0))}")
+    print(f"  lambda = {lam:5.2f}: {spectrum_scan(bc, [lam], (0.0, 8.0))[0][3]}")

@@ -21,8 +21,7 @@ from .spectral import (BoundState, ExtendedState, SpectralResolution,
                        bound_state, completeness_residual, resolve)
 from .triple import (IN_SPECTRUM, NOT_IN_SPECTRUM, TraceMaps, WeylValue,
                      greens_identity_residual, lower_bound_estimate,
-                     negative_spectrum_roots, spectrum_scan, spectrum_test,
-                     weyl_function)
+                     negative_spectrum_roots, spectrum_scan, weyl_function)
 from .verify import (EnergyReport, bc_residual, boundary_energy,
                      causality_report, cone_energy_ratio, energy,
                      energy_report, exact_sequence_residuals, gronwall_check,

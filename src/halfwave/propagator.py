@@ -9,11 +9,8 @@ Conventions (fixed here, used by every test):
   (t at lam = 0, sinh for lam < 0); it is odd in t, symmetric in (x, y),
   vanishes at t = 0 and has a delta-type time derivative there; one
   evaluator, ``_harmonics``, computes the continued sin/cos of sqrt(lam) t
-  for the kernels, the appliers and ``evolve_cauchy``, through their
-  addition formula: a uniform t column goes in about sqrt(nt) cells of
-  about sqrt(nt) samples (``quadrature.cells``), and each lam column is
-  sampled from tables at the cell starts and the offsets, one formula
-  for every sign of lam;
+  for the kernels, the appliers and ``evolve_cauchy``: the addition-theorem
+  evaluator of :mod:`halfwave.spectral` at the sign -sign(lam);
 * the retarded applier integrates sources over past times only and its
   output vanishes before the source; the advanced applier is its mirror and
   vanishes after the source; retarded - advanced = causal;
@@ -27,8 +24,8 @@ source coefficients over the whole sample (causal), its prefix (retarded)
 or its suffix (advanced, negated).  All three read one prefix trapezoid
 rule, ``_prefix_trapezoid``: the retarded window as it is, the advanced one
 as its last row less it and the causal one as its last row, in four panel
-temporaries for every support.  The harmonic tables are made once per
-block and combined one column panel at a time.  The continuum, its omega = 0 node
+temporaries for every support.  Each column panel samples its own
+harmonics, into its own layout.  The continuum, its omega = 0 node
 included, goes through it block by block; the bound channel is one more
 call, through sinh/cosh whenever its eigenvalue k^2 - alpha^2 is negative.
 
@@ -37,10 +34,11 @@ Every applier on the x grid (the three above, ``wentzell_apply`` and
 loop over blocks of _CHUNK xi nodes that evaluates each family block once,
 projects the source on it, acts on the block's modes and sums the block
 back into the field.  Besides the source and the field, a block holds its
-family sample (_CHUNK, nx), one (nt, _CHUNK) coefficient array, which
-``_window`` overwrites in 128 KB column panels and ``transform`` weights in
-place, the window's panels and one 1 MB panel of the products: no
-nt x n_xi coefficient array exists, and no other array of the field's size.
+family sample (_CHUNK, nx), one buffer for the whole pass, one (nt, _CHUNK)
+coefficient array, which ``_window`` overwrites in 128 KB column panels and
+``transform`` weights in place, the window's panels and one 1 MB panel of
+the products: no nt x n_xi coefficient array exists, and no other array of
+the field's size.
 A product source g(t) h(x) may be passed as its factors, the pair
 ``(g, h)``; then the field is the only array of its size, and each block
 projects h once, by one matrix-vector product.
@@ -88,30 +86,15 @@ import numpy as np
 from . import g17
 from .quadrature import (TruncationWarning, cells, check_decay, max_abs, row_panels,
                          uniform_step)
-from .spectral import ExtendedState, SpectralResolution, _angles, _factored
+from .spectral import (ExtendedState, SpectralResolution, _addition, _angles, _factored,
+                       _table)
 
 _CSV_CHUNK = 4096      # rows per write_grid_csv block, values per g17.text call
 _DBL_MIN = float(np.finfo(float).tiny)
 _LOG_TINY = math.log(_DBL_MIN)    # least exponent of a normal exp
 
 
-def _continued(lam, arg, t):
-    # (s, c) at broadcastable (lam, arg, t), arg = sqrt(|lam|) t to within
-    # whole turns where lam > 0: sin, cos of arg where lam > 0, t and 1
-    # where lam = 0, sinh and cosh of arg where lam < 0, each entry by one
-    # of sin/sinh and one of cos/cosh only
-    shape = np.broadcast_shapes(np.shape(lam), np.shape(arg), np.shape(t))
-    s = np.broadcast_to(t, shape).copy()
-    c = np.ones(shape)
-    pos, neg = lam > 0, lam < 0
-    np.sin(arg, out=s, where=pos)
-    np.sinh(arg, out=s, where=neg)
-    np.cos(arg, out=c, where=pos)
-    np.cosh(arg, out=c, where=neg)
-    return s, c
-
-
-def _harmonics(lam, t):
+def _harmonics(lam, t, points=None):
     """Factors (s, c, rate) of the continued functions of sqrt(lam) t.
 
     At broadcastable ``(lam, t)``: sin, cos and sqrt(lam) where lam > 0; t, 1
@@ -119,82 +102,29 @@ def _harmonics(lam, t):
     keeps the shape of ``lam``; s/rate is s(lam, t) and the addition formula
     reads s(lam, t - t') = (s(t) c(t') - c(t) s(t'))/rate.
 
-    They are sampled by that addition formula too, from the tables of
-    :func:`_cell_tables` combined by :func:`_cell_products`.
-    """
-    tables = _cell_tables(lam, t)
-    s, c = _cell_products(tables, np.broadcast_shapes(np.shape(lam), np.shape(t)))
-    return s, c, tables[-1]
-
-
-def _cell_tables(lam, t):
-    """The tables that :func:`_cell_products` samples ``_harmonics`` from.
-
-    When t is a line of samples along one axis, along which lam is
-    constant, the samples go in cells, t = c + f (``quadrature.cells``:
-    about sqrt(n) cells of about sqrt(n) uniform samples), and one formula
-    serves every sign of lam: s = S_c C_f + C_c S_f and c = C_c C_f +
-    sigma S_c S_f, sigma = -1, +1, 0 for lam >, <, = 0, from tables (S, C)
-    at the cell starts and at the offsets.  The cell angle sqrt(|lam|) c is
-    exact, and reduced mod 2 pi where lam > 0 (``spectral._angles``).  Each
-    table entry is computed by one of sin/sinh and one of cos/cosh only,
-    so a large sqrt(lam) t overflows nothing the tables do not return.  Any
-    other t makes cells of one sample, where the formula returns the table
-    itself.
-
-    Returns ``(ax, n, (S_c, C_c), (S_f, sigma S_f, C_f), rate)``: the axis
-    of the cells, with the offsets on a new axis after it, the samples
-    along it, the tables and sqrt(|lam|) (1 where lam = 0).
+    They are ``spectral._addition`` at rates sqrt(|lam|) and signs
+    -sign(lam), for a lam row (1, m) against a t column (n, 1) over the
+    cells of t, which a caller may pass as ``points``; other shapes are
+    cells of one point, the table ``spectral._table`` itself.
     """
     lam = np.asarray(lam, dtype=float)
     t = np.asarray(t, dtype=float)
-    shape = np.broadcast_shapes(lam.shape, t.shape)
-    nd = max(len(shape), 1)
-    lt, tt = (a.reshape((1,) * (nd - a.ndim) + a.shape) for a in (lam, t))
-    ax = int(np.argmax(tt.shape))       # the axis t's samples run along
-    n = ((1,) * (nd - len(shape)) + shape)[ax]
-    if tt.size == tt.shape[ax] and lt.shape[ax] == 1:
-        coarse, fine = cells(tt.reshape(-1))
-        cell = tt.shape[:ax] + (coarse[0].size,) + tt.shape[ax + 1:]
-        coarse = tuple(a.reshape(cell) for a in coarse)
+    rate, sign = np.sqrt(np.abs(lam)), -np.sign(lam)
+    if lam.ndim == t.ndim == 2 and lam.shape[0] == t.shape[1] == 1:
+        points = cells(t[:, 0]) if points is None else points
+        s, c = np.empty((t.size, lam.size)), np.empty((t.size, lam.size))
+        _addition(rate[0], sign[0], points, s.T, c.T)
     else:
-        coarse, fine = (tt, np.zeros(tt.shape)), np.zeros(1)
-    at = (slice(None),) * (ax + 1) + (None,)
-    lt = lt[at]
-    coarse = tuple(a[at] for a in coarse)
-    fine = fine.reshape((1,) * (ax + 1) + (fine.size,) + (1,) * (nd - ax - 1))
-    rate = np.sqrt(np.abs(lt))
-    sc, cc = _continued(lt, _angles(rate, coarse, lt > 0), coarse[0] + coarse[1])
-    sf, cf = _continued(lt, rate * fine, fine)
-    return (ax, n, (sc, cc), (sf, -np.sign(lt) * sf, cf),
-            np.where(lam == 0, 1.0, np.sqrt(np.abs(lam))))
-
-
-def _cell_products(tables, shape, cols=slice(None)):
-    """s and c of :func:`_harmonics`, of shape ``shape``, from ``tables``
-    of :func:`_cell_tables` on the columns ``cols`` of their last axis:
-    one product per table pair over the cells, the cells merged back into
-    one axis less the last cell's overhang."""
-    ax, n, (sc, cc), (sf, ssf, cf), _ = tables
-    sc, cc, sf, ssf, cf = (a[..., cols] for a in (sc, cc, sf, ssf, cf))
-    s = np.multiply(sc, cf)
-    tmp = np.multiply(cc, sf)
-    s += tmp
-    c = np.multiply(cc, cf)
-    c += np.multiply(sc, ssf, out=tmp)
-    merged = s.shape[:ax] + (s.shape[ax] * s.shape[ax + 1],) + s.shape[ax + 2:]
-    keep = (slice(None),) * ax + (slice(0, n),)
-    return tuple(a.reshape(merged)[keep].reshape(shape) for a in (s, c))
+        s, c = _table(sign, _angles(rate, (t, 0.0), sign < 0), t)
+    return s, c, np.where(lam == 0, 1.0, rate)
 
 
 def sin_propagator(lam, t):
     """s(lam, t) = sin(sqrt(lam) t)/sqrt(lam), continued through lam <= 0.
 
-    Equals t at lam = 0 and sinh(sqrt(-lam) t)/sqrt(-lam) for lam < 0.  It
-    reads :func:`_harmonics`, the one evaluator of the continued functions
-    behind the kernels, the appliers and :func:`evolve_cauchy`; only the
-    kernel's bound term at lam < 0 takes sinh's two exponentials together
-    with its profiles (``_non_separable``).
+    Equals t at lam = 0 and sinh(sqrt(-lam) t)/sqrt(-lam) for lam < 0, from
+    :func:`_harmonics`; only the kernel's bound term at lam < 0 takes sinh's
+    two exponentials together with its profiles (``_non_separable``).
     """
     s, _, rate = _harmonics(lam, t)
     return s / rate
@@ -703,17 +633,16 @@ def _window(coeffs, t, lam, support: str, out=None):
     """
     dt = float(t[1] - t[0])
     out = np.empty(coeffs.shape) if out is None else out
-    tables = _cell_tables(lam[None, :], t[:, None])
+    points = cells(t)
     for cols in row_panels(lam.size, t.size):
-        _window_panel(coeffs[:, cols], tables, cols, dt, support, out[:, cols])
+        _window_panel(coeffs[:, cols], t, points, lam[cols], dt, support, out[:, cols])
     return out
 
 
-def _window_panel(a, tables, cols, dt, support, out):
-    # _window on the columns ``a``, the columns ``cols`` of the harmonic
-    # ``tables``, into ``out``; its temporaries go when it returns, before
-    # the next panel
-    s, c = _cell_products(tables, a.shape, cols)
+def _window_panel(a, t, points, lam, dt, support, out):
+    # _window on the columns ``a`` at eigenvalues ``lam``, into ``out``; its
+    # temporaries go when it returns, before the next panel
+    s, c, rate = _harmonics(lam[None, :], t[:, None], points)
     h = np.multiply(c, a)
     D = _window_integrals(h, dt, support)
     D *= s
@@ -721,7 +650,7 @@ def _window_panel(a, tables, cols, dt, support, out):
     del s
     c *= _window_integrals(h, dt, support)
     np.subtract(D, c, out=out)      # s I_c - c I_s
-    out /= tables[-1][..., cols]      # the rate
+    out /= rate
     if support == "advanced":
         np.negative(out, out=out)
 

@@ -29,19 +29,23 @@ order.  ``default_nodes`` sizes the grid for the window a caller evaluates.
 family, at any points and any block of xi nodes; ``BoundState.profile`` is
 the one evaluator of the bound state.
 
-``family_block`` samples the family through the addition theorem.  The
-points go in cells, x = c + f (``quadrature.cells``): on a uniform grid of
-n points, about sqrt(n) cell starts c, held exactly as pairs of doubles,
-and b = ceil(sqrt(n)) offsets f.  Each row is sin(a) cos(xi f) + cos(a)
-sin(xi f), a = xi c + theta with the exact product xi c reduced mod 2 pi
-(``_angles``), one matrix product per row over the cells from tables of
-about 4 sqrt(n) sines and cosines, in place of one sine per point.  The
-tables are made a few dozen rows at a time, each at most a quarter of a
-128 KB panel, and the products go straight into the block.  The error
-against the exact family at the stored points is that of the point itself
-(half an ulp of x_max on a ``linspace`` from 0) times xi, plus a few ulps of
-2 pi: within one ulp of xi_max x_max.  Points that are not uniform make
-cells of one point, where the formula is sin(xi x + theta) itself.
+One evaluator, ``_addition``, samples both the family and the time
+harmonics (``propagator._harmonics``) through the addition theorem.  A row
+has a rate omega, a sign sigma and a phase theta, and its S, C are sin, cos
+(sigma = -1), sinh, cosh (sigma = +1) or p, 1 (sigma = 0) of omega p +
+theta.  The points p go in cells, p = c + f (``quadrature.cells``): on a
+uniform grid of n points, about sqrt(n) cell starts c, held exactly as
+pairs of doubles, and b = ceil(sqrt(n)) offsets f.  Then s = S_c C_f + C_c
+S_f and c = C_c C_f + sigma S_c S_f, from tables (``_table``) at omega c +
+theta, the exact omega c reduced mod 2 pi where sigma = -1 (``_angles``),
+and at omega f: about 4 sqrt(n) table values for n points, combined by one
+batched matrix product per row over its cells (``_cell_sum``), the only
+combine path.  The tables are made a few dozen rows at a time, each at most
+half of a 128 KB panel.  The family is s at sigma = -1 and theta(xi), within
+one ulp of xi_max x_max of the exact family at the stored points: the
+point's own error (half an ulp of x_max on a ``linspace`` from 0) times xi,
+plus a few ulps of 2 pi.  Points that are not uniform make cells of one
+point, where s and c are the table itself.
 
 One rule keeps the blocked products off a slow floating-point path and
 changes no result bit: the analysis input, the samples that ``analyze``
@@ -122,7 +126,7 @@ def _factored(f) -> bool:
     return isinstance(f, tuple)
 
 
-def _angles(omega, coarse, periodic=True):
+def _angles(omega, coarse, periodic):
     """omega c in one double, at the rates ``omega`` and the cell starts
     ``coarse`` = (hi, lo) of ``quadrature.cells`` (broadcastable): the
     exact product, reduced mod 2 pi where ``periodic`` (whole multiples of
@@ -140,7 +144,12 @@ def _angles(omega, coarse, periodic=True):
 def _cell_sum(out, coarse, fine):
     # out[:, j b + r] = sum over k of coarse[:, j, k] fine[:, k, r], b =
     # fine.shape[2]: one matrix product per row over its whole cells, one
-    # more over the last cell, which may be short
+    # more over the last cell, which may be short.  A product into strided
+    # rows takes numpy's slow loop (about 10 times the time), so rows that
+    # are not contiguous are summed into a new array and copied, same bits
+    if out.strides[-1] != out.itemsize:
+        out[...] = _cell_sum(np.empty(out.shape), coarse, fine)
+        return out
     rows, n = out.shape
     b = fine.shape[2]
     m = n - n % b
@@ -148,6 +157,41 @@ def _cell_sum(out, coarse, fine):
     if m < n:
         np.matmul(coarse[:, m // b:], fine[:, :, :n - m],
                   out=out[:, m:].reshape(rows, 1, n - m))
+    return out
+
+
+def _table(sign, arg, lin):
+    """``(S, C)`` at the angles ``arg``, with ``sign`` and ``lin``
+    broadcastable to its shape: sin and cos where sign < 0, sinh and cosh
+    where sign > 0, and ``lin`` and 1 where sign = 0.  sin and cos are taken
+    everywhere, unmasked, and the few other entries written over; sinh and
+    cosh are taken where sign > 0 only, so nothing overflows that is not
+    returned."""
+    s, c = np.asarray(np.sin(arg)), np.asarray(np.cos(arg))
+    if not np.all(sign < 0):
+        np.sinh(arg, out=s, where=sign > 0)
+        np.cosh(arg, out=c, where=sign > 0)
+        np.copyto(s, lin, where=sign == 0)
+        np.copyto(c, 1.0, where=sign == 0)
+    return s, c
+
+
+def _addition(rate, sign, points, s, c=None, theta=None):
+    """The addition-theorem evaluator: row i of ``s`` is S, and of ``c``
+    (when given) C, of :func:`_table` at rate[i] p + theta[i] and sign[i],
+    over the points p, given as their ``quadrature.cells`` (see the module
+    docstring).  ``s`` and ``c`` may be strided views."""
+    coarse, fine = points
+    for rows in row_panels(rate.size, 2 * (coarse[0].size + fine.size)):
+        r, sg = rate[rows, None], sign[rows, None]
+        a = _angles(r, coarse, sg < 0)
+        if theta is not None:
+            a += theta[rows, None]
+        cell = np.stack(_table(sg, a, coarse[0] + coarse[1]), axis=2)
+        sf, cf = _table(sg, r * fine, fine)
+        _cell_sum(s[rows], cell, np.stack([cf, sf], axis=1))
+        if c is not None:
+            _cell_sum(c[rows], cell, np.stack([sg * sf, cf], axis=1))
 
 
 def _accumulate(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
@@ -270,31 +314,21 @@ class SpectralResolution:
             return np.pi / 2 - np.arctan2(self.alpha, xi)
         return np.pi / 2 + np.arctan(xi)
 
-    def family_block(self, sl: slice, points=None):
+    def family_block(self, sl: slice, points=None, *, _out=None):
         """Continuum family sin(xi x + theta) at ``points``, by default the
         x grid, for a block of xi nodes: ``(phi, v)``, phi of shape (block,
         npoints) and v the boundary component sin(theta) = phi at x = 0
         (None unless extended).
 
-        The points go in cells, x = c + f (``quadrature.cells``), and each
-        row is the addition formula sin(xi c + theta) cos(xi f) + cos(xi c
-        + theta) sin(xi f), from one sine and one cosine per cell and per
-        offset (see the module docstring): the exact xi c is reduced mod
-        2 pi before theta is added (:func:`_angles`), and each row is one
-        matrix product over its cells, whichever row panel it falls in.
-        Points that are not uniform make cells of one point, and the
-        formula is sin(xi x + theta) itself."""
+        It is :func:`_addition` at rates xi, sign -1 and phase theta, s
+        only (see the module docstring); points that are not uniform make
+        cells of one point, where it is sin(xi x + theta) itself.  phi is
+        the leading rows of ``_out`` when :meth:`blocks` passes its buffer."""
         pts = self.x if points is None else np.asarray(points, dtype=float)
         xi = self.xi[sl]
         theta = self.phase(xi)
-        coarse, fine = cells(pts)
-        phi = np.empty((xi.size, pts.size))
-        for rows in row_panels(xi.size, 4 * (coarse[0].size + fine.size)):
-            a = _angles(xi[rows, None], coarse)
-            a += theta[rows, None]
-            f = np.multiply.outer(xi[rows], fine)
-            _cell_sum(phi[rows], np.stack([np.sin(a), np.cos(a)], axis=2),
-                      np.stack([np.cos(f), np.sin(f)], axis=1))
+        phi = np.empty((xi.size, pts.size)) if _out is None else _out[:xi.size]
+        _addition(xi, np.full(xi.size, -1.0), cells(pts), phi, theta=theta)
         return phi, (np.sin(theta) if self.extended else None)
 
     def blocks(self, points=None):
@@ -303,11 +337,16 @@ class SpectralResolution:
         ``phi`` is :meth:`family_block` on the slice ``sl`` at ``points``,
         by default the x grid, whose first node is the boundary x = 0: on
         the extended space its column is also the boundary component.
-        Blocking bounds the transient family sample to _CHUNK rows.
+        Every block is evaluated into one buffer of _CHUNK rows, the first
+        block's, so a pass touches its pages once, and a yielded ``phi``
+        stays valid only until the next step.
         """
+        buf = None
         for i0 in range(0, self.xi.size, _CHUNK):
             sl = slice(i0, min(i0 + _CHUNK, self.xi.size))
-            yield sl, self.family_block(sl, points=points)[0]
+            phi = self.family_block(sl, points=points, _out=buf)[0]
+            buf = phi if buf is None else buf
+            yield sl, phi
 
     def _projector(self, f, f_boundary):
         """The analysis of ``f`` as a function of a family block.
@@ -366,7 +405,7 @@ class SpectralResolution:
             if out is None:
                 out = np.zeros(c.shape[:-1] + (phi.shape[1],))
             _accumulate(out, c, phi)
-            del phi, c  # free the block before the next one is evaluated
+            del c  # free the coefficients before the next block is evaluated
         if self.bound is not None and cb is not None:
             _accumulate(out, np.asarray(cb, dtype=float)[..., None],
                         self.bound.profile(self.x)[None, :])
@@ -393,7 +432,6 @@ class SpectralResolution:
         coeffs = np.empty(lead + (self.xi.size,))
         for sl, phi in self.blocks():
             coeffs[..., sl] = project(phi)
-            del phi
         cb = None
         if self.bound is not None:
             cb = project(self.bound.profile(self.x)[None, :])[..., 0]

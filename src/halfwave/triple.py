@@ -155,23 +155,6 @@ def _k_sample(k_range: Union[float, tuple, Iterable[float]]) -> np.ndarray:
     return np.asarray(list(k_range), dtype=float)
 
 
-def spectrum_test(lam: float, bc: BoundaryCondition,
-                  k_range: Union[float, tuple, Iterable[float]] = 0.0,
-                  tol: float = 1e-9) -> str:
-    """Spectral membership of lambda < 0 for the realization chosen by ``bc``.
-
-    lambda belongs to the spectrum iff 0 lies in the closure of
-    {theta(k) + sqrt(k^2 - lambda)} over admissible k.  ``k_range`` is a
-    single wavenumber (n = 0 style), an interval ``(k_min, k_max)``, or an
-    explicit sample of wavenumbers.  Interval input is sampled and decided
-    by sign change or |value| <= tol on the min/max envelope; the verdict
-    is that of :func:`spectrum_scan` on the single lambda.
-    """
-    if lam >= 0:
-        raise ValueError("spectrum_test scans below the continuum: lambda < 0")
-    return spectrum_scan(bc, [lam], k_range, tol)[0][3]
-
-
 def spectrum_scan(bc: BoundaryCondition, lam_grid,
                   k_range: Union[float, tuple, Iterable[float]] = 0.0,
                   tol: float = 1e-9):

@@ -14,9 +14,10 @@ from halfwave.quadrature import (TruncationWarning, boundary_derivative,
                                  corrected_weights, derivative,
                                  trapezoid_weights)
 from halfwave import quadrature, spectral
-from halfwave.spectral import (_CHUNK, _TWO_PI_HI, _TWO_PI_LO, DEFAULT_NODES,
-                               MIN_NODES, SpectralResolution, bound_state,
-                               completeness_residual, default_nodes, resolve)
+from halfwave.spectral import (_CHUNK, DEFAULT_NODES, MIN_NODES, SpectralResolution,
+                               bound_state, completeness_residual, default_nodes,
+                               resolve)
+from reference_tables import addition_tables
 
 X = np.linspace(0.0, 30.0, 3000)
 # the half-line sine transform is the Dirichlet resolution: analysis gives
@@ -136,27 +137,10 @@ class TestPhaseForm:
 
 
 def one_shot_family(res, sl, points):
-    # family_block as one pass over the whole block, the table formula it
-    # runs in panels: cells x = c + f, the exact xi c reduced mod 2 pi plus
-    # theta, and at each point the product of the row (sin a, cos a) of its
-    # cell with the column (cos xi f, sin xi f) of its offset, one matrix
-    # product per row over the whole cells and one over the last
-    xi = res.xi[sl][:, None]
-    (hi, lo), fine = quadrature.cells(points)
-    p, e = quadrature.two_product(xi, hi)
-    e += xi * lo
-    n = np.rint(p / (2.0 * np.pi))
-    p -= n * _TWO_PI_HI
-    p -= n * _TWO_PI_LO
-    p += e
-    p += res.phase(xi)
-    f = xi * fine
-    rows = np.stack([np.sin(p), np.cos(p)], axis=2)
-    cols = np.stack([np.cos(f), np.sin(f)], axis=1)
-    whole, short = divmod(len(points), fine.size)
-    return np.concatenate([np.matmul(rows[:, :whole], cols).reshape(len(xi), -1),
-                           np.matmul(rows[:, whole:], cols[:, :, :short]).reshape(len(xi), -1)],
-                          axis=1)
+    # family_block as one pass over the whole block: the shared table
+    # formula at rates xi, sign -1 and phase theta, its s
+    xi = res.xi[sl]
+    return addition_tables(xi, np.full(xi.size, -1.0), points, res.phase(xi))[0]
 
 
 def panel_rows(npoints):
@@ -207,6 +191,37 @@ class TestPanels:
         # two panel buffers, plus the ufuncs' own iteration buffers
         panel = panel_rows(points.size) * points.size * 8
         assert peak < phi.nbytes + 2 * panel + 2 ** 18
+
+
+class TestBlocksBuffer:
+    """``blocks()`` evaluates every block of a pass into one buffer: the
+    yields share its memory, and each is ``family_block`` on its slice, bit
+    for bit; two passes zipped, as ``causal_kernel`` runs them, hold one
+    buffer each."""
+
+    @pytest.mark.parametrize("npoints", [None, 1025])
+    @pytest.mark.parametrize("bc", PANEL_CASES, ids=lambda bc: bc.kind)
+    def test_one_buffer_per_pass(self, bc, npoints):
+        res = resolve(bc, 0.0, X, nodes=700)     # blocks of 256, 256 and 188 rows
+        points = None if npoints is None else np.linspace(0.0, 37.5, npoints)
+        seen = []
+        for sl, phi in res.blocks(points):
+            want = res.family_block(sl, points=points)[0]
+            assert phi.shape == want.shape and phi.tobytes() == want.tobytes()
+            seen.append((sl, phi))
+        assert [sl.stop for sl, _ in seen] == [256, 512, 700]
+        assert all(np.shares_memory(phi, seen[0][1]) for _, phi in seen[1:])
+
+    def test_zipped_passes(self):
+        res = resolve(BoundaryCondition.robin(-1.0), 0.0, X, nodes=700)
+        x, y = np.linspace(0.1, 3.0, 40), np.linspace(0.2, 5.0, 33)
+        firsts = None
+        for (sl, px), (sl_y, py) in zip(res.blocks(x), res.blocks(y)):
+            assert sl == sl_y and not np.shares_memory(px, py)
+            assert px.tobytes() == res.family_block(sl, points=x)[0].tobytes()
+            assert py.tobytes() == res.family_block(sl, points=y)[0].tobytes()
+            firsts = firsts or (px, py)
+            assert np.shares_memory(px, firsts[0]) and np.shares_memory(py, firsts[1])
 
 
 FAMILY_KINDS = [("dirichlet", None), ("robin", 1.5), ("robin", -1.0), ("robin", 0.0),

@@ -10,9 +10,10 @@ import pytest
 
 from halfwave import cli, oracle, propagator, quadrature, spectral, verify
 from halfwave.model import BoundaryCondition
-from halfwave.propagator import _harmonics, _window
+from halfwave.propagator import _window
 from halfwave.quadrature import _STENCILS, derivative
 from halfwave.spectral import _CHUNK, resolve
+from reference_tables import reference_harmonics
 
 ROBIN = BoundaryCondition.robin(-1.0)
 WENTZELL = BoundaryCondition.wentzell_laplace()
@@ -151,8 +152,9 @@ def whole_array_bc_residual(U, t, x, bc, k=0.0):
 
 
 def whole_array_window(coeffs, t, lam, support):
-    # _window as written before it reused its buffers
-    s, c, rate = _harmonics(lam[None, :], t[:, None])
+    # _window as written before it reused its buffers, on the whole-array
+    # table formula in place of the harmonics it makes per column panel
+    s, c, rate = reference_harmonics(lam, t)
     dt = float(t[1] - t[0])
 
     def prefix(h):

@@ -12,8 +12,7 @@ from halfwave.oracle import assemble_fd, fd_spectrum
 from halfwave.quadrature import TruncationWarning
 from halfwave.triple import (IN_SPECTRUM, NOT_IN_SPECTRUM, TraceMaps,
                              greens_identity_residual, lower_bound_estimate,
-                             negative_spectrum_roots, spectrum_scan,
-                             spectrum_test, weyl_function)
+                             negative_spectrum_roots, spectrum_scan, weyl_function)
 
 X30 = np.linspace(0.0, 30.0, 3000)
 
@@ -99,13 +98,15 @@ class TestWeylFunction:
 
 
 class TestSpectrumTest:
+    """spectrum_scan's verdict on one lambda."""
+
     def test_robin_negative_point(self):
-        assert spectrum_test(-1.0, BoundaryCondition.robin(-1.0), 0.0) == IN_SPECTRUM
+        assert spectrum_scan(BoundaryCondition.robin(-1.0), [-1.0], 0.0)[0][3] == IN_SPECTRUM
 
     def test_robin_positive_alpha_empty(self):
         bc = BoundaryCondition.robin(1.0)
         for lam in (-0.25, -1.0, -4.0):
-            assert spectrum_test(lam, bc, 0.0) == NOT_IN_SPECTRUM
+            assert spectrum_scan(bc, [lam], 0.0)[0][3] == NOT_IN_SPECTRUM
 
     def test_witness_skips_nan_wavenumbers(self):
         # the witness is the finite value closest to 0 over the k sample;
@@ -118,13 +119,13 @@ class TestSpectrumTest:
 
     def test_robin_band_with_transverse_modes(self):
         bc = BoundaryCondition.robin(-2.0)
-        assert spectrum_test(-3.0, bc, (0.0, 8.0)) == IN_SPECTRUM
-        assert spectrum_test(-5.0, bc, (0.0, 8.0)) == NOT_IN_SPECTRUM
+        assert spectrum_scan(bc, [-3.0], (0.0, 8.0))[0][3] == IN_SPECTRUM
+        assert spectrum_scan(bc, [-5.0], (0.0, 8.0))[0][3] == NOT_IN_SPECTRUM
 
     def test_dirichlet_has_no_negative_spectrum(self):
         bc = BoundaryCondition.dirichlet()
         for lam in (-0.1, -2.0):
-            assert spectrum_test(lam, bc, 0.0) == NOT_IN_SPECTRUM
+            assert spectrum_scan(bc, [lam], 0.0)[0][3] == NOT_IN_SPECTRUM
 
     def test_agreement_with_fd_counts(self):
         for alpha in (-2.0, -1.0, -0.5, 0.0, 1.0):
